@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import errno
 import ipaddress
 import re
 import socket
 import threading
+import time
 from typing import Callable
 
 RELAY_CHUNK = 65536
+
+# accept() errors that leave the listening socket usable: out of descriptors
+# or kernel memory, or a peer that reset before it was accepted
+ACCEPT_RETRY_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS,
+                                 errno.ENOMEM, errno.ECONNABORTED})
+ACCEPT_RETRY_DELAY = 0.05
 
 # wire protocol between the frontend relay and a backend balancer: the very
 # first bytes of a forwarded connection carry the participant's address
@@ -83,7 +91,8 @@ class TcpListener:
     """Accept loop on one port with a daemon thread per connection.
 
     The handler receives ``(conn, peer_address)`` and owns the socket; it is
-    closed after the handler returns in case the handler did not.
+    closed after the handler returns in case the handler did not. Running out
+    of descriptors or memory pauses accepting; only ``close`` ends it.
     """
 
     def __init__(self, address: str, port: int,
@@ -102,8 +111,12 @@ class TcpListener:
         while True:
             try:
                 conn, peer = self._sock.accept()
-            except OSError:
-                return
+            except OSError as exc:
+                if exc.errno not in ACCEPT_RETRY_ERRNOS:
+                    return  # EBADF or EINVAL: the listener was closed
+                # the pending connection stays queued until a descriptor frees
+                time.sleep(ACCEPT_RETRY_DELAY)
+                continue
             threading.Thread(target=self._run_handler, args=(conn, peer),
                              daemon=True).start()
 

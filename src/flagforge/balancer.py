@@ -13,6 +13,7 @@ address rather than on the frontend's.
 
 from __future__ import annotations
 
+import heapq
 import socket
 import threading
 import time
@@ -36,6 +37,8 @@ from .registry import (
 )
 
 CONNECT_TIMEOUT = 3.0
+# the stick-table heap is rebuilt once it holds this many keys per entry
+HEAP_REBUILD_FACTOR = 2
 
 
 @dataclass
@@ -51,12 +54,22 @@ class StickTable:
     An entry is usable iff ``now - last_seen <= ttl`` (an entry aged exactly
     ttl still counts). Inserting a new IP at capacity evicts the entry with
     the smallest (last_seen, source_ip).
+
+    Costs, for n entries: ``lookup`` O(1); ``refresh`` and ``assign``
+    O(log n) amortized, eviction included; ``expire`` O(k log n) for k aged
+    entries; ``invalidate_replica`` O(k) for the k pins of that replica.
+    Eviction and expiry read a min-heap of (last_seen, source_ip) keys with
+    lazy deletion: every live entry's current key is in the heap, and a
+    popped key that no longer matches its entry is skipped. The heap is
+    rebuilt from the entries once stale keys outnumber live ones.
     """
 
     def __init__(self, ttl: float, capacity: int):
         self.ttl = ttl
         self.capacity = capacity
         self._entries: dict[str, StickEntry] = {}
+        self._heap: list[tuple[float, str]] = []
+        self._by_replica: dict[str, set[str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -69,29 +82,63 @@ class StickTable:
 
     def refresh(self, source_ip: str, now: float) -> None:
         self._entries[source_ip].last_seen = now
+        self._push(now, source_ip)
 
     def assign(self, source_ip: str, replica_id: str, now: float) -> None:
-        if source_ip not in self._entries and len(self._entries) >= self.capacity:
-            victim = min(self._entries.values(),
-                         key=lambda e: (e.last_seen, e.source_ip))
-            del self._entries[victim.source_ip]
+        if source_ip in self._entries:
+            self._remove(source_ip)
+        elif len(self._entries) >= self.capacity:
+            self._remove(self._pop_oldest())
         self._entries[source_ip] = StickEntry(source_ip, replica_id, now)
+        self._by_replica.setdefault(replica_id, set()).add(source_ip)
+        self._push(now, source_ip)
 
     def expire(self, now: float) -> int:
-        aged = [ip for ip, e in self._entries.items() if now - e.last_seen > self.ttl]
-        for ip in aged:
-            del self._entries[ip]
-        return len(aged)
+        aged = 0
+        heap = self._heap
+        # now - last_seen > ttl is monotone in last_seen, so the aged
+        # entries are exactly the live keys at the front of the heap
+        while heap and now - heap[0][0] > self.ttl:
+            last_seen, ip = heapq.heappop(heap)
+            if self._is_live(last_seen, ip):
+                self._remove(ip)
+                aged += 1
+        return aged
 
     def invalidate_replica(self, replica_id: str) -> int:
-        pinned = [ip for ip, e in self._entries.items()
-                  if e.replica_id == replica_id]
+        pinned = self._by_replica.pop(replica_id, set())
         for ip in pinned:
             del self._entries[ip]
         return len(pinned)
 
     def entries(self) -> list[StickEntry]:
         return sorted(self._entries.values(), key=lambda e: e.source_ip)
+
+    def _is_live(self, last_seen: float, source_ip: str) -> bool:
+        entry = self._entries.get(source_ip)
+        return entry is not None and entry.last_seen == last_seen
+
+    def _pop_oldest(self) -> str:
+        while True:
+            last_seen, ip = heapq.heappop(self._heap)
+            if self._is_live(last_seen, ip):
+                return ip
+
+    def _push(self, last_seen: float, source_ip: str) -> None:
+        heap = self._heap
+        if len(heap) >= HEAP_REBUILD_FACTOR * len(self._entries):
+            heap[:] = [(e.last_seen, ip) for ip, e in self._entries.items()]
+            heapq.heapify(heap)
+            # the key being pushed is already among the rebuilt ones
+            return
+        heapq.heappush(heap, (last_seen, source_ip))
+
+    def _remove(self, source_ip: str) -> None:
+        entry = self._entries.pop(source_ip)
+        pins = self._by_replica[entry.replica_id]
+        pins.discard(source_ip)
+        if not pins:
+            del self._by_replica[entry.replica_id]
 
 
 class Balancer:
@@ -149,10 +196,14 @@ class Balancer:
             try:
                 upstream = socket.create_connection(
                     (endpoint.address, endpoint.port), timeout=self.connect_timeout)
-                return endpoint, upstream
             except OSError as exc:
                 last_error = exc
                 self.mark_suspect(endpoint.replica_id)
+                continue
+            # the timeout bounds the connect only: left on the socket, the
+            # relay would read a quiet replica as EOF and cut the player off
+            upstream.settimeout(None)
+            return endpoint, upstream
         raise NoHealthyReplicasError(
             f"replicas of {service} refused connections: {last_error}")
 

@@ -243,3 +243,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def console() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console()

@@ -184,6 +184,7 @@ class IngressServer:
                     timeout=self.connect_timeout)
             except OSError:
                 return
+            upstream.settimeout(None)  # bound the connect, not the relay
             upstream.sendall(render_proxy_header(peer[0]))
             relay(conn, upstream)
 

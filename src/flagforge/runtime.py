@@ -308,9 +308,10 @@ class BackendNode:
         self.store.save_balancer(config)
 
     def tick(self) -> None:
-        """One supervision beat: probe, replace, persist counters."""
+        """One supervision beat: probe, replace, drop aged pins, persist counters."""
         self.supervisor.probe_all()
         self.supervisor.reconcile_all()
+        self.balancer.expire_entries()
         self.persist_balancer()
 
     def close(self, stop_replicas: bool) -> None:

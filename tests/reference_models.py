@@ -53,3 +53,46 @@ class ReferenceSelector:
             del self.table[victim]
         self.table[ip] = [chosen, self.now]
         return chosen
+
+
+class ReferenceStickTable:
+    """The stick table as a plain dict, every eviction and expiry a full scan."""
+
+    def __init__(self, ttl: float, capacity: int):
+        self.ttl = ttl
+        self.capacity = capacity
+        self.table: dict[str, list] = {}  # ip -> [replica_id, last_seen]
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def lookup(self, ip: str, now: float) -> str | None:
+        entry = self.table.get(ip)
+        if entry is None or now - entry[1] > self.ttl:
+            return None
+        return entry[0]
+
+    def refresh(self, ip: str, now: float) -> None:
+        self.table[ip][1] = now
+
+    def assign(self, ip: str, replica_id: str, now: float) -> None:
+        if ip not in self.table and len(self.table) >= self.capacity:
+            victim = min(self.table.items(), key=lambda kv: (kv[1][1], kv[0]))[0]
+            del self.table[victim]
+        self.table[ip] = [replica_id, now]
+
+    def expire(self, now: float) -> int:
+        aged = [ip for ip, (_, seen) in self.table.items()
+                if now - seen > self.ttl]
+        for ip in aged:
+            del self.table[ip]
+        return len(aged)
+
+    def invalidate_replica(self, replica_id: str) -> int:
+        pinned = [ip for ip, (rid, _) in self.table.items() if rid == replica_id]
+        for ip in pinned:
+            del self.table[ip]
+        return len(pinned)
+
+    def entries(self) -> list[tuple[str, str, float]]:
+        return sorted((ip, rid, seen) for ip, (rid, seen) in self.table.items())

@@ -5,11 +5,17 @@ from __future__ import annotations
 import random
 import socket
 import threading
+import time
 
 import pytest
 
 from flagforge._net import TcpListener, parse_proxy_header, render_proxy_header
-from flagforge.balancer import Balancer, BalancerServer, StickTable
+from flagforge.balancer import (
+    HEAP_REBUILD_FACTOR,
+    Balancer,
+    BalancerServer,
+    StickTable,
+)
 from flagforge.errors import NoHealthyReplicasError
 from flagforge.registry import (
     HEALTH_HEALTHY,
@@ -17,7 +23,7 @@ from flagforge.registry import (
     Registry,
     ReplicaEndpoint,
 )
-from reference_models import ReferenceSelector
+from reference_models import ReferenceSelector, ReferenceStickTable
 
 
 class FakeClock:
@@ -103,6 +109,67 @@ def test_invalidate_replica_counts_and_idempotence():
     assert table.invalidate_replica("r2") == 0
     assert table.invalidate_replica("r9") == 0
     assert len(table) == 1
+
+
+def replay_stick_table(seed: int, events: int = 3000) -> None:
+    """Drive StickTable and the brute-force table through one seeded trace.
+
+    Every third seed is refresh-heavy, so the heap fills with stale keys and
+    is rebuilt many times. The clock steps by zero (ties broken by address),
+    forwards past the TTL and backwards; capacity and TTL change mid-trace,
+    capacity also to below the current size.
+    """
+    rng = random.Random(seed)
+    ttl = rng.choice([3.0, 10.0])
+    capacity = rng.choice([1, 2, 5, 20, 50])
+    table = StickTable(ttl, capacity)
+    reference = ReferenceStickTable(ttl, capacity)
+    replica_ids = ["r1", "r2", "r3"]
+    ips = [f"10.7.0.{i}" for i in range(rng.choice([8, 30, 80]))]
+    ops = ["refresh", "assign", "lookup", "clock", "expire", "invalidate",
+           "configure"]
+    weights = [60 if seed % 3 == 0 else 20, 30, 15, 15, 5, 4, 2]
+    now = 100.0
+    for step, op in enumerate(rng.choices(ops, weights, k=events)):
+        where = f"seed {seed} step {step} {op}"
+        if op == "refresh":
+            pinned = [ip for ip, _, _ in reference.entries()]
+            if pinned:
+                ip = rng.choice(pinned)
+                table.refresh(ip, now)
+                reference.refresh(ip, now)
+                assert len(table._heap) <= HEAP_REBUILD_FACTOR * len(table), where
+        elif op == "assign":
+            ip, replica = rng.choice(ips), rng.choice(replica_ids)
+            table.assign(ip, replica, now)
+            reference.assign(ip, replica, now)
+        elif op == "lookup":
+            ip = rng.choice(ips)
+            assert table.lookup(ip, now) == reference.lookup(ip, now), where
+        elif op == "clock":
+            now += rng.choice([0.0, 0.0, 0.5, 1.0, ttl, ttl + 1, -1.0, -ttl])
+        elif op == "expire":
+            assert table.expire(now) == reference.expire(now), where
+        elif op == "invalidate":
+            replica = rng.choice(replica_ids)
+            pinned = [ip for ip, rid, _ in reference.entries() if rid == replica]
+            assert (table.invalidate_replica(replica)
+                    == reference.invalidate_replica(replica)), where
+            for ip in pinned[:rng.randrange(3)]:  # re-pin some right away
+                table.assign(ip, replica, now)
+                reference.assign(ip, replica, now)
+        else:
+            # what Balancer.configure does to a live table
+            table.capacity = reference.capacity = rng.choice(
+                [1, 2, 5, 20, 50, max(1, len(reference) // 2)])
+            table.ttl = reference.ttl = rng.choice([3.0, 10.0])
+        assert [(e.source_ip, e.replica_id, e.last_seen)
+                for e in table.entries()] == reference.entries(), where
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stick_table_matches_reference_model(seed):
+    replay_stick_table(seed)
 
 
 # --- selection ----------------------------------------------------------------
@@ -237,13 +304,14 @@ def test_selection_matches_reference_model(seed):
 # --- data plane -----------------------------------------------------------------
 
 
-def echo_replica(greeting: bytes) -> TcpListener:
+def echo_replica(greeting: bytes, reply_delay: float = 0.0) -> TcpListener:
     def handler(conn: socket.socket, peer) -> None:
         conn.sendall(greeting)
         while True:
             data = conn.recv(65536)
             if not data:
                 return
+            time.sleep(reply_delay)
             conn.sendall(data)
 
     return TcpListener("127.0.0.1", 0, handler)
@@ -329,6 +397,28 @@ def test_connect_failure_retries_once_and_marks_suspect(data_plane):
     assert balancer.suspects() == {"r1"}
     # registry health was never touched by the balancer
     assert registry.health_of("r1") == HEALTH_HEALTHY
+
+
+def test_relay_outlives_connect_timeout_of_a_quiet_replica():
+    registry = Registry()
+    registry.create_service("web", "net-web")
+    replica = echo_replica(b"r1 v1\n", reply_delay=0.6)
+    registry.register_replica("web", ReplicaEndpoint(
+        "r1", "127.0.0.1", replica.port, "v1", HEALTH_HEALTHY))
+    balancer = Balancer(registry, stick_ttl=100, stick_capacity=100,
+                        connect_timeout=0.2)
+    server = BalancerServer(balancer, "127.0.0.1")
+    server.bind_service("web", 0)
+    try:
+        port = server.ports()["web"]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            assert read_greeting(sock) == "r1 v1"
+            time.sleep(0.3)  # player silent longer than the connect timeout
+            sock.sendall(b"ping")
+            assert sock.recv(64) == b"ping"  # replica silent for 0.6 s
+    finally:
+        server.close()
+        replica.close()
 
 
 def test_proxy_header_strips_and_keys_stickiness(data_plane):

@@ -7,6 +7,7 @@ import json
 import os
 import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -379,3 +380,17 @@ def test_serve_frontend_exits_when_external_port_is_taken(workspace, capsys):
     assert code == 1
     assert f"external port {external}" in capsys.readouterr().err
     assert StateStore(state).lock_owner("edge") is None
+
+
+# --- module entry point -------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["flagforge", "flagforge.cli"])
+def test_module_entry_point_prints_usage(module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: flagforge")

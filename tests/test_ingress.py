@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import socket
+import time
 
 import pytest
 
@@ -33,8 +34,11 @@ challenge alpha version=v1 replicas=1 internal_port=1 external_port=9001 backend
 PORTS = {"worker": {"alpha": 20000, "beta": 20001}}
 
 
-def balancer_stub(name: str) -> TcpListener:
-    """Backend-side stand-in: consumes PROXY4, answers `<name> <ip>`, echoes."""
+def balancer_stub(name: str, reply_delay: float = 0.0) -> TcpListener:
+    """Backend-side stand-in: consumes PROXY4, answers `<name> <ip>`, echoes.
+
+    ``reply_delay`` seconds pass between the header and the answer.
+    """
 
     def handler(conn: socket.socket, peer) -> None:
         try:
@@ -42,6 +46,7 @@ def balancer_stub(name: str) -> TcpListener:
             ip = parse_proxy_header(line)
         except ValueError:
             return
+        time.sleep(reply_delay)
         conn.sendall(f"{name} {ip}\n".encode())
         if leftover:
             conn.sendall(leftover)
@@ -162,6 +167,19 @@ def test_forward_end_to_end(server, free_port):
             sock.sendall(b"marco")
             assert sock.recv(64) == b"marco"
     finally:
+        stub.close()
+
+
+def test_relay_outlives_connect_timeout_of_a_quiet_backend(free_port):
+    ingress = IngressServer("127.0.0.1", connect_timeout=0.2)
+    stub = balancer_stub("A", reply_delay=0.6)
+    external = free_port()
+    try:
+        ingress.apply_table(table_for(external, stub.port))
+        with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
+            assert read_line_from(sock) == "A 127.0.0.1"
+    finally:
+        ingress.close()
         stub.close()
 
 

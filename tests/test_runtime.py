@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -33,7 +34,8 @@ class OkProber:
         return True
 
 
-def make_cluster(root, text=TOPOLOGY, hosted=None, adoptable=(), alive=None):
+def make_cluster(root, text=TOPOLOGY, hosted=None, adoptable=(), alive=None,
+                 clock=time.time):
     store = StateStore(root / "state")
     runners = {}
 
@@ -46,7 +48,8 @@ def make_cluster(root, text=TOPOLOGY, hosted=None, adoptable=(), alive=None):
     alive = set() if alive is None else alive
     cluster = Cluster(parse_topology(text), store, hosted=hosted,
                       bind_listeners=False, runner_factory=factory,
-                      prober=OkProber(), pid_alive=lambda pid: pid in alive)
+                      prober=OkProber(), pid_alive=lambda pid: pid in alive,
+                      clock=clock)
     return cluster, store, runners
 
 
@@ -387,6 +390,25 @@ def test_status_rows_report_degraded_on_missing_replicas(tmp_path):
     cluster.converge()
     rows = status_rows(store, pid_alive=lambda pid: False)
     assert all(r["healthy"] == 0 and r["state"] == "degraded" for r in rows)
+
+
+def test_status_counts_only_pins_within_ttl(tmp_path):
+    now = [1000.0]
+    cluster, store, _ = make_cluster(tmp_path, clock=lambda: now[0])
+    cluster.converge()
+    backend = cluster.backends["worker"]
+    backend.tick()  # probes mark the replicas healthy
+    backend.balancer.select_replica("alpha", "198.51.100.7")
+
+    def stick() -> dict[str, int]:
+        return {r["challenge"]: r["stick"]
+                for r in status_rows(store, pid_alive=lambda pid: True)}
+
+    backend.tick()
+    assert stick() == {"alpha": 1, "beta": 0}
+    now[0] += 3600 + 1  # past the default stick_ttl
+    backend.tick()
+    assert stick() == {"alpha": 0, "beta": 0}
 
 
 def test_status_rows_empty_without_applied_topology(tmp_path):
