@@ -17,6 +17,7 @@ import heapq
 import socket
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -153,6 +154,7 @@ class Balancer:
         self._tables: dict[str, StickTable] = {}
         self._rr: dict[str, int] = {}
         self._suspects: set[str] = set()
+        self._sessions: Counter[str] = Counter()  # replica_id -> open sessions
         self._lock = threading.RLock()
         registry.add_listener(self._on_registry_event)
 
@@ -189,15 +191,22 @@ class Balancer:
 
     def connect_upstream(self, service: str,
                          source_ip: str) -> tuple[ReplicaEndpoint, socket.socket]:
-        """Select and connect, retrying the selection once on connect failure."""
+        """Select and connect, retrying the selection once on connect failure.
+
+        The session counts against its replica until ``end_session``; picked
+        and counted under the lock a deregistration also takes.
+        """
         last_error: OSError | None = None
         for _ in range(2):
-            endpoint = self.select_replica(service, source_ip)
+            with self._lock:
+                endpoint = self.select_replica(service, source_ip)
+                self._sessions[endpoint.replica_id] += 1
             try:
                 upstream = socket.create_connection(
                     (endpoint.address, endpoint.port), timeout=self.connect_timeout)
             except OSError as exc:
                 last_error = exc
+                self.end_session(endpoint.replica_id)
                 self.mark_suspect(endpoint.replica_id)
                 continue
             # the timeout bounds the connect only: left on the socket, the
@@ -206,6 +215,16 @@ class Balancer:
             return endpoint, upstream
         raise NoHealthyReplicasError(
             f"replicas of {service} refused connections: {last_error}")
+
+    def end_session(self, replica_id: str) -> None:
+        with self._lock:
+            self._sessions[replica_id] -= 1
+            if self._sessions[replica_id] <= 0:
+                del self._sessions[replica_id]
+
+    def sessions(self, replica_id: str) -> int:
+        with self._lock:
+            return self._sessions[replica_id]
 
     # --- table maintenance -------------------------------------------
 
@@ -242,10 +261,6 @@ class Balancer:
     def stick_count(self, service: str) -> int:
         with self._lock:
             return len(self._table(service))
-
-    def table(self, service: str) -> StickTable:
-        with self._lock:
-            return self._table(service)
 
     def _table(self, service: str) -> StickTable:
         if service not in self._tables:
@@ -315,9 +330,12 @@ class BalancerServer:
             except ValueError:
                 return  # listener closes the connection
         try:
-            _, upstream = self.balancer.connect_upstream(service, source_ip)
+            endpoint, upstream = self.balancer.connect_upstream(service, source_ip)
         except NoHealthyReplicasError:
             return
-        if leftover:
-            upstream.sendall(leftover)
-        relay(conn, upstream)
+        try:
+            if leftover:
+                upstream.sendall(leftover)
+            relay(conn, upstream)
+        finally:
+            self.balancer.end_session(endpoint.replica_id)

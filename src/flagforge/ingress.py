@@ -39,7 +39,6 @@ class PortMapping:
 @dataclass(frozen=True)
 class MappingTable:
     mappings: tuple[PortMapping, ...] = ()
-    generation: int = 0
 
     def __iter__(self):
         return iter(self.mappings)
@@ -52,8 +51,8 @@ class MappingTable:
 
 
 def generate_mappings(topology: Topology,
-                      balancer_ports: dict[str, dict[str, int]],
-                      generation: int = 0) -> tuple[MappingTable, list[str]]:
+                      balancer_ports: dict[str, dict[str, int]]
+                      ) -> tuple[MappingTable, list[str]]:
     """One mapping per challenge whose balancer port is known, sorted by port.
 
     Challenges without a bound balancer port are omitted and reported (they
@@ -72,14 +71,14 @@ def generate_mappings(topology: Topology,
             backend_node=spec.backend,
             backend_address=topology.nodes[spec.backend].bind_address,
             balancer_port=port))
-    return MappingTable(tuple(mappings), generation=generation), skipped
+    return MappingTable(tuple(mappings)), skipped
 
 
 def serialize_mappings(table: MappingTable) -> str:
     return "".join(m.render() + "\n" for m in table)
 
 
-def parse_mappings(text: str, generation: int = 0) -> MappingTable:
+def parse_mappings(text: str) -> MappingTable:
     mappings = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -101,7 +100,7 @@ def parse_mappings(text: str, generation: int = 0) -> MappingTable:
             backend_node=fields[2], backend_address=address,
             balancer_port=backend_port))
     mappings.sort(key=lambda m: m.external_port)
-    return MappingTable(tuple(mappings), generation=generation)
+    return MappingTable(tuple(mappings))
 
 
 def save_mappings(table: MappingTable, path: Path) -> None:
@@ -128,7 +127,6 @@ class IngressServer:
         self.connect_timeout = connect_timeout
         self._listeners: dict[int, TcpListener] = {}
         self._routes: dict[int, PortMapping] = {}
-        self._generation = 0
         self._lock = threading.Lock()
 
     def apply_table(self, table: MappingTable) -> list[tuple[int, str]]:
@@ -153,16 +151,11 @@ class IngressServer:
                 self._listeners[port] = listener
                 report.append((port, "bound"))
             self._routes = desired
-            self._generation += 1
         return report
 
     def bound_ports(self) -> list[int]:
         with self._lock:
             return sorted(self._listeners)
-
-    @property
-    def generation(self) -> int:
-        return self._generation
 
     def close(self) -> None:
         with self._lock:

@@ -15,6 +15,7 @@ drives an executor and must be called from a single control actor at a time.
 
 from __future__ import annotations
 
+import hashlib
 import ipaddress
 import re
 from dataclasses import dataclass, field
@@ -82,6 +83,12 @@ class ChallengeSpec:
         # one private network per challenge, named after it
         return f"net-{self.name}"
 
+    @property
+    def fingerprint(self) -> str:
+        """Short digest of what a replica runs: version, run command, probe."""
+        text = "\0".join((self.version, self.run_command, self.probe.render()))
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -110,14 +117,16 @@ class Topology:
 class ObservedState:
     """Snapshot of what is actually running, gathered before a diff.
 
-    ``replicas`` counts non-stopped replicas per challenge per node; ``ingress``
-    maps an external port to the (challenge, backend node) it forwards to;
-    ``balancers`` lists the services each backend has a listener for, and
-    ``stick_settings`` the (ttl, capacity) those listeners run with.
+    ``replicas`` counts non-stopped replicas per challenge per node, and
+    ``specs`` holds the spec fingerprints those replicas were started from;
+    ``ingress`` maps an external port to the (challenge, backend node) it
+    forwards to; ``balancers`` lists the services each backend has a listener
+    for, and ``stick_settings`` the (ttl, capacity) those listeners run with.
     """
 
     networks: dict[str, str] = field(default_factory=dict)
     replicas: dict[str, dict[str, int]] = field(default_factory=dict)
+    specs: dict[str, dict[str, set[str]]] = field(default_factory=dict)
     ingress: dict[int, tuple[str, str]] = field(default_factory=dict)
     balancers: dict[str, set[str]] = field(default_factory=dict)
     stick_settings: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -133,7 +142,7 @@ class Action:
     def describe(self) -> str:
         if self.kind in ("create_network", "remove_network"):
             return f"{self.kind} net-{self.challenge}"
-        if self.kind in ("start_replica", "stop_replica"):
+        if self.kind in ("start_replica", "stop_replica", "roll_service"):
             return f"{self.kind} {self.challenge} on {self.node}"
         if self.kind == "update_balancer_config":
             return f"{self.kind} {self.node}"
@@ -441,10 +450,16 @@ def serialize_topology(topology: Topology) -> str:
 def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
     """Plan the minimal ordered ChangeSet turning observed state into desired.
 
-    Phase order: create_network, start_replica, update_balancer_config,
-    bind_ingress, stop_replica, unbind_ingress, remove_network. Creation
-    precedes binding so no ingress ever points at a service without replicas;
-    removal stops replicas before dropping their ingress and network.
+    Phase order: create_network, roll_service, start_replica,
+    update_balancer_config, bind_ingress, stop_replica, unbind_ingress,
+    remove_network. Creation precedes binding so no ingress ever points at a
+    service without replicas; removal stops replicas before dropping their
+    ingress and network. One roll_service per challenge replaces the replicas
+    on its backend that run another spec (version, run command or probe). It
+    runs before the scale actions: the roll still sees the previous spec to
+    revert to, replicas added by a scale-up start from the new spec, and a
+    scale-down stops rolled replicas, so drift plus a count change converges
+    in one apply.
     """
     actions: list[Action] = []
     created: set[str] = set()
@@ -452,6 +467,12 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
         if name not in observed.networks:
             actions.append(Action("create_network", challenge=name))
             created.add(name)
+
+    for name in sorted(desired.challenges):
+        spec = desired.challenges[name]
+        running = observed.specs.get(name, {}).get(spec.backend, set())
+        if running - {spec.fingerprint}:
+            actions.append(Action("roll_service", challenge=name, node=spec.backend))
 
     for name in sorted(desired.challenges):
         spec = desired.challenges[name]

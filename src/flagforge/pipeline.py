@@ -5,10 +5,11 @@ archive whose first member is ``manifest`` (line-oriented ``key=value``)
 followed by the payload files. Versions are immutable: one (challenge,
 version) pair maps to exactly one payload checksum for the life of a store.
 
-``run_pipeline`` is the promotion loop: scan the store, compare against what
-is deployed, and hand each winning manifest to a deployer. In dev mode only
-already-deployed challenges are updated (rolling); in deploy mode the
-selected challenges are provisioned from scratch.
+``run_pipeline`` is the promotion pass: scan the store, compare against what
+is deployed, record each winning manifest into the desired state, then
+converge once. The converge provisions a new challenge and rolls a running
+one to the recorded build. The mode only picks the candidates: dev mode
+updates challenges that are already deployed, deploy mode the selection.
 """
 
 from __future__ import annotations
@@ -408,9 +409,16 @@ MODE_DEPLOY = "deploy"
 
 
 class Deployer(Protocol):
-    """Applies one manifest to the running node; raises on failure."""
+    """Writes manifests into the desired state, then converges them at once."""
 
-    def deploy(self, manifest: ArtifactManifest) -> None: ...
+    def backend_of(self, challenge: str) -> str:
+        """The backend node a challenge's status records name."""
+
+    def record(self, manifest: ArtifactManifest) -> None:
+        """Make one manifest part of the desired state; raises if it cannot."""
+
+    def converge(self) -> Mapping[str, str]:
+        """Converge once; map each challenge whose actions failed to why."""
 
 
 @dataclass(frozen=True)
@@ -446,15 +454,16 @@ class PipelineReport:
 def run_pipeline(mode: str, store: Path, deployer: Deployer, *,
                  deployed_view: Mapping[str, str | None],
                  select: list[str] | None = None,
-                 status_path: Path | None = None, backend: str = "",
+                 status_path: Path | None = None,
                  clock=time.time) -> PipelineReport:
     """One promotion pass over the store.
 
     Dev mode updates challenges that are already deployed and differ from
     the newest store artifact. Deploy mode provisions exactly the selected
-    challenges (selection mandatory). Per-challenge failures are recorded as
-    ``state=failed`` and do not stop the remaining challenges. The status
-    file is only rewritten when something was attempted.
+    challenges (selection mandatory). Every winning manifest is recorded
+    first and then converged in one step. A challenge fails alone, when its
+    manifest cannot be recorded or its converge actions fail; the others go
+    on. The status file is only rewritten when something was attempted.
     """
     if mode not in (MODE_DEV, MODE_DEPLOY):
         raise PipelineError(f"unknown pipeline mode {mode!r}")
@@ -475,22 +484,26 @@ def run_pipeline(mode: str, store: Path, deployer: Deployer, *,
                 challenge=name, version="-", state=STATE_FAILED,
                 detail="no bundle in store"))
 
+    failures: dict[str, str] = {}
     for challenge, manifest in decided:
         try:
-            deployer.deploy(manifest)
+            deployer.record(manifest)
         except Exception as exc:
-            outcomes.append(PipelineOutcome(
-                challenge=challenge, version=manifest.version,
-                state=STATE_FAILED, detail=str(exc)))
-        else:
-            outcomes.append(PipelineOutcome(
-                challenge=challenge, version=manifest.version,
-                state=STATE_DEPLOYED))
+            failures[challenge] = str(exc)
+    if len(failures) < len(decided):
+        failures = {**deployer.converge(), **failures}
+    for challenge, manifest in decided:
+        detail = failures.get(challenge)
+        outcomes.append(PipelineOutcome(
+            challenge=challenge, version=manifest.version,
+            state=STATE_DEPLOYED if detail is None else STATE_FAILED,
+            detail=detail or ""))
 
     if outcomes and status_path is not None:
         moment = _now_iso(clock)
         write_status(
-            [StatusRecord(challenge=o.challenge, backend=backend,
+            [StatusRecord(challenge=o.challenge,
+                          backend=deployer.backend_of(o.challenge),
                           version=o.version, state=o.state, timestamp=moment)
              for o in outcomes],
             status_path)

@@ -1,9 +1,8 @@
 """Runtime record of services, their private networks, and replica endpoints.
 
 The registry is the single authority on which replicas exist and how healthy
-they are. Name resolution is cyclic: each ``resolve`` call returns the healthy
-replicas left-rotated one position further than the previous call, so callers
-that always pick the first entry get round-robin behavior for free.
+they are. ``replicas_of`` lists a service's replicas in registration order;
+picking among them (round robin, stickiness) is the balancer's job.
 
 Health values are written by the supervisor's prober only; everything else
 (balancer, ingress, status) reads. Listeners are invoked outside the registry
@@ -52,10 +51,6 @@ class ServiceRecord:
     name: str
     network_id: str
     replicas: list[ReplicaEndpoint] = field(default_factory=list)
-    rotation_cursor: int = 0
-
-    def healthy(self) -> list[ReplicaEndpoint]:
-        return [r for r in self.replicas if r.health == HEALTH_HEALTHY]
 
 
 class Registry:
@@ -89,10 +84,6 @@ class Registry:
     def has_service(self, name: str) -> bool:
         with self._lock:
             return name in self._services
-
-    def services(self) -> list[str]:
-        with self._lock:
-            return sorted(self._services)
 
     def service(self, name: str) -> ServiceRecord:
         """The live record; callers must treat it as read-only."""
@@ -133,34 +124,6 @@ class Registry:
                 endpoint.health = health
                 events.append((service, replica_id, health))
         self._notify(events)
-
-    def health_of(self, replica_id: str) -> str:
-        with self._lock:
-            return self._find(replica_id)[2].health
-
-    def find_replica(self, replica_id: str) -> tuple[str, ReplicaEndpoint]:
-        with self._lock:
-            service, _, endpoint = self._find(replica_id)
-            return service, endpoint
-
-    # --- resolution -------------------------------------------------------
-
-    def resolve(self, service: str) -> list[ReplicaEndpoint]:
-        """Healthy replicas, rotated one step further per call (read-rotate-advance)."""
-        with self._lock:
-            record = self._require_service(service)
-            healthy = record.healthy()
-            if not healthy:
-                record.rotation_cursor = 0
-                return []
-            rot = record.rotation_cursor % len(healthy)
-            record.rotation_cursor = (rot + 1) % len(healthy)
-            return healthy[rot:] + healthy[:rot]
-
-    def healthy_replicas(self, service: str) -> list[ReplicaEndpoint]:
-        """Healthy replicas in registration order; does not advance the rotation."""
-        with self._lock:
-            return self._require_service(service).healthy()
 
     def replicas_of(self, service: str) -> list[ReplicaEndpoint]:
         """All replicas in registration order, whatever their health."""

@@ -4,7 +4,7 @@ Everything a command needs sits under one state directory:
 
     desired.json        applied topology text + artifact checksums
     networks.json       provisioned challenge networks
-    replicas-<node>.json  running replica records (pid, port, version)
+    replicas-<node>.json  running replica records (pid, port, version, spec)
     balancer.json       per-node balancer ports, stick settings and counts
     ingress.map         frontend port mappings
     latest-build.txt    deployment status records
@@ -14,7 +14,11 @@ Everything a command needs sits under one state directory:
 A ``Cluster`` hosts live runtimes for some of the topology's nodes (all of
 them for one-shot converge, a single one inside ``serve``) and executes diff
 actions against them. Replicas are detached processes, so state survives the
-hosting process: the next command adopts them back by pid.
+hosting process: the next command adopts them back by pid, together with the
+fingerprint of the spec each one was started from, so spec drift (a new
+version, run command or probe) is planned as a rolling update. Promotion
+takes the same path: a pass records the new artifacts into the desired
+topology, then converges.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -36,7 +40,7 @@ from .ingress import (IngressServer, MappingTable, PortMapping, load_mappings,
 from .model import (ROLE_BACKEND, Action, ApplyReport, ChallengeSpec, ChangeSet,
                     ObservedState, Topology, apply_changeset, diff,
                     parse_topology, serialize_topology, validate_topology)
-from .pipeline import (MODE_DEPLOY, MODE_DEV, STATE_DEPLOYED, ArtifactManifest,
+from .pipeline import (MODE_DEV, STATE_DEPLOYED, ArtifactManifest,
                        PipelineReport, StatusRecord, extract_payload,
                        read_status, run_pipeline, write_status)
 from .registry import Registry
@@ -192,6 +196,7 @@ class BackendNode:
         self.supervisor.on_change = self._persist_replicas
         self.balancer = Balancer(self.registry, topology.stick_ttl,
                                  topology.stick_capacity, clock=clock)
+        self.supervisor.sessions = self.balancer.sessions
         self.server = (BalancerServer(self.balancer, self.node.bind_address,
                                       require_proxy_header=True)
                        if bind_listeners else None)
@@ -362,13 +367,12 @@ class FrontendNode:
         kept = [m for m in current if m.external_port != mapping.external_port]
         kept.append(mapping)
         kept.sort(key=lambda m: m.external_port)
-        self._commit(MappingTable(tuple(kept), current.generation + 1),
-                     check_port=mapping.external_port)
+        self._commit(MappingTable(tuple(kept)), check_port=mapping.external_port)
 
     def unbind(self, external_port: int) -> None:
         current = load_mappings(self.store.ingress_path)
         kept = tuple(m for m in current if m.external_port != external_port)
-        self._commit(MappingTable(kept, current.generation + 1))
+        self._commit(MappingTable(kept))
 
     def _commit(self, table: MappingTable, check_port: int | None = None) -> None:
         save_mappings(table, self.store.ingress_path)
@@ -432,20 +436,27 @@ class Cluster:
         for node_id, backend in self.backends.items():
             state.balancers[node_id] = set(backend.balancer_ports)
             state.stick_settings[node_id] = backend.stick_settings
-        node_ids = set(self.store.replica_nodes()) | set(self.backends)
-        for node_id in sorted(node_ids):
-            if node_id in self.backends:
-                records = self.backends[node_id].supervisor.snapshot()
-            else:
-                records = [r for r in self.store.load_replicas(node_id)
-                           if self.pid_alive(r["pid"])]
+        for node_id, records in self._live_replicas().items():
             for record in records:
                 counts = state.replicas.setdefault(record["service"], {})
                 counts[node_id] = counts.get(node_id, 0) + 1
+                specs = state.specs.setdefault(record["service"], {})
+                specs.setdefault(node_id, set()).add(record.get("spec", ""))
         for mapping in load_mappings(self.store.ingress_path):
             state.ingress[mapping.external_port] = (mapping.challenge,
                                                     mapping.backend_node)
         return state
+
+    def _live_replicas(self) -> dict[str, list[dict]]:
+        """Replica records per node: hosted nodes from their supervisors."""
+        live: dict[str, list[dict]] = {}
+        for node_id in sorted(set(self.store.replica_nodes()) | set(self.backends)):
+            if node_id in self.backends:
+                live[node_id] = self.backends[node_id].supervisor.snapshot()
+            else:
+                live[node_id] = [r for r in self.store.load_replicas(node_id)
+                                 if self.pid_alive(r["pid"])]
+        return live
 
     # --- convergence ----------------------------------------------------------
 
@@ -468,7 +479,7 @@ class Cluster:
         return apply_changeset(changeset, _ClusterExecutor(self))
 
     def _action_node(self, action: Action) -> str | None:
-        if action.kind in ("start_replica", "stop_replica",
+        if action.kind in ("start_replica", "stop_replica", "roll_service",
                            "update_balancer_config"):
             return action.node
         if action.kind == "create_network":
@@ -531,71 +542,40 @@ class Cluster:
                                      "version": manifest.version}
         self.store.save_desired(self.topology, self.checksums)
 
-    def deployed_view(self, node_id: str) -> dict[str, str | None]:
-        """What this backend runs, keyed to artifact checksums when known.
-
-        Live replica versions are the authority: a recorded checksum counts
-        only while the replicas (or, with none running, the desired spec)
-        still carry its version. Anything else reads as unknown provenance.
-        """
-        backend = self.backends[node_id]
-        view: dict[str, str | None] = {}
-        for service in backend.supervisor.services():
-            record = self.checksums.get(service)
-            versions = {i.endpoint.version
-                        for i in backend.supervisor.instances_of(service)}
-            if not versions:
-                versions = {backend.supervisor.desired_spec(service).version}
-            if record is not None and versions == {record["version"]}:
-                view[service] = record["checksum"]
-            else:
-                view[service] = None
-        return view
-
     def pipeline_once(self, mode: str, store_dir: Path,
                       select: list[str] | None = None) -> PipelineReport:
-        """One promotion pass for every hosted backend (see run_pipeline)."""
-        if mode == MODE_DEV:
-            outcomes: list = []
-            skipped: tuple[str, ...] | None = None
-            for node_id in sorted(self.backends):
-                deployer = _BackendDeployer(self, self.backends[node_id],
-                                            Path(store_dir))
-                report = run_pipeline(
-                    MODE_DEV, store_dir, deployer,
-                    deployed_view=self.deployed_view(node_id), select=select,
-                    status_path=self.store.status_path, backend=node_id,
-                    clock=self.clock)
-                outcomes.extend(report.outcomes)
-                skipped = report.skipped if skipped is None else skipped
-                self._repair_status(node_id)
-            merged = PipelineReport(MODE_DEV, tuple(outcomes), skipped or ())
-        else:
-            deployer = _AdhocDeployer(self, Path(store_dir))
-            merged = run_pipeline(
-                MODE_DEPLOY, store_dir, deployer,
-                deployed_view=self._deployed_view_global(), select=select,
-                clock=self.clock)
-            records = []
-            moment = _utc_iso(self.clock)
-            for outcome in merged.outcomes:
-                backend_id = deployer.routed.get(outcome.challenge)
-                if backend_id is None:
-                    held = self.topology.challenges.get(outcome.challenge)
-                    backend_id = held.backend if held is not None \
-                        else self.default_backend()
-                records.append(StatusRecord(outcome.challenge, backend_id,
-                                            outcome.version, outcome.state,
-                                            moment))
-            if records:
-                write_status(records, self.store.status_path)
-        if merged.outcomes:
-            # counts or ports changed by new manifests settle here
-            self.converge(exclude_nodes=self.unhosted_nodes)
-        return merged
+        """One promotion pass (see run_pipeline), then status repair.
 
-    def default_backend(self) -> str:
-        return sorted(n.node_id for n in self.topology.backends)[0]
+        The mode only picks the candidates: dev mode the challenges with
+        replicas on a backend this process hosts, deploy mode the selection,
+        deployed or not. A recorded checksum counts as deployed only while
+        the live replicas (or, with none running, the desired spec) carry
+        its version; anything else reads as unknown provenance.
+        """
+        live = self._live_replicas()
+        if mode == MODE_DEV:
+            names = {r["service"] for node_id in self.backends
+                     for r in live[node_id]}
+        else:
+            names = set(select or ())
+        view: dict[str, str | None] = {}
+        for name in sorted(names):
+            versions = {r["version"] for records in live.values()
+                        for r in records if r["service"] == name}
+            if not versions and name in self.topology.challenges:
+                versions = {self.topology.challenges[name].version}
+            if not versions:
+                continue  # not deployed anywhere
+            record = self.checksums.get(name)
+            known = record is not None and versions == {record["version"]}
+            view[name] = record["checksum"] if known else None
+        report = run_pipeline(mode, store_dir, _Promoter(self, Path(store_dir)),
+                              deployed_view=view, select=select,
+                              status_path=self.store.status_path,
+                              clock=self.clock)
+        for node_id in sorted(self.backends):
+            self._repair_status(node_id)
+        return report
 
     @property
     def unhosted_nodes(self) -> set[str]:
@@ -603,16 +583,6 @@ class Cluster:
         if self.frontend is not None:
             hosted.add(self.frontend.node_id)
         return set(self.topology.nodes) - hosted
-
-    def _deployed_view_global(self) -> dict[str, str | None]:
-        view: dict[str, str | None] = {}
-        for name, spec in self.topology.challenges.items():
-            record = self.checksums.get(name)
-            if record is not None and record["version"] == spec.version:
-                view[name] = record["checksum"]
-            else:
-                view[name] = None
-        return view
 
     def _repair_status(self, node_id: str) -> None:
         """Correct stale records: live uniform state wins over old lines."""
@@ -700,6 +670,17 @@ class _ClusterExecutor:
                 # the last replica, the network itself lives on
                 backend.registry.remove_service(action.challenge)
 
+    def _roll_service(self, action: Action) -> None:
+        backend = self._require_backend(action.node)
+        spec = self.cluster.topology.challenges[action.challenge]
+        if spec.name not in backend.supervisor.services():
+            # adopted replicas of a service this node held no spec for
+            backend.ensure_service(spec)
+        report = backend.supervisor.rolling_update(spec.name, spec)
+        if not report.completed:
+            raise FlagforgeError(
+                f"rolling update aborted: {report.steps[-1].detail}")
+
     def _update_balancer_config(self, action: Action) -> None:
         backend = self._require_backend(action.node)
         ports = backend.apply_balancer_config(self.cluster.topology)
@@ -739,54 +720,34 @@ class _ClusterExecutor:
 
 
 @dataclass
-class _BackendDeployer:
-    """Dev-mode deployer: rolling update of an already-deployed service."""
-
-    cluster: Cluster
-    backend: BackendNode
-    store_dir: Path
-
-    def deploy(self, manifest: ArtifactManifest) -> None:
-        name = manifest.challenge
-        if name not in self.backend.supervisor.services():
-            raise PipelineError(f"{name} is not deployed on {self.backend.node_id}")
-        spec = self.cluster.materialize_spec(manifest, self.backend.node_id,
-                                             self.store_dir)
-        # intent is persisted before the update so a crash mid-update is
-        # repaired by the next pass instead of silently forgotten
-        self.cluster.record_artifact(manifest, spec)
-        report = self.backend.supervisor.rolling_update(name, spec)
-        if not report.completed:
-            failed = [s for s in report.steps if s.outcome == "failed"]
-            detail = failed[-1].detail if failed else "unknown step failure"
-            raise PipelineError(f"rolling update aborted: {detail}")
-
-
-@dataclass
-class _AdhocDeployer:
-    """Deploy-mode deployer: provision a selected challenge from scratch."""
+class _Promoter:
+    """The pipeline's deployer: record artifacts, then converge the cluster."""
 
     cluster: Cluster
     store_dir: Path
-    routed: dict[str, str] = field(default_factory=dict)
 
-    def deploy(self, manifest: ArtifactManifest) -> None:
+    def backend_of(self, challenge: str) -> str:
+        held = self.cluster.topology.challenges.get(challenge)
+        if held is not None:
+            return held.backend
+        return min(n.node_id for n in self.cluster.topology.backends)
+
+    def record(self, manifest: ArtifactManifest) -> None:
         cluster = self.cluster
-        name = manifest.challenge
-        held = cluster.topology.challenges.get(name)
-        node_id = held.backend if held is not None else cluster.default_backend()
-        spec = cluster.materialize_spec(manifest, node_id, self.store_dir)
+        spec = cluster.materialize_spec(
+            manifest, self.backend_of(manifest.challenge), self.store_dir)
         challenges = dict(cluster.topology.challenges)
-        challenges[name] = spec
-        candidate = replace(cluster.topology, challenges=challenges)
-        validate_topology(candidate)
+        challenges[spec.name] = spec
+        validate_topology(replace(cluster.topology, challenges=challenges))
         cluster.record_artifact(manifest, spec)
-        report = cluster.converge(exclude_nodes=cluster.unhosted_nodes)
-        failures = [r for r in report.results
-                    if r.outcome != "ok" and r.action.challenge == name]
-        if failures:
-            raise PipelineError(f"converge failed: {failures[0].render()}")
-        self.routed[name] = node_id
+
+    def converge(self) -> dict[str, str]:
+        report = self.cluster.converge(exclude_nodes=self.cluster.unhosted_nodes)
+        failures: dict[str, str] = {}
+        for result in report.results:
+            if result.outcome != "ok" and result.action.challenge is not None:
+                failures.setdefault(result.action.challenge, result.render())
+        return failures
 
 
 class NodeService:

@@ -34,6 +34,8 @@ BANNER_READ_LIMIT = 64
 SPAWN_RETRIES = 3
 SPAWN_BACKOFF = 1.0
 STARTUP_GRACE = 10.0
+DRAIN_TIMEOUT = 2.0
+DRAIN_POLL = 0.01
 
 
 class PortAllocator:
@@ -95,6 +97,7 @@ class ReplicaInstance:
     spec_name: str
     handle: object
     started_at: float
+    spec_id: str  # fingerprint of the spec the replica was started from
     restarts: int = 0
 
     @property
@@ -143,6 +146,8 @@ class Supervisor:
         self.startup_grace = startup_grace
         self.degraded: set[str] = set()
         self.on_change: Callable[[], None] | None = None
+        # replica id -> sessions still open through the balancer, for draining
+        self.sessions: Callable[[str], int] = lambda replica_id: 0
         self._desired: dict[str, ChallengeSpec] = {}
         self._counts: dict[str, int] = {}
         self._instances: dict[str, ReplicaInstance] = {}
@@ -207,7 +212,8 @@ class Supervisor:
                     endpoint=endpoint, spec_name=service,
                     handle=self.runner.adopt(record["pid"]),
                     started_at=record.get("started_at", self.clock()),
-                    restarts=record.get("restarts", 0))
+                    restarts=record.get("restarts", 0),
+                    spec_id=record.get("spec", ""))
 
     def snapshot(self) -> list[dict]:
         """Persistable view of running instances."""
@@ -223,6 +229,7 @@ class Supervisor:
                     "version": instance.endpoint.version,
                     "started_at": instance.started_at,
                     "restarts": instance.restarts,
+                    "spec": instance.spec_id,
                 })
             out.sort(key=lambda r: r["replica_id"])
             return out
@@ -318,18 +325,22 @@ class Supervisor:
 
     def rolling_update(self, service: str, new_spec: ChallengeSpec,
                        timeout: float = 30.0) -> UpdateReport:
-        """Replace replicas one at a time; abort on first failed replacement."""
+        """Replace, oldest first, each replica started from another spec.
+
+        One replica at a time leaves the rotation, is drained of its open
+        sessions (up to ``DRAIN_TIMEOUT``), stopped, respawned from
+        ``new_spec`` and waited on until healthy; the first failed
+        replacement aborts.
+        """
         with self._lock:
             old_spec = self.desired_spec(service)
-            instances = self.instances_of(service)
-            if new_spec == old_spec and all(
-                    i.endpoint.version == new_spec.version for i in instances):
-                return UpdateReport(service=service, steps=[], completed=True)
             self._desired[service] = new_spec
+            stale = [i for i in self.instances_of(service)  # oldest first
+                     if i.spec_id != new_spec.fingerprint]
             report = UpdateReport(service=service)
-            for old in instances:  # oldest first
+            for old in stale:
                 old_id = old.replica_id
-                self._stop_instance(old)
+                self._stop_instance(old, drain=True)
                 try:
                     fresh = self._spawn(service, new_spec, old.restarts + 1)
                 except (SpawnError, PortExhaustedError) as exc:
@@ -342,7 +353,8 @@ class Supervisor:
                         f"not healthy within {timeout:g}s"))
                     return self._abort_update(service, old_spec, report)
                 report.steps.append(UpdateStep(old_id, fresh.replica_id, "ok"))
-        self._changed()
+        if stale:
+            self._changed()
         return report
 
     def _abort_update(self, service: str, old_spec: ChallengeSpec,
@@ -399,18 +411,29 @@ class Supervisor:
             self.registry.register_replica(service, endpoint)
             instance = ReplicaInstance(endpoint=endpoint, spec_name=service,
                                        handle=handle, started_at=self.clock(),
-                                       restarts=restarts)
+                                       restarts=restarts,
+                                       spec_id=spec.fingerprint)
             self._instances[replica_id] = instance
             return instance
         raise SpawnError(f"spawn of {service} failed after {SPAWN_RETRIES}"
                          f" attempts: {last_error}")
 
-    def _stop_instance(self, instance: ReplicaInstance) -> None:
-        self.runner.stop(instance.handle)
+    def _stop_instance(self, instance: ReplicaInstance,
+                       drain: bool = False) -> None:
+        # out of rotation before the signal, so no new player reaches a
+        # replica that is shutting down; the port is freed only once the
+        # process is gone, so no successor can collide with it
         self.registry.mark_health(instance.replica_id, HEALTH_STOPPED)
         self.registry.deregister_replica(instance.replica_id)
-        self.allocator.release(instance.port)
         self._instances.pop(instance.replica_id, None)
+        if drain:  # sessions routed before the deregistration finish first
+            deadline = self.clock() + DRAIN_TIMEOUT
+            while (self.sessions(instance.replica_id)
+                   and self.runner.alive(instance.handle)
+                   and self.clock() < deadline):
+                self.sleep(DRAIN_POLL)
+        self.runner.stop(instance.handle)
+        self.allocator.release(instance.port)
 
     def _changed(self) -> None:
         if self.on_change is not None:

@@ -396,7 +396,30 @@ def test_connect_failure_retries_once_and_marks_suspect(data_plane):
         assert read_greeting(sock) == "r2 v1"
     assert balancer.suspects() == {"r1"}
     # registry health was never touched by the balancer
-    assert registry.health_of("r1") == HEALTH_HEALTHY
+    assert registry.replicas_of("web")[0].health == HEALTH_HEALTHY  # r1
+
+
+def test_session_counts_against_its_replica_until_it_ends(data_plane):
+    _, balancer, server, listeners = data_plane
+    port = server.ports()["web"]
+
+    def settled(replica_id: str, count: int) -> bool:
+        deadline = time.monotonic() + 5
+        while balancer.sessions(replica_id) != count:
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.01)
+        return True
+
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        assert read_greeting(sock) == "r1 v1"
+        assert balancer.sessions("r1") == 1
+    assert settled("r1", 0)
+    listeners[0].close()  # a refused connect must not count either
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        assert read_greeting(sock) == "r2 v1"
+        assert (balancer.sessions("r1"), balancer.sessions("r2")) == (0, 1)
+    assert settled("r2", 0)
 
 
 def test_relay_outlives_connect_timeout_of_a_quiet_replica():

@@ -368,7 +368,7 @@ def test_serve_frontend_exits_when_external_port_is_taken(workspace, capsys):
     blocker.bind(("127.0.0.1", external))
     blocker.listen(1)
     save_mappings(MappingTable((PortMapping(external, "alpha", "worker",
-                                            "127.0.0.1", backend_base),), 1),
+                                            "127.0.0.1", backend_base),)),
                   state / "ingress.map")
     restore = restore_signals()
     try:

@@ -69,10 +69,10 @@ def read_line_from(sock: socket.socket) -> str:
     return buf.decode().strip()
 
 
-def table_for(port: int, backend_port: int, challenge: str = "alpha",
-              generation: int = 0) -> MappingTable:
+def table_for(port: int, backend_port: int,
+              challenge: str = "alpha") -> MappingTable:
     return MappingTable((PortMapping(port, challenge, "worker", "127.0.0.1",
-                                     backend_port),), generation)
+                                     backend_port),))
 
 
 # --- generation ----------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_swap_lets_inflight_connections_drain(server, free_port):
         assert read_line_from(held) == "A 127.0.0.1"
 
         report = server.apply_table(
-            table_for(external, stub_b.port, challenge="alpha", generation=1))
+            table_for(external, stub_b.port, challenge="alpha"))
         assert report == [(external, "updated")]
         # the held connection keeps working against the old target
         held.sendall(b"still-here")

@@ -369,6 +369,22 @@ def test_diff_stick_setting_drift_triggers_balancer_update():
     assert diff(topo, state) == ChangeSet()
 
 
+def test_diff_rolls_only_replicas_on_the_desired_backend():
+    topo = parse_topology(TWO_CHALLENGES)
+    state = converge(topo)
+    alpha = topo.challenges["alpha"]
+    # a stale replica left on a node alpha moved away from is stopped, not rolled
+    state.replicas["alpha"]["old"] = 1
+    state.specs = {"alpha": {"worker": {alpha.fingerprint}, "old": {"stale"}}}
+    stop = Action("stop_replica", challenge="alpha", node="old")
+    assert list(diff(topo, state)) == [stop]
+
+    state.specs["alpha"]["worker"].add("stale")
+    assert list(diff(topo, state)) == [
+        Action("roll_service", challenge="alpha", node="worker"), stop]
+    assert diff(topo, state).actions[0].describe() == "roll_service alpha on worker"
+
+
 def test_diff_deterministic_under_input_ordering():
     topo = parse_topology(TWO_CHALLENGES)
     state = converge(topo)

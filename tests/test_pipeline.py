@@ -69,10 +69,16 @@ class FakeDeployer:
     deployed: list[tuple[str, str]] = field(default_factory=list)
     fail: set[str] = field(default_factory=set)
 
-    def deploy(self, manifest: ArtifactManifest) -> None:
+    def backend_of(self, challenge: str) -> str:
+        return "backend-1"
+
+    def record(self, manifest: ArtifactManifest) -> None:
         if manifest.challenge in self.fail:
             raise PipelineError(f"injected failure for {manifest.challenge}")
         self.deployed.append((manifest.challenge, manifest.version))
+
+    def converge(self) -> dict[str, str]:
+        return {}
 
 
 # --- packaging ----------------------------------------------------------------
@@ -343,7 +349,7 @@ def test_pipeline_dev_nothing_new(tmp_path):
     deployer = FakeDeployer()
     report = run_pipeline("dev", store, deployer,
                           deployed_view={"web-pwn": manifests[0].checksum},
-                          status_path=status, backend="backend-1")
+                          status_path=status)
     assert report.render() == "0 updates"
     assert deployer.deployed == []
     after = status.stat()
@@ -366,7 +372,7 @@ def test_pipeline_dev_updates_only_stale_challenge(tmp_path):
     status = tmp_path / "latest-build.txt"
     deployer = FakeDeployer()
     report = run_pipeline("dev", store, deployer, deployed_view=deployed,
-                          status_path=status, backend="backend-1")
+                          status_path=status)
     assert deployer.deployed == [("alpha", "2")]
     assert report.updates == 1
     records, _ = read_status(status)
@@ -381,7 +387,7 @@ def test_pipeline_failure_is_isolated(tmp_path):
     deployer = FakeDeployer(fail={"alpha"})
     report = run_pipeline("dev", store, deployer,
                           deployed_view={"alpha": None, "beta": None},
-                          status_path=status, backend="backend-1")
+                          status_path=status)
     assert deployer.deployed == [("beta", "2")]
     states = {o.challenge: o.state for o in report.outcomes}
     assert states == {"alpha": "failed", "beta": "deployed"}

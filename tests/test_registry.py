@@ -1,8 +1,6 @@
-"""Registry registration, cyclic resolution, health filtering, and listeners."""
+"""Registry registration, replica order, health states, and listeners."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +45,7 @@ def test_register_then_resolve():
     registry = Registry()
     registry.create_service("web", "net-web")
     registry.register_replica("web", endpoint(1))
-    assert ids(registry.resolve("web")) == ["r1"]
+    assert ids(registry.replicas_of("web")) == ["r1"]
 
 
 def test_registration_order_preserved():
@@ -73,7 +71,7 @@ def test_endpoint_collision_rejected_until_stopped():
 def test_unknown_service_and_replica():
     registry = Registry()
     with pytest.raises(UnknownServiceError):
-        registry.resolve("ghost")
+        registry.replicas_of("ghost")
     with pytest.raises(UnknownServiceError):
         registry.register_replica("ghost", endpoint(1))
     with pytest.raises(UnknownReplicaError):
@@ -88,67 +86,25 @@ def test_network_isolation_enforced():
     registry.create_service("b", "net-b")
     with pytest.raises(NetworkInUseError):
         registry.create_service("c", "net-a")
-    networks = [registry.service(s).network_id for s in registry.services()]
+    assert not registry.has_service("c")
+    networks = [registry.service(s).network_id for s in ("a", "b")]
     assert len(networks) == len(set(networks))
-
-
-def test_cyclic_rotation_full_set():
-    registry = fresh(3)
-    assert ids(registry.resolve("web")) == ["r1", "r2", "r3"]
-    assert ids(registry.resolve("web")) == ["r2", "r3", "r1"]
-    assert ids(registry.resolve("web")) == ["r3", "r1", "r2"]
-    assert ids(registry.resolve("web")) == ["r1", "r2", "r3"]
-
-
-def test_singleton_rotation():
-    registry = fresh(1)
-    for _ in range(5):
-        assert ids(registry.resolve("web")) == ["r1"]
-
-
-def test_rotation_skips_unhealthy():
-    registry = fresh(3)
-    registry.mark_health("r2", HEALTH_UNHEALTHY)
-    # oracle: filter by health, then rotate by call index
-    remaining = ["r1", "r3"]
-    for k in range(6):
-        rot = k % len(remaining)
-        assert ids(registry.resolve("web")) == remaining[rot:] + remaining[:rot]
-
-
-def test_resolve_never_returns_unhealthy():
-    registry = fresh(3)
-    registry.mark_health("r1", HEALTH_UNHEALTHY)
-    for _ in range(10):
-        assert "r1" not in ids(registry.resolve("web"))
-    registry.mark_health("r2", HEALTH_UNHEALTHY)
-    registry.mark_health("r3", HEALTH_UNHEALTHY)
-    assert registry.resolve("web") == []
 
 
 def test_recovered_replica_reappears_at_registration_position():
     registry = fresh(3)
     registry.mark_health("r2", HEALTH_UNHEALTHY)
-    registry.resolve("web")
     registry.mark_health("r2", HEALTH_HEALTHY)
-    # oracle: recompute the filtered rotation from the full ordered list
-    record = registry.service("web")
-    expected_order = [r.replica_id for r in record.replicas
-                      if r.health == HEALTH_HEALTHY]
-    rot = record.rotation_cursor % 3
-    assert ids(registry.resolve("web")) == (expected_order[rot:]
-                                            + expected_order[:rot])
-    assert expected_order == ["r1", "r2", "r3"]
+    assert ids(registry.replicas_of("web")) == ["r1", "r2", "r3"]
 
 
 def test_deregister_updates_rotation():
     registry = fresh(3)
     registry.deregister_replica("r2")
-    assert ids(registry.resolve("web")) == ["r1", "r3"]
-    assert ids(registry.resolve("web")) == ["r3", "r1"]
+    assert ids(registry.replicas_of("web")) == ["r1", "r3"]
     registry.deregister_replica("r1")
     registry.deregister_replica("r3")
-    assert registry.resolve("web") == []
+    assert registry.replicas_of("web") == []
 
 
 def test_reregister_freed_endpoint_under_new_id():
@@ -156,33 +112,7 @@ def test_reregister_freed_endpoint_under_new_id():
     registry.deregister_replica("r1")
     replacement = ReplicaEndpoint("r2", "127.0.0.1", 20001, "v2", HEALTH_HEALTHY)
     registry.register_replica("web", replacement)
-    assert ids(registry.resolve("web")) == ["r2"]
-
-
-def test_rotation_fairness():
-    registry = fresh(3)
-    k = 40
-    firsts = [registry.resolve("web")[0].replica_id for _ in range(3 * k)]
-    assert all(firsts.count(f"r{i}") == k for i in (1, 2, 3))
-
-
-def test_concurrent_resolution_is_atomic():
-    registry = fresh(3)
-    firsts: list[str] = []
-    lock = threading.Lock()
-
-    def worker():
-        for _ in range(100):
-            first = registry.resolve("web")[0].replica_id
-            with lock:
-                firsts.append(first)
-
-    threads = [threading.Thread(target=worker) for _ in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(firsts.count(f"r{i}") == 100 for i in (1, 2, 3))
+    assert ids(registry.replicas_of("web")) == ["r2"]
 
 
 def test_listener_events():
@@ -200,7 +130,7 @@ def test_listener_may_reenter_registry():
     registry = fresh(2)
     snapshots: list[list[str]] = []
     registry.add_listener(
-        lambda service, *_: snapshots.append(ids(registry.healthy_replicas(service))))
+        lambda service, *_: snapshots.append(ids(registry.replicas_of(service))))
     registry.deregister_replica("r1")
     assert snapshots == [["r2"]]
 
@@ -219,7 +149,7 @@ def test_remove_service_notifies_about_replicas():
 
 ops = st.lists(
     st.one_of(
-        st.tuples(st.just("resolve")),
+        st.tuples(st.just("list")),
         st.tuples(st.just("register"), st.integers(0, 9)),
         st.tuples(st.just("health"), st.integers(0, 9),
                   st.sampled_from(["healthy", "unhealthy", "starting"])),
@@ -233,9 +163,8 @@ ops = st.lists(
 def test_resolution_matches_reference_loop(sequence):
     registry = Registry()
     registry.create_service("web", "net-web")
-    # reference model: ordered (id, health) pairs plus a reduced cursor
+    # reference model: (id, health) pairs in registration order
     model: list[list] = []
-    cursor = 0
     registered: set[int] = set()
     for op in sequence:
         if op[0] == "register" and op[1] not in registered:
@@ -249,14 +178,6 @@ def test_resolution_matches_reference_loop(sequence):
             registered.discard(op[1])
             registry.deregister_replica(f"r{op[1]}")
             model[:] = [m for m in model if m[0] != f"r{op[1]}"]
-        elif op[0] == "resolve":
-            healthy = [m[0] for m in model if m[1] == "healthy"]
-            if not healthy:
-                expected, cursor = [], 0
-            else:
-                rot = cursor % len(healthy)
-                expected = healthy[rot:] + healthy[:rot]
-                cursor = (rot + 1) % len(healthy)
-            assert ids(registry.resolve("web")) == expected
-            record = registry.service("web")
-            assert record.rotation_cursor < max(1, len(healthy))
+        elif op[0] == "list":
+            assert [[r.replica_id, r.health]
+                    for r in registry.replicas_of("web")] == model

@@ -8,11 +8,11 @@ import time
 import pytest
 
 from flagforge.errors import FlagforgeError
-from flagforge.model import parse_topology
+from flagforge.model import diff, parse_topology
 from flagforge.pipeline import package_artifact, read_status, write_status
 from flagforge.pipeline import StatusRecord
 from flagforge.runner import MockRunner
-from flagforge.runtime import Cluster, StateStore, status_rows
+from flagforge.runtime import Cluster, StateStore, _ClusterExecutor, status_rows
 
 TOPOLOGY = """
 node edge role=frontend bind=127.0.0.1 ports=9000-9099
@@ -197,6 +197,66 @@ def test_challenge_move_between_backends(tmp_path):
     assert moved.converge().results == []
 
 
+DRIFTS = {
+    "version": ("alpha version=v1", "alpha version=v9"),
+    "run": ('run="run-a {PORT}"', 'run="run-a2 {PORT}"'),
+    "version-and-scale": ("alpha version=v1 replicas=2",
+                          "alpha version=v9 replicas=3"),
+}
+
+
+@pytest.mark.parametrize("drift", list(DRIFTS))
+def test_apply_rolls_replicas_off_a_changed_spec(tmp_path, drift):
+    cluster, store, runners = make_cluster(tmp_path)
+    cluster.converge()
+    text = TOPOLOGY.replace(*DRIFTS[drift])
+    desired = parse_topology(text)
+    alpha = desired.challenges["alpha"]
+
+    report = cluster.converge(desired)
+    assert report.all_ok
+    assert [r.action.describe() for r in report.results
+            if r.action.kind == "roll_service"] == ["roll_service alpha on worker"]
+    records = store.load_replicas("worker")
+    assert [r["spec"] for r in records if r["service"] == "alpha"] == \
+        [alpha.fingerprint] * alpha.replica_count
+    running = {h.version for h in runners["worker"].handles.values()
+               if h.running and h.replica_id.startswith("alpha-")}
+    assert running == {alpha.version}
+    assert cluster.converge(desired).results == []
+
+    pids = {r["pid"] for r in records}
+    restarted, _, _ = make_cluster(tmp_path, text=text, adoptable=pids,
+                                   alive=pids)
+    assert restarted.converge().results == []
+
+
+GAMMA = ('challenge gamma version=v1 replicas=1 internal_port=4200'
+         ' external_port=9003 backend=worker run="run-c {PORT}" probe=tcp\n')
+ACTION_KINDS = ("create_network", "roll_service", "start_replica",
+                "update_balancer_config", "bind_ingress", "stop_replica",
+                "unbind_ingress", "remove_network")
+
+
+@pytest.mark.parametrize("kind", ACTION_KINDS)
+def test_every_action_kind_is_wired(tmp_path, kind):
+    cluster, _, _ = make_cluster(tmp_path)
+    cluster.converge()
+    # drop beta, add gamma, bump alpha, retune the balancer: every kind at once
+    edited = "".join(line + "\n" for line in TOPOLOGY.splitlines()
+                     if not line.startswith("challenge beta"))
+    cluster.topology = parse_topology(
+        edited.replace("alpha version=v1", "alpha version=v2") + GAMMA
+        + "set stick_ttl=120\n")
+    plan = diff(cluster.topology, cluster.observe())
+    assert {a.kind for a in plan} == set(ACTION_KINDS)
+
+    action = next(a for a in plan if a.kind == kind)
+    assert callable(getattr(_ClusterExecutor(cluster), f"_{kind}", None))
+    assert cluster._action_node(action) in cluster.topology.nodes
+    assert "None" not in action.describe()
+
+
 # --- node-scoped convergence ---------------------------------------------------
 
 
@@ -277,6 +337,7 @@ def test_dev_pipeline_updates_deployed_challenge(tmp_path):
     topology, checksums = store.load_desired()
     assert topology.challenges["alpha"].version == "v2"
     assert checksums["alpha"]["version"] == "v2"
+    assert cluster.converge().results == []
 
 
 def test_dev_pipeline_second_pass_is_quiet(tmp_path):
@@ -336,6 +397,28 @@ def test_deploy_pipeline_provisions_from_scratch(tmp_path):
     assert store.ingress_path.read_text().startswith("9001 alpha worker ")
     records, _ = read_status(store.status_path)
     assert records[0].backend == "worker"
+
+
+def test_deploy_pipeline_rolls_a_running_challenge(tmp_path):
+    cluster, store, _ = make_cluster(tmp_path)
+    cluster.converge()
+    store_dir = tmp_path / "artifacts"
+    write_bundle(tmp_path, store_dir, "alpha", "v2",
+                 "2024-02-01T00:00:00+00:00", body="print('v2')\n")
+
+    report = cluster.pipeline_once("deploy", store_dir, select=["alpha"])
+    assert [(o.challenge, o.version, o.state) for o in report.outcomes] == \
+        [("alpha", "v2", "deployed")]
+    supervisor = cluster.backends["worker"].supervisor
+    assert [i.endpoint.version for i in supervisor.instances_of("alpha")] == \
+        ["v2", "v2"]
+    row = {r["challenge"]: r
+           for r in status_rows(store, pid_alive=lambda pid: True)}["alpha"]
+    records, _ = read_status(store.status_path)
+    record = {(r.challenge, r.backend): r for r in records}[("alpha", "worker")]
+    assert (record.version, record.state) == (row["version"], row["state"]) \
+        == ("v2", "deployed")
+    assert cluster.converge().results == []
 
 
 def test_deploy_pipeline_missing_bundle_fails_that_selection(tmp_path):

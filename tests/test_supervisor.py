@@ -17,7 +17,8 @@ from flagforge.registry import (
     Registry,
 )
 from flagforge.runner import MockRunner
-from flagforge.supervisor import PortAllocator, Supervisor, TcpProber
+from flagforge.supervisor import (DRAIN_TIMEOUT, PortAllocator, Supervisor,
+                                  TcpProber)
 
 
 class FakeClock:
@@ -118,7 +119,8 @@ def test_unhealthy_replica_replaced():
     supervisor.prober.port_overrides[target.port] = False
     clock.advance(60)  # past the startup grace
     supervisor.probe_all()
-    assert registry.health_of(target.replica_id) == HEALTH_UNHEALTHY
+    health = {r.replica_id: r.health for r in registry.replicas_of("web")}
+    assert health[target.replica_id] == HEALTH_UNHEALTHY
     actions = supervisor.reconcile("web")
     assert f"stop {target.replica_id} (unhealthy)" in actions
     assert len(supervisor.instances_of("web")) == 3
@@ -227,6 +229,54 @@ def test_rolling_update_replaces_all_one_at_a_time():
             running -= 1
         floor = min(floor, running)
     assert floor == 2
+
+
+def test_stopped_replica_leaves_rotation_before_its_signal():
+    supervisor, runner, registry, _ = build(replicas=3)
+    supervisor.reconcile("web")
+    supervisor.probe_all()
+    stop = runner.stop
+    seen: list[tuple[str, list[str], int]] = []
+
+    def recording_stop(handle):
+        # what the balancer could pick, and the port a new spawn would get,
+        # at the moment the replica is signalled
+        spare = supervisor.allocator.allocate()
+        supervisor.allocator.release(spare)
+        seen.append((handle.replica_id,
+                     [r.replica_id for r in registry.replicas_of("web")], spare))
+        stop(handle)
+
+    runner.stop = recording_stop
+    victims = {i.replica_id: i.port for i in supervisor.instances_of("web")}
+    report = supervisor.rolling_update("web", make_spec(version="v2"))
+    assert report.completed and [v for v, _, _ in seen] == list(victims)
+    for victim, routable, spare in seen:
+        assert victim not in routable
+        assert spare != victims[victim]  # its port stays held until it is gone
+
+
+def test_rolling_update_drains_open_sessions_before_the_signal():
+    supervisor, runner, _, clock = build(replicas=2)
+    supervisor.reconcile("web")
+    supervisor.probe_all()
+    first, second = replica_ids(supervisor)
+    # first's last session ends after 0.5 s; second's outlasts the drain
+    ends = {first: clock.now + 0.5, second: clock.now + 60}
+    supervisor.sessions = lambda replica_id: int(clock.now < ends[replica_id])
+    stopped_at: dict[str, float] = {}
+    stop = runner.stop
+
+    def timed_stop(handle):
+        stopped_at.setdefault(handle.replica_id, clock.now)
+        stop(handle)
+
+    runner.stop = timed_stop
+    report = supervisor.rolling_update("web", make_spec(version="v2", replicas=2))
+    assert report.completed
+    assert ends[first] <= stopped_at[first] < ends[first] + 0.1
+    assert stopped_at[second] - stopped_at[first] == \
+        pytest.approx(DRAIN_TIMEOUT, abs=0.1)
 
 
 def test_rolling_update_identical_spec_is_noop():
