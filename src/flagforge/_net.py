@@ -18,6 +18,11 @@ ACCEPT_RETRY_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS,
                                  errno.ENOMEM, errno.ECONNABORTED})
 ACCEPT_RETRY_DELAY = 0.05
 
+# a pool worker that finishes its task while this many others are idle exits,
+# so the thread count falls back after a burst of connections; two cover the
+# handler and return pump of a connection that arrives while others end
+MAX_IDLE_WORKERS = 2
+
 # wire protocol between the frontend relay and a backend balancer: the very
 # first bytes of a forwarded connection carry the participant's address
 PROXY_HEADER_RE = re.compile(rb"PROXY4 (\d{1,3}(?:\.\d{1,3}){3})\n\Z")
@@ -57,7 +62,52 @@ def read_line(sock: socket.socket, limit: int = 256) -> tuple[bytes, bytes]:
     return line + b"\n", rest
 
 
-def _pump(src: socket.socket, dst: socket.socket) -> None:
+class WorkerPool:
+    """Daemon threads that are reused from task to task.
+
+    A task runs on the most recently idled worker, or on a new thread when
+    none is idle. There is no upper bound: every relayed connection holds two
+    blocking pumps, so a capped pool would deadlock. An exception that
+    escapes a task reaches ``threading.excepthook`` and ends its thread.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        # (wake, inbox) per idle worker; releasing wake hands over the task
+        # put in inbox
+        self._idle: list[tuple[threading.Lock, list]] = []
+
+    def submit(self, fn: Callable, *args) -> None:
+        with self._lock:
+            if self._idle:
+                wake, inbox = self._idle.pop()
+                inbox.append((fn, args))
+                wake.release()
+                return
+        threading.Thread(target=self._work, args=(fn, args),
+                         daemon=True).start()
+
+    def _work(self, fn: Callable, args: tuple) -> None:
+        wake = threading.Lock()
+        wake.acquire()
+        inbox: list = []
+        while True:
+            fn(*args)
+            del fn, args  # an idle worker keeps nothing of its last task alive
+            with self._lock:
+                if len(self._idle) >= MAX_IDLE_WORKERS:
+                    return
+                self._idle.append((wake, inbox))
+            wake.acquire()
+            fn, args = inbox.pop()
+
+
+# one pool per process: every listener's handlers and every relay's pumps
+_POOL = WorkerPool()
+
+
+def _pump(src: socket.socket, dst: socket.socket,
+          done: threading.Event | None = None) -> None:
     try:
         while True:
             data = src.recv(RELAY_CHUNK)
@@ -72,14 +122,16 @@ def _pump(src: socket.socket, dst: socket.socket) -> None:
             dst.shutdown(socket.SHUT_WR)
         except OSError:
             pass
+        if done is not None:
+            done.set()
 
 
 def relay(a: socket.socket, b: socket.socket) -> None:
     """Pump bytes both ways until each direction hits EOF, then close both."""
-    t = threading.Thread(target=_pump, args=(b, a), daemon=True)
-    t.start()
+    back = threading.Event()
+    _POOL.submit(_pump, b, a, back)
     _pump(a, b)
-    t.join()
+    back.wait()
     for s in (a, b):
         try:
             s.close()
@@ -88,7 +140,7 @@ def relay(a: socket.socket, b: socket.socket) -> None:
 
 
 class TcpListener:
-    """Accept loop on one port with a daemon thread per connection.
+    """Accept loop on one port; each connection's handler runs on the pool.
 
     The handler receives ``(conn, peer_address)`` and owns the socket; it is
     closed after the handler returns in case the handler did not. Running out
@@ -117,8 +169,7 @@ class TcpListener:
                 # the pending connection stays queued until a descriptor frees
                 time.sleep(ACCEPT_RETRY_DELAY)
                 continue
-            threading.Thread(target=self._run_handler, args=(conn, peer),
-                             daemon=True).start()
+            _POOL.submit(self._run_handler, conn, peer)
 
     def _run_handler(self, conn: socket.socket, peer: tuple) -> None:
         try:

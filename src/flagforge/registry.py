@@ -85,11 +85,6 @@ class Registry:
         with self._lock:
             return name in self._services
 
-    def service(self, name: str) -> ServiceRecord:
-        """The live record; callers must treat it as read-only."""
-        with self._lock:
-            return self._require_service(name)
-
     # --- replica lifecycle ----------------------------------------------
 
     def register_replica(self, service: str, endpoint: ReplicaEndpoint) -> None:

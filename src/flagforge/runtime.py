@@ -573,8 +573,9 @@ class Cluster:
                               deployed_view=view, select=select,
                               status_path=self.store.status_path,
                               clock=self.clock)
+        written = {o.challenge for o in report.outcomes}
         for node_id in sorted(self.backends):
-            self._repair_status(node_id)
+            self._repair_status(node_id, written)
         return report
 
     @property
@@ -584,15 +585,20 @@ class Cluster:
             hosted.add(self.frontend.node_id)
         return set(self.topology.nodes) - hosted
 
-    def _repair_status(self, node_id: str) -> None:
-        """Correct stale records: live uniform state wins over old lines."""
+    def _repair_status(self, node_id: str, written: set[str]) -> None:
+        """Correct stale records: live uniform state wins over old lines.
+
+        The records of ``written``, the challenges this pass promoted, are
+        fresh: a failed promotion stays on record although the abort left the
+        old version running at full count.
+        """
         records, _ = read_status(self.store.status_path)
         existing = {(r.challenge, r.backend): r for r in records}
         backend = self.backends[node_id]
         fixes = []
         for service in backend.supervisor.services():
             record = existing.get((service, node_id))
-            if record is None:
+            if record is None or service in written:
                 continue
             instances = backend.supervisor.instances_of(service)
             versions = {i.endpoint.version for i in instances}

@@ -329,8 +329,9 @@ class Supervisor:
 
         One replica at a time leaves the rotation, is drained of its open
         sessions (up to ``DRAIN_TIMEOUT``), stopped, respawned from
-        ``new_spec`` and waited on until healthy; the first failed
-        replacement aborts.
+        ``new_spec`` and waited on until healthy. The first failed
+        replacement aborts: the old spec is desired again and the lost slot
+        is refilled from it before this returns.
         """
         with self._lock:
             old_spec = self.desired_spec(service)
@@ -359,12 +360,12 @@ class Supervisor:
 
     def _abort_update(self, service: str, old_spec: ChallengeSpec,
                       report: UpdateReport) -> UpdateReport:
-        # keep remaining old replicas untouched; desired reverts so the
-        # reconcile loop heals the lost slot with the old version
+        # the remaining old replicas stay untouched
         self._desired[service] = old_spec
+        if not self.reconcile(service):  # a reconcile that acted persisted
+            self._changed()
         self.degraded.add(service)
         report.completed = False
-        self._changed()
         return report
 
     def _wait_healthy(self, instance: ReplicaInstance, spec: ChallengeSpec,

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from flagforge import balancer as balancer_module
 from flagforge._net import TcpListener, parse_proxy_header, render_proxy_header
 from flagforge.balancer import (
     HEAP_REBUILD_FACTOR,
@@ -473,6 +474,28 @@ def test_missing_or_malformed_proxy_header_rejected(data_plane):
                 sock.sendall(garbage)
                 sock.shutdown(socket.SHUT_WR)
                 assert sock.recv(64) == b""
+    finally:
+        proxied.close()
+
+
+def test_proxy_header_read_has_a_deadline(data_plane, monkeypatch):
+    monkeypatch.setattr(balancer_module, "PROXY_HEADER_TIMEOUT", 0.2)
+    _, balancer, _, _ = data_plane
+    proxied = BalancerServer(balancer, "127.0.0.1", require_proxy_header=True)
+    proxied.bind_service("web", 0)
+    try:
+        port = proxied.ports()["web"]
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            started = time.monotonic()
+            assert sock.recv(64) == b""  # a silent client is closed
+            assert time.monotonic() - started < 2
+        # the deadline covers the header only, not a quiet session after it
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.sendall(render_proxy_header("198.51.100.9"))
+            read_greeting(sock)
+            time.sleep(0.4)
+            sock.sendall(b"ping")
+            assert sock.recv(64) == b"ping"
     finally:
         proxied.close()
 

@@ -50,7 +50,7 @@ def test_register_then_resolve():
 
 def test_registration_order_preserved():
     registry = fresh(2)
-    assert ids(registry.service("web").replicas) == ["r1", "r2"]
+    assert ids(registry.replicas_of("web")) == ["r1", "r2"]
 
 
 def test_duplicate_replica_id_rejected():
@@ -87,8 +87,9 @@ def test_network_isolation_enforced():
     with pytest.raises(NetworkInUseError):
         registry.create_service("c", "net-a")
     assert not registry.has_service("c")
-    networks = [registry.service(s).network_id for s in ("a", "b")]
-    assert len(networks) == len(set(networks))
+    for network in ("net-a", "net-b"):  # each network keeps its one owner
+        with pytest.raises(NetworkInUseError):
+            registry.create_service("d", network)
 
 
 def test_recovered_replica_reappears_at_registration_position():

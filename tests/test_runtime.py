@@ -231,6 +231,22 @@ def test_apply_rolls_replicas_off_a_changed_spec(tmp_path, drift):
     assert restarted.converge().results == []
 
 
+def test_failed_roll_of_a_single_replica_leaves_the_old_version_up(tmp_path):
+    cluster, store, runners = make_cluster(tmp_path)
+    cluster.converge()
+    runners["worker"].dead_versions.add("v2")  # the new build exits at once
+    bumped = TOPOLOGY.replace("beta version=v1", "beta version=v2")
+
+    report = cluster.converge(parse_topology(bumped))
+    assert not report.all_ok
+    # right after apply, with no serve tick in between
+    running = [h.version for h in runners["worker"].handles.values()
+               if h.running and h.replica_id.startswith("beta-")]
+    assert running == ["v1"]
+    assert [r["version"] for r in store.load_replicas("worker")
+            if r["service"] == "beta"] == ["v1"]
+
+
 GAMMA = ('challenge gamma version=v1 replicas=1 internal_port=4200'
          ' external_port=9003 backend=worker run="run-c {PORT}" probe=tcp\n')
 ACTION_KINDS = ("create_network", "roll_service", "start_replica",
@@ -371,7 +387,6 @@ def test_dev_pipeline_failed_update_is_recorded_and_retried(tmp_path):
     retry = cluster.pipeline_once("dev", store_dir)
     assert [o.state for o in retry.outcomes] == ["deployed"]
     supervisor = cluster.backends["worker"].supervisor
-    supervisor.reconcile_all()  # heal the slot lost to the aborted update
     versions = [i.endpoint.version for i in supervisor.instances_of("alpha")]
     assert versions == ["v2", "v2"]
 

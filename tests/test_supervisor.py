@@ -78,7 +78,7 @@ def test_reconcile_from_zero():
     # oracle: desired slots minus observed slots
     assert len([a for a in actions if a.startswith("spawn")]) == 3
     assert len(supervisor.instances_of("web")) == 3
-    assert len(registry.service("web").replicas) == 3
+    assert len(registry.replicas_of("web")) == 3
 
 
 def test_reconcile_fixed_point():
@@ -92,7 +92,7 @@ def test_probe_marks_healthy():
     supervisor.reconcile("web")
     supervisor.probe_all()
     assert all(r.health == HEALTH_HEALTHY
-               for r in registry.service("web").replicas)
+               for r in registry.replicas_of("web"))
 
 
 def test_dead_replica_replaced():
@@ -295,16 +295,14 @@ def test_rolling_update_aborts_on_broken_version():
                                        timeout=0.5)
     assert not report.completed
     assert [s.outcome for s in report.steps] == ["failed"]
-    # oracle: surviving old-version instances
+    # oracle: the lost slot is refilled with the old version before the
+    # abort returns, so no reconcile tick is needed
     survivors = supervisor.instances_of("web")
-    assert len(survivors) == 2
+    assert len(survivors) == 3
     assert all(i.endpoint.version == "v1" for i in survivors)
     assert supervisor.desired_spec("web").version == "v1"  # reverted
     assert supervisor.degraded == {"web"}
-    # the reconcile loop heals the lost slot with the old version
-    supervisor.reconcile("web")
-    assert len(supervisor.instances_of("web")) == 3
-    assert {i.endpoint.version for i in supervisor.instances_of("web")} == {"v1"}
+    assert supervisor.reconcile("web") == []
 
 
 def test_adopt_snapshot_round_trip():
@@ -339,7 +337,7 @@ def test_stop_all_clears_everything():
     supervisor.reconcile("web")
     supervisor.stop_all()
     assert supervisor.instances_of("web") == []
-    assert registry.service("web").replicas == []
+    assert registry.replicas_of("web") == []
 
 
 def test_port_allocator():
