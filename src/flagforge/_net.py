@@ -43,17 +43,25 @@ def parse_proxy_header(line: bytes) -> str:
     return ip
 
 
-def read_line(sock: socket.socket, limit: int = 256) -> tuple[bytes, bytes]:
+def read_line(sock: socket.socket, limit: int = 256,
+              deadline: float | None = None) -> tuple[bytes, bytes]:
     """Read up to and including the first newline.
 
     Returns ``(line_with_newline, leftover)`` where leftover is whatever
     arrived after the newline and must be forwarded by the caller. Raises
-    ValueError if the peer closes first or the limit is hit.
+    ValueError if the peer closes first or the limit is hit. With a
+    ``deadline`` (a ``time.monotonic()`` value), the whole line must arrive
+    by then or TimeoutError is raised; the socket keeps a timeout set.
     """
     buf = b""
     while b"\n" not in buf:
         if len(buf) >= limit:
             raise ValueError("line too long")
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("no newline before the deadline")
+            sock.settimeout(left)
         chunk = sock.recv(limit)
         if not chunk:
             raise ValueError("connection closed before newline")

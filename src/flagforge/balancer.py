@@ -38,7 +38,8 @@ from .registry import (
 )
 
 CONNECT_TIMEOUT = 3.0
-# a frontend sends its PROXY4 line at once; a client that does not is cut off
+# a frontend sends its PROXY4 line at once; a client that has not sent the
+# whole line within this many seconds is cut off
 PROXY_HEADER_TIMEOUT = 5.0
 # the stick-table heap is rebuilt once it holds this many keys per entry
 HEAP_REBUILD_FACTOR = 2
@@ -326,9 +327,10 @@ class BalancerServer:
         source_ip = peer[0]
         leftover = b""
         if self.require_proxy_header:
-            conn.settimeout(PROXY_HEADER_TIMEOUT)
             try:
-                line, leftover = read_line(conn, limit=PROXY_HEADER_LIMIT)
+                line, leftover = read_line(
+                    conn, limit=PROXY_HEADER_LIMIT,
+                    deadline=time.monotonic() + PROXY_HEADER_TIMEOUT)
                 source_ip = parse_proxy_header(line)
             except (ValueError, TimeoutError):
                 return  # listener closes the connection

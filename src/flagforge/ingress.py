@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._files import replacing
 from ._net import TcpListener, relay, render_proxy_header
 from .errors import IngressError
 from .model import Topology
@@ -106,9 +107,8 @@ def parse_mappings(text: str) -> MappingTable:
 def save_mappings(table: MappingTable, path: Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(serialize_mappings(table))
-    tmp.replace(path)
+    with replacing(path) as f:
+        f.write(serialize_mappings(table))
 
 
 def load_mappings(path: Path) -> MappingTable:

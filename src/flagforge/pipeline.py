@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol
 
+from ._files import replacing
 from .errors import ManifestError, PipelineError, VersionConflictError
 from .model import NAME_RE, VERSION_RE, ChallengeSpec, ProbeSpec
 
@@ -251,12 +252,11 @@ def package_artifact(source_dir: Path, store: Path) -> Path:
         raise VersionConflictError(
             f"version {manifest.version} already exists with different checksum")
 
-    tmp = bundle_path.with_name(bundle_path.name + ".tmp")
-    with tarfile.open(tmp, mode="w", format=tarfile.USTAR_FORMAT) as tar:
+    with replacing(bundle_path, "xb") as f, \
+            tarfile.open(fileobj=f, mode="w", format=tarfile.USTAR_FORMAT) as tar:
         _add_member(tar, "manifest", manifest.render().encode())
         for name, data in payload:
             _add_member(tar, name, data)
-    tmp.replace(bundle_path)
     return bundle_path
 
 
@@ -395,10 +395,8 @@ def write_status(records: Iterable[StatusRecord], path: Path) -> None:
                             >= _parse_timestamp(held.timestamp)):
             merged[key] = record
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("".join(merged[key].render() + "\n"
-                           for key in sorted(merged)))
-    tmp.replace(path)
+    with replacing(path) as f:
+        f.write("".join(merged[key].render() + "\n" for key in sorted(merged)))
 
 
 # --- the promotion loop ---------------------------------------------------------

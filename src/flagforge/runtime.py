@@ -33,6 +33,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
+from ._files import replacing
 from .balancer import Balancer, BalancerServer
 from .errors import FlagforgeError, IngressError, PipelineError, TopologyError
 from .ingress import (IngressServer, MappingTable, PortMapping, load_mappings,
@@ -45,7 +46,7 @@ from .pipeline import (MODE_DEV, STATE_DEPLOYED, ArtifactManifest,
                        read_status, run_pipeline, write_status)
 from .registry import Registry
 from .runner import SubprocessRunner, _pid_running
-from .supervisor import PortAllocator, Supervisor
+from .supervisor import READY_POLL, PortAllocator, Supervisor
 
 log = logging.getLogger(__name__)
 
@@ -101,9 +102,8 @@ class StateStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists() and path.read_text() == text:
             return
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        tmp.replace(path)
+        with replacing(path) as f:
+            f.write(text)
 
     def _write_json(self, path: Path, payload) -> None:
         self._write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -816,8 +816,14 @@ class NodeService:
         except OSError:
             return 0.0
 
+    def _booting(self) -> bool:
+        return (self.is_backend
+                and self.cluster.backends[self.node_id].supervisor.booting())
+
     def _loop(self) -> None:
-        while not self._stop.wait(self.tick):
+        # while a replica has yet to answer, wake often enough that it takes
+        # players within READY_POLL of its first passing probe
+        while not self._stop.wait(READY_POLL if self._booting() else self.tick):
             try:
                 self.tick_once()
             except Exception:
@@ -835,9 +841,12 @@ class NodeService:
                 self._desired_mtime = self._mtime()
         if self.is_backend:
             topology = self.cluster.topology
+            backend = self.cluster.backends[self.node_id]
             if now - self._last_probe >= topology.probe_interval:
                 self._last_probe = now
-                self.cluster.backends[self.node_id].tick()
+                backend.tick()
+            else:
+                backend.supervisor.probe_starting()
             if (self.store_dir is not None
                     and now - self._last_poll >= topology.poll_interval):
                 self._last_poll = now

@@ -4,7 +4,9 @@ Keeps every service at its desired replica count, probes health, replaces
 failed replicas, applies scale changes, and performs one-at-a-time rolling
 updates. All mutating entry points serialize on one lock, so the supervisor
 behaves as a single control actor per node; only the prober and runner do
-real I/O.
+real I/O. Probes run outside the lock: a replica whose banner stalls delays
+only the probe pass, and a verdict lands only on a replica that is still
+registered in the health it was probed in.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ SPAWN_BACKOFF = 1.0
 STARTUP_GRACE = 10.0
 DRAIN_TIMEOUT = 2.0
 DRAIN_POLL = 0.01
+# how often a replica that has yet to answer its first probe is probed again
+READY_POLL = 0.05
 
 
 class PortAllocator:
@@ -306,20 +310,21 @@ class Supervisor:
         return report
 
     def probe_all(self, now: float | None = None) -> None:
+        """Probe every replica: one that answers is healthy, one that does
+        not is unhealthy unless it is still in its startup grace."""
+        self._probe(self.clock() if now is None else now, starting_only=False)
+
+    def probe_starting(self) -> None:
+        """Readiness pass: probe only replicas still in their startup grace,
+        and mark the ones that answer healthy. Failing a replica stays with
+        ``probe_all``."""
+        self._probe(self.clock(), starting_only=True)
+
+    def booting(self) -> bool:
+        """Whether a replica is in its startup grace and has not answered."""
+        now = self.clock()
         with self._lock:
-            now = self.clock() if now is None else now
-            for instance in list(self._instances.values()):
-                spec = self._desired.get(instance.spec_name)
-                probe = spec.probe if spec is not None else ProbeSpec()
-                up = self.prober.probe(instance.endpoint.address, instance.port,
-                                       probe)
-                if up:
-                    self.registry.mark_health(instance.replica_id, HEALTH_HEALTHY)
-                elif (instance.endpoint.health == HEALTH_STARTING
-                      and now - instance.started_at < self.startup_grace):
-                    continue  # still booting; give it its grace period
-                else:
-                    self.registry.mark_health(instance.replica_id, HEALTH_UNHEALTHY)
+            return any(self._booting(i, now) for i in self._instances.values())
 
     # --- rolling update ------------------------------------------------------
 
@@ -380,7 +385,7 @@ class Supervisor:
                 return True
             if self.clock() >= deadline:
                 return False
-            self.sleep(0.05)
+            self.sleep(READY_POLL)
 
     # --- shutdown ------------------------------------------------------------
 
@@ -435,6 +440,36 @@ class Supervisor:
                 self.sleep(DRAIN_POLL)
         self.runner.stop(instance.handle)
         self.allocator.release(instance.port)
+
+    def _booting(self, instance: ReplicaInstance, now: float) -> bool:
+        return (instance.endpoint.health == HEALTH_STARTING
+                and now - instance.started_at < self.startup_grace)
+
+    def _probe(self, now: float, starting_only: bool) -> None:
+        """Probe without the lock, then judge each replica that is still
+        registered in the health it was probed in."""
+        with self._lock:
+            targets = []
+            for instance in self._instances.values():
+                if not starting_only or self._booting(instance, now):
+                    spec = self._desired.get(instance.spec_name)
+                    probe = spec.probe if spec is not None else ProbeSpec()
+                    targets.append((instance, instance.endpoint.health, probe))
+        results = [(instance, health,
+                    self.prober.probe(instance.endpoint.address, instance.port,
+                                      probe))
+                   for instance, health, probe in targets]
+        with self._lock:
+            for instance, health, up in results:
+                if (self._instances.get(instance.replica_id) is not instance
+                        or instance.endpoint.health != health):
+                    continue  # stopped or re-marked while it was probed
+                if up:
+                    self.registry.mark_health(instance.replica_id, HEALTH_HEALTHY)
+                elif not starting_only and not self._booting(instance, now):
+                    # one still booting keeps its grace period
+                    self.registry.mark_health(instance.replica_id,
+                                              HEALTH_UNHEALTHY)
 
     def _changed(self) -> None:
         if self.on_change is not None:

@@ -500,6 +500,30 @@ def test_proxy_header_read_has_a_deadline(data_plane, monkeypatch):
         proxied.close()
 
 
+def test_proxy_header_deadline_covers_the_whole_line(data_plane, monkeypatch):
+    monkeypatch.setattr(balancer_module, "PROXY_HEADER_TIMEOUT", 0.5)
+    _, balancer, _, _ = data_plane
+    proxied = BalancerServer(balancer, "127.0.0.1", require_proxy_header=True)
+    proxied.bind_service("web", 0)
+    try:
+        port = proxied.ports()["web"]
+        with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
+            sock.settimeout(0.2)  # one byte every 0.2 s, each within the timeout
+            started = time.monotonic()
+            closed = False
+            while not closed and time.monotonic() - started < 3:
+                try:
+                    sock.sendall(b"P")
+                    closed = sock.recv(64) == b""
+                except TimeoutError:
+                    continue
+                except OSError:  # reset: the balancer closed first
+                    closed = True
+            assert closed and time.monotonic() - started < 1.5
+    finally:
+        proxied.close()
+
+
 def test_proxy_header_render_parse_round_trip():
     assert parse_proxy_header(render_proxy_header("203.0.113.9")) == "203.0.113.9"
     with pytest.raises(ValueError):

@@ -17,7 +17,9 @@ import pytest
 
 from flagforge.cli import main
 from flagforge.ingress import MappingTable, PortMapping, save_mappings
-from flagforge.runtime import StateStore
+from flagforge.registry import HEALTH_HEALTHY
+from flagforge.runner import _pid_running
+from flagforge.runtime import NodeService, StateStore
 
 FIXTURE = Path(__file__).with_name("fixture_server.py")
 
@@ -380,6 +382,28 @@ def test_serve_frontend_exits_when_external_port_is_taken(workspace, capsys):
     assert code == 1
     assert f"external port {external}" in capsys.readouterr().err
     assert StateStore(state).lock_owner("edge") is None
+
+
+def test_served_replicas_take_players_without_waiting_for_a_tick(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base,
+                                              replicas=3))
+    service = NodeService(topo, "worker", state, tick=30)
+    try:
+        service.start()
+        registry = service.cluster.backends["worker"].registry
+        deadline = time.monotonic() + 3
+        while not (len(registry.replicas_of("alpha")) == 3
+                   and all(r.health == HEALTH_HEALTHY
+                           for r in registry.replicas_of("alpha"))):
+            assert time.monotonic() < deadline, "replicas still not healthy"
+            time.sleep(0.01)
+        pids = [r["pid"] for r in StateStore(state).load_replicas("worker")]
+    finally:
+        service.stop()
+    assert len(pids) == 3
+    assert not any(_pid_running(pid) for pid in pids)
 
 
 # --- module entry point -------------------------------------------------------

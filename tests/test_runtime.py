@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 
 import pytest
 
 from flagforge.errors import FlagforgeError
+from flagforge.ingress import (MappingTable, PortMapping, load_mappings,
+                               save_mappings)
 from flagforge.model import diff, parse_topology
 from flagforge.pipeline import package_artifact, read_status, write_status
 from flagforge.pipeline import StatusRecord
@@ -511,6 +515,50 @@ def test_status_counts_only_pins_within_ttl(tmp_path):
 
 def test_status_rows_empty_without_applied_topology(tmp_path):
     assert status_rows(StateStore(tmp_path / "state")) == []
+
+
+# --- concurrent writers ------------------------------------------------------------
+
+
+def _balancer_writer(tmp_path):
+    store = StateStore(tmp_path / "state")
+    return store.save_balancer, store.load_balancer, lambda n: {"w": {"n": n}}
+
+
+def _mappings_writer(tmp_path):
+    path = tmp_path / "state" / "ingress.map"
+    return (lambda table: save_mappings(table, path), lambda: load_mappings(path),
+            lambda n: MappingTable((PortMapping(9000 + n, "alpha", "worker",
+                                                "127.0.0.1", 20000),)))
+
+
+@pytest.mark.parametrize("writer", [_balancer_writer, _mappings_writer],
+                         ids=["state-store", "ingress-map"])
+def test_concurrent_writers_of_one_file_never_collide(tmp_path, writer):
+    save, load, payload = writer(tmp_path)
+    errors: list[BaseException] = []
+
+    def write_many(first: int) -> None:
+        try:
+            for n in range(first, first + 50):
+                save(payload(n))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write_many, args=(50 * t,))
+               for t in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert load() in [payload(n) for n in range(400)]
 
 
 # --- serve locking ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 
 import pytest
@@ -13,6 +14,8 @@ from flagforge.model import ChallengeSpec, ProbeSpec
 from flagforge.registry import (
     EVENT_DEREGISTERED,
     HEALTH_HEALTHY,
+    HEALTH_STARTING,
+    HEALTH_STOPPED,
     HEALTH_UNHEALTHY,
     Registry,
 )
@@ -136,6 +139,189 @@ def test_starting_grace_shields_fresh_replicas():
     clock.advance(60)
     supervisor.probe_all()
     assert supervisor.reconcile("web") != []
+
+
+# --- readiness pass and probes outside the lock --------------------------------
+
+
+class GatedProber:
+    """Every probe signals ``entered``, then blocks until ``release`` is set."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def probe(self, address: str, port: int, probe: ProbeSpec) -> bool:
+        self.entered.set()
+        self.release.wait(5)
+        return True
+
+
+def in_thread(fn) -> tuple[threading.Thread, list[BaseException]]:
+    errors: list[BaseException] = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, errors
+
+
+def test_readiness_pass_promotes_starting_replicas_that_answer():
+    supervisor, _, registry, _ = build()
+    supervisor.reconcile("web")
+    assert supervisor.booting()
+    supervisor.probe_starting()
+    assert all(r.health == HEALTH_HEALTHY for r in registry.replicas_of("web"))
+    assert not supervisor.booting()
+
+
+def test_readiness_pass_leaves_a_refusing_replica_starting():
+    supervisor, _, _, clock = build(replicas=1)
+    supervisor.reconcile("web")
+    instance = supervisor.instances_of("web")[0]
+    supervisor.prober.port_overrides[instance.port] = False
+    supervisor.probe_starting()
+    assert instance.endpoint.health == HEALTH_STARTING
+    clock.advance(60)  # past the startup grace: failing it is probe_all's call
+    supervisor.probe_starting()
+    assert instance.endpoint.health == HEALTH_STARTING
+    assert not supervisor.booting()
+    assert supervisor.reconcile("web") == []
+
+
+def test_readiness_pass_leaves_healthy_and_unhealthy_replicas_alone():
+    supervisor, _, _, clock = build(replicas=2)
+    supervisor.reconcile("web")
+    up, down = supervisor.instances_of("web")
+    overrides = supervisor.prober.port_overrides
+    overrides[down.port] = False
+    clock.advance(60)
+    supervisor.probe_all()
+    assert (up.endpoint.health, down.endpoint.health) == (HEALTH_HEALTHY,
+                                                          HEALTH_UNHEALTHY)
+    overrides.update({up.port: False, down.port: True})  # both would flip
+    probed: list[int] = []
+    probe = supervisor.prober.probe
+    supervisor.prober.probe = \
+        lambda address, port, spec: probed.append(port) or probe(address, port,
+                                                                 spec)
+    supervisor.probe_starting()
+    assert probed == []
+    assert (up.endpoint.health, down.endpoint.health) == (HEALTH_HEALTHY,
+                                                          HEALTH_UNHEALTHY)
+
+
+def test_probe_all_does_not_hold_the_lock_across_a_probe():
+    supervisor, _, _, _ = build()
+    supervisor.reconcile("web")
+    prober = supervisor.prober = GatedProber()
+    probing, _ = in_thread(supervisor.probe_all)
+    try:
+        assert prober.entered.wait(2)
+        other, errors = in_thread(
+            lambda: (supervisor.snapshot(), supervisor.scale("web", 4)))
+        other.join(0.5)
+        assert not other.is_alive() and errors == []
+    finally:
+        prober.release.set()
+        probing.join(5)
+    assert supervisor.desired_count("web") == 4
+
+
+def test_replica_stopped_mid_probe_is_not_marked_again():
+    supervisor, _, registry, _ = build(replicas=2)
+    supervisor.reconcile("web")
+    before = supervisor.instances_of("web")
+    prober = supervisor.prober = GatedProber()
+    probing, probe_errors = in_thread(supervisor.probe_all)
+    try:
+        assert prober.entered.wait(2)
+        stopping, errors = in_thread(lambda: supervisor.stop_one("web"))
+        stopping.join(0.5)
+        assert not stopping.is_alive() and errors == []
+    finally:
+        prober.release.set()
+        probing.join(5)
+    assert not probing.is_alive() and probe_errors == []
+    survivor, = supervisor.instances_of("web")
+    victim, = [i for i in before if i is not survivor]
+    assert victim.endpoint.health == HEALTH_STOPPED
+    assert [r.replica_id for r in registry.replicas_of("web")] == \
+        [survivor.replica_id]
+    assert survivor.endpoint.health == HEALTH_HEALTHY
+
+
+def test_verdict_is_dropped_when_health_changed_mid_probe():
+    supervisor, _, registry, _ = build(replicas=1)
+    supervisor.reconcile("web")
+    instance, = supervisor.instances_of("web")
+    prober = supervisor.prober = GatedProber()
+    probing, errors = in_thread(supervisor.probe_starting)
+    try:
+        assert prober.entered.wait(2)
+        # another pass reached its verdict first
+        registry.mark_health(instance.replica_id, HEALTH_UNHEALTHY)
+    finally:
+        prober.release.set()
+        probing.join(5)
+    assert not probing.is_alive() and errors == []
+    assert instance.endpoint.health == HEALTH_UNHEALTHY
+
+
+class UpProber:
+    def probe(self, address: str, port: int, probe: ProbeSpec) -> bool:
+        return True
+
+
+def test_probe_passes_racing_scale_changes_keep_registry_and_instances_in_step():
+    supervisor, _, registry, _ = build(replicas=2)
+    supervisor.prober = UpProber()
+    endpoints = []
+    register = registry.register_replica
+
+    def recording_register(service, endpoint):
+        endpoints.append(endpoint)
+        register(service, endpoint)
+
+    registry.register_replica = recording_register
+    supervisor.reconcile("web")
+    done = threading.Event()
+
+    def probe_until_done():
+        while not done.is_set():
+            supervisor.probe_all()
+            supervisor.probe_starting()
+
+    def scale_up_and_down():
+        try:
+            for n in range(300):
+                supervisor.scale("web", 1 + n % 4)
+                supervisor.reconcile("web")
+        finally:
+            done.set()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [in_thread(probe_until_done) for _ in range(3)]
+        workers.append(in_thread(scale_up_and_down))
+        for thread, _ in workers:
+            thread.join(30)
+    finally:
+        done.set()
+        sys.setswitchinterval(switch)
+    assert all(not thread.is_alive() and errors == []
+               for thread, errors in workers)
+    live = {i.replica_id for i in supervisor.instances_of("web")}
+    assert {r.replica_id for r in registry.replicas_of("web")} == live
+    # a verdict never lands on a replica after its stop
+    assert all(e.health == HEALTH_STOPPED
+               for e in endpoints if e.replica_id not in live)
 
 
 def test_scale_up_spawns_difference():
