@@ -37,6 +37,11 @@ ROLE_FRONTEND = "frontend"
 ROLE_BACKEND = "backend"
 
 
+def network_id(challenge: str) -> str:
+    """The private network of a challenge, named after it."""
+    return f"net-{challenge}"
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     """Health probe descriptor: TCP connect, optionally expecting a banner prefix."""
@@ -79,11 +84,6 @@ class ChallengeSpec:
     probe: ProbeSpec
 
     @property
-    def network_id(self) -> str:
-        # one private network per challenge, named after it
-        return f"net-{self.name}"
-
-    @property
     def fingerprint(self) -> str:
         """Short digest of what a replica runs: version, run command, probe."""
         text = "\0".join((self.version, self.run_command, self.probe.render()))
@@ -122,9 +122,10 @@ class ObservedState:
     ``ingress`` maps an external port to the (challenge, backend node) it
     forwards to; ``balancers`` lists the services each backend has a listener
     for, and ``stick_settings`` the (ttl, capacity) those listeners run with.
+    A challenge's network lives with its listener: it is provisioned exactly
+    while a backend's listener set holds it.
     """
 
-    networks: dict[str, str] = field(default_factory=dict)
     replicas: dict[str, dict[str, int]] = field(default_factory=dict)
     specs: dict[str, dict[str, set[str]]] = field(default_factory=dict)
     ingress: dict[int, tuple[str, str]] = field(default_factory=dict)
@@ -141,7 +142,7 @@ class Action:
 
     def describe(self) -> str:
         if self.kind in ("create_network", "remove_network"):
-            return f"{self.kind} net-{self.challenge}"
+            return f"{self.kind} {network_id(self.challenge)}"
         if self.kind in ("start_replica", "stop_replica", "roll_service"):
             return f"{self.kind} {self.challenge} on {self.node}"
         if self.kind == "update_balancer_config":
@@ -459,13 +460,22 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
     runs before the scale actions: the roll still sees the previous spec to
     revert to, replicas added by a scale-up start from the new spec, and a
     scale-down stops rolled replicas, so drift plus a count change converges
-    in one apply.
+    in one apply. Every action names the node that carries it out: ingress
+    actions the frontend, and remove_network each backend whose listener still
+    holds the challenge.
     """
     actions: list[Action] = []
+    frontend = desired.frontend.node_id
+    backends = sorted(n.node_id for n in desired.backends)
+    # a listener left on a node the topology no longer has is nobody's to
+    # tear down, so only the desired backends' listeners count
+    listening = {node: observed.balancers.get(node, set()) for node in backends}
+    provisioned = set().union(*listening.values())
     created: set[str] = set()
     for name in sorted(desired.challenges):
-        if name not in observed.networks:
-            actions.append(Action("create_network", challenge=name))
+        if name not in provisioned:
+            actions.append(Action("create_network", challenge=name,
+                                  node=desired.challenges[name].backend))
             created.add(name)
 
     for name in sorted(desired.challenges):
@@ -480,13 +490,12 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
         for _ in range(max(0, spec.replica_count - have)):
             actions.append(Action("start_replica", challenge=name, node=spec.backend))
 
-    removed = {name for name in observed.networks if name not in desired.challenges}
-    for node in sorted(n.node_id for n in desired.backends):
+    removed = provisioned - set(desired.challenges)
+    for node in backends:
         want = {c.name for c in desired.challenges_on(node)}
-        have = set(observed.balancers.get(node, set()))
         # create/remove network actions already (de)provision listeners
-        predicted = (have | {c for c in created
-                             if desired.challenges[c].backend == node}) - removed
+        added = {c for c in created if desired.challenges[c].backend == node}
+        predicted = (listening[node] | added) - removed
         settings = observed.stick_settings.get(node)
         settings_drift = settings is not None and settings != (
             desired.stick_ttl, desired.stick_capacity)
@@ -495,7 +504,7 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
 
     for spec in sorted(desired.challenges.values(), key=lambda c: c.external_port):
         if observed.ingress.get(spec.external_port) != (spec.name, spec.backend):
-            actions.append(Action("bind_ingress", challenge=spec.name,
+            actions.append(Action("bind_ingress", challenge=spec.name, node=frontend,
                                   external_port=spec.external_port))
 
     for name in sorted(set(observed.replicas) | set(desired.challenges)):
@@ -510,12 +519,14 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
     for port in sorted(observed.ingress):
         # a port rebound to another challenge is overwritten by its bind action
         if port not in desired_ports:
-            actions.append(Action("unbind_ingress",
+            actions.append(Action("unbind_ingress", node=frontend,
                                   challenge=observed.ingress[port][0],
                                   external_port=port))
 
     for name in sorted(removed):
-        actions.append(Action("remove_network", challenge=name))
+        for node in backends:
+            if name in listening[node]:
+                actions.append(Action("remove_network", challenge=name, node=node))
     return ChangeSet(tuple(actions))
 
 

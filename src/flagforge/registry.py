@@ -5,9 +5,10 @@ they are. ``replicas_of`` lists a service's replicas in registration order;
 picking among them (round robin, stickiness) is the balancer's job.
 
 Health values are written by the supervisor's prober only; everything else
-(balancer, ingress, status) reads. Listeners are invoked outside the registry
-lock, so a listener may call back into the registry or into the balancer
-without deadlocking.
+(balancer, ingress, status) reads. Listeners hear each change of health and
+each healthy verdict. They are invoked outside the registry lock, so a
+listener may call back into the registry or into the balancer without
+deadlocking.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ class Registry:
         events = []
         with self._lock:
             service, _, endpoint = self._find(replica_id)
-            if endpoint.health != health:
+            # every healthy verdict is announced: it also clears a suspect
+            # mark the balancer set on a replica that stayed healthy
+            if endpoint.health != health or health == HEALTH_HEALTHY:
                 endpoint.health = health
                 events.append((service, replica_id, health))
         self._notify(events)

@@ -3,9 +3,9 @@
 Everything a command needs sits under one state directory:
 
     desired.json        applied topology text + artifact checksums
-    networks.json       provisioned challenge networks
     replicas-<node>.json  running replica records (pid, port, version, spec)
-    balancer.json       per-node balancer ports, stick settings and counts
+    balancer.json       per-node balancer ports, stick settings and counts;
+                        a challenge's network lives with its listener here
     ingress.map         frontend port mappings
     latest-build.txt    deployment status records
     serve-<node>.lock   pid of the serve process hosting a node
@@ -39,7 +39,7 @@ from .errors import FlagforgeError, IngressError, PipelineError, TopologyError
 from .ingress import (IngressServer, MappingTable, PortMapping, load_mappings,
                       parse_mappings, save_mappings, serialize_mappings)
 from .model import (ROLE_BACKEND, Action, ApplyReport, ChallengeSpec, ChangeSet,
-                    ObservedState, Topology, apply_changeset, diff,
+                    ObservedState, Topology, apply_changeset, diff, network_id,
                     parse_topology, serialize_topology, validate_topology)
 from .pipeline import (MODE_DEV, STATE_DEPLOYED, ArtifactManifest,
                        PipelineReport, StatusRecord, extract_payload,
@@ -67,10 +67,6 @@ class StateStore:
     @property
     def desired_path(self) -> Path:
         return self.root / "desired.json"
-
-    @property
-    def networks_path(self) -> Path:
-        return self.root / "networks.json"
 
     @property
     def balancer_path(self) -> Path:
@@ -124,12 +120,6 @@ class StateStore:
         if payload is None:
             return None
         return parse_topology(payload["topology"]), payload.get("checksums", {})
-
-    def save_networks(self, networks: dict) -> None:
-        self._write_json(self.networks_path, networks)
-
-    def load_networks(self) -> dict:
-        return self._read_json(self.networks_path, {})
 
     def save_replicas(self, node_id: str, records: list[dict]) -> None:
         self._write_json(self.replicas_path(node_id), records)
@@ -220,7 +210,6 @@ class BackendNode:
         if stick:
             self.balancer.configure(stick[0], stick[1])
 
-        networks = self.store.load_networks()
         records: dict[str, list[dict]] = {}
         for record in self.store.load_replicas(self.node_id):
             if self.pid_alive(record["pid"]):
@@ -230,9 +219,7 @@ class BackendNode:
 
         for name in sorted(set(records) | set(specs) | set(self._balancer_ports)):
             if not self.registry.has_service(name):
-                entry = networks.get(name) or {}
-                self.registry.create_service(
-                    name, entry.get("network_id", f"net-{name}"))
+                self.registry.create_service(name, network_id(name))
             if name in specs:
                 self.supervisor.set_desired(specs[name])
             if name in records:
@@ -250,7 +237,7 @@ class BackendNode:
 
     def ensure_service(self, spec: ChallengeSpec) -> None:
         if not self.registry.has_service(spec.name):
-            self.registry.create_service(spec.name, spec.network_id)
+            self.registry.create_service(spec.name, network_id(spec.name))
         self.supervisor.set_desired(spec)
 
     def ensure_balancer_port(self, service: str) -> int:
@@ -426,8 +413,6 @@ class Cluster:
 
     def observe(self) -> ObservedState:
         state = ObservedState()
-        for challenge, entry in self.store.load_networks().items():
-            state.networks[challenge] = entry["network_id"]
         for node_id, config in self.store.load_balancer().items():
             state.balancers[node_id] = set(config.get("ports") or {})
             stick = config.get("stick")
@@ -468,26 +453,11 @@ class Cluster:
         self.checksums = {name: record for name, record in self.checksums.items()
                           if name in self.topology.challenges}
         self.store.save_desired(self.topology, self.checksums)
-        changeset = diff(self.topology, self.observe())
-        if only_node is not None:
-            changeset = ChangeSet(tuple(
-                a for a in changeset if self._action_node(a) == only_node))
-        if exclude_nodes:
-            changeset = ChangeSet(tuple(
-                a for a in changeset
-                if self._action_node(a) not in exclude_nodes))
+        changeset = ChangeSet(tuple(
+            a for a in diff(self.topology, self.observe())
+            if (only_node is None or a.node == only_node)
+            and a.node not in (exclude_nodes or ())))
         return apply_changeset(changeset, _ClusterExecutor(self))
-
-    def _action_node(self, action: Action) -> str | None:
-        if action.kind in ("start_replica", "stop_replica", "roll_service",
-                           "update_balancer_config"):
-            return action.node
-        if action.kind == "create_network":
-            return self.topology.challenges[action.challenge].backend
-        if action.kind in ("bind_ingress", "unbind_ingress"):
-            return self.topology.frontend.node_id
-        entry = self.store.load_networks().get(action.challenge) or {}
-        return entry.get("node")
 
     def balancer_port_of(self, node_id: str, service: str) -> int | None:
         if node_id in self.backends:
@@ -511,36 +481,6 @@ class Cluster:
                 self.frontend.bind(replace(mapping, balancer_port=port))
 
     # --- artifact deployment ---------------------------------------------------
-
-    def materialize_spec(self, manifest: ArtifactManifest, node_id: str,
-                         store_dir: Path) -> ChallengeSpec:
-        """Extract a bundle's payload and shape its runnable challenge spec.
-
-        The payload lands in a directory keyed by checksum, and ``{DIR}`` in
-        the run command expands to it, so content changes always change the
-        effective spec even under a reused version label.
-        """
-        target = self.store.bundles_dir / (
-            f"{manifest.challenge}-{manifest.checksum[:12]}")
-        if not target.is_dir():
-            extract_payload(self._find_bundle(manifest, store_dir), target)
-        run = manifest.run_command.replace("{DIR}", str(target))
-        return manifest.challenge_spec(node_id, run_command=run)
-
-    def _find_bundle(self, manifest: ArtifactManifest, store_dir: Path) -> Path:
-        path = Path(store_dir) / manifest.bundle_name
-        if path.is_file():
-            return path
-        raise PipelineError(f"bundle {manifest.bundle_name} not in store")
-
-    def record_artifact(self, manifest: ArtifactManifest,
-                        spec: ChallengeSpec) -> None:
-        challenges = dict(self.topology.challenges)
-        challenges[spec.name] = spec
-        self.topology = replace(self.topology, challenges=challenges)
-        self.checksums[spec.name] = {"checksum": manifest.checksum,
-                                     "version": manifest.version}
-        self.store.save_desired(self.topology, self.checksums)
 
     def pipeline_once(self, mode: str, store_dir: Path,
                       select: list[str] | None = None) -> PipelineReport:
@@ -638,27 +578,17 @@ class _ClusterExecutor:
         return backend
 
     def _create_network(self, action: Action) -> None:
+        backend = self._require_backend(action.node)
         spec = self.cluster.topology.challenges[action.challenge]
-        networks = self.cluster.store.load_networks()
-        networks[spec.name] = {"network_id": spec.network_id,
-                               "node": spec.backend}
-        self.cluster.store.save_networks(networks)
-        backend = self.cluster.backends.get(spec.backend)
-        if backend is not None:
-            backend.ensure_service(spec)
-            # the diff plans no separate balancer action for a fresh network,
-            # so the service listener is provisioned here
-            backend.ensure_balancer_port(spec.name)
-            backend.persist_balancer()
+        backend.ensure_service(spec)
+        # the network is the service's listener; the diff plans no separate
+        # balancer action for it
+        backend.ensure_balancer_port(spec.name)
+        backend.persist_balancer()
 
     def _start_replica(self, action: Action) -> None:
         backend = self._require_backend(action.node)
         spec = self.cluster.topology.challenges[action.challenge]
-        networks = self.cluster.store.load_networks()
-        entry = networks.get(spec.name)
-        if entry is not None and entry.get("node") != action.node:
-            entry["node"] = action.node
-            self.cluster.store.save_networks(networks)
         backend.ensure_service(spec)
         backend.supervisor.start_one(spec.name)
 
@@ -671,9 +601,10 @@ class _ClusterExecutor:
         backend.supervisor.stop_one(action.challenge)
         if not wanted_here and not backend.supervisor.instances_of(action.challenge):
             backend.supervisor.drop_desired(action.challenge)
-            if spec is not None and backend.registry.has_service(action.challenge):
-                # the challenge moved away; its service leaves this node with
-                # the last replica, the network itself lives on
+            if (action.challenge not in backend.balancer_ports
+                    and backend.registry.has_service(action.challenge)):
+                # the service leaves this node with its last replica; one
+                # whose listener is still here goes with its remove_network
                 backend.registry.remove_service(action.challenge)
 
     def _roll_service(self, action: Action) -> None:
@@ -709,15 +640,9 @@ class _ClusterExecutor:
         self._require_frontend().unbind(action.external_port)
 
     def _remove_network(self, action: Action) -> None:
-        for backend in self.cluster.backends.values():
-            if (backend.registry.has_service(action.challenge)
-                    or backend.supervisor.instances_of(action.challenge)
-                    or action.challenge in backend.balancer_ports):
-                backend.remove_service(action.challenge)
-                backend.persist_balancer()
-        networks = self.cluster.store.load_networks()
-        if networks.pop(action.challenge, None) is not None:
-            self.cluster.store.save_networks(networks)
+        backend = self._require_backend(action.node)
+        backend.remove_service(action.challenge)
+        backend.persist_balancer()
 
     def _require_frontend(self) -> FrontendNode:
         if self.cluster.frontend is None:
@@ -739,13 +664,31 @@ class _Promoter:
         return min(n.node_id for n in self.cluster.topology.backends)
 
     def record(self, manifest: ArtifactManifest) -> None:
+        """Extract a bundle's payload and record its spec as desired.
+
+        The payload lands in a directory keyed by checksum, and ``{DIR}`` in
+        the run command expands to it, so content changes always change the
+        effective spec even under a reused version label.
+        """
         cluster = self.cluster
-        spec = cluster.materialize_spec(
-            manifest, self.backend_of(manifest.challenge), self.store_dir)
-        challenges = dict(cluster.topology.challenges)
-        challenges[spec.name] = spec
-        validate_topology(replace(cluster.topology, challenges=challenges))
-        cluster.record_artifact(manifest, spec)
+        target = cluster.store.bundles_dir / (
+            f"{manifest.challenge}-{manifest.checksum[:12]}")
+        if not target.is_dir():
+            bundle = self.store_dir / manifest.bundle_name
+            if not bundle.is_file():
+                raise PipelineError(f"bundle {manifest.bundle_name} not in store")
+            extract_payload(bundle, target)
+        spec = manifest.challenge_spec(
+            self.backend_of(manifest.challenge),
+            run_command=manifest.run_command.replace("{DIR}", str(target)))
+        topology = replace(cluster.topology,
+                           challenges={**cluster.topology.challenges,
+                                       spec.name: spec})
+        validate_topology(topology)
+        cluster.topology = topology
+        cluster.checksums[spec.name] = {"checksum": manifest.checksum,
+                                        "version": manifest.version}
+        cluster.store.save_desired(topology, cluster.checksums)
 
     def converge(self) -> dict[str, str]:
         report = self.cluster.converge(exclude_nodes=self.cluster.unhosted_nodes)

@@ -261,6 +261,15 @@ def test_suspect_skipped_until_probe_clears():
     assert any(pick(balancer, f"10.4.0.{i}") == "r1" for i in range(3))
 
 
+def test_passing_probe_clears_suspect_on_a_replica_that_stayed_healthy():
+    balancer, registry, _ = build(replicas=2)
+    balancer.mark_suspect("r1")
+    registry.mark_health("r1", HEALTH_HEALTHY)  # a probe that passes
+    assert balancer.suspects() == set()
+    picks = [pick(balancer, f"10.5.0.{i}") for i in range(10)]
+    assert picks == ["r1", "r2"] * 5
+
+
 # --- model equivalence ---------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fnmatch
 import itertools
 import json
 import os
@@ -108,6 +109,33 @@ def test_apply_converges_and_exits_zero(workspace, capsys):
     records = store.load_replicas("worker")
     assert len(records) == 1
     wait_listening(records[0]["port"])
+
+
+def documented_state_entries() -> list[str]:
+    """Glob patterns for the entries README's state-directory listing names."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listing = readme.split("## The state directory", 1)[1].split("```")[1]
+    patterns = []
+    for line in listing.splitlines():
+        if not line.startswith("  ") or line.startswith("   "):
+            continue  # the state/ header, blank and continuation lines
+        for word in line.split():
+            if "." not in word and not word.endswith("/"):
+                break  # the description starts
+            patterns.append(word.rstrip("/").replace("<node>", "*"))
+    return patterns
+
+
+def test_apply_leaves_only_documented_state_files(workspace, capsys):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+
+    patterns = documented_state_entries()
+    assert "networks.json" not in patterns
+    for entry in state.iterdir():
+        assert any(fnmatch.fnmatch(entry.name, p) for p in patterns), entry.name
 
 
 def test_apply_twice_is_idempotent(workspace, capsys):

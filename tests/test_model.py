@@ -17,6 +17,7 @@ from flagforge.model import (
     Topology,
     apply_changeset,
     diff,
+    network_id,
     parse_topology,
     serialize_topology,
     validate_topology,
@@ -58,10 +59,8 @@ class StateExecutor:
             raise RuntimeError("injected failure")
         s, d = self.state, self.desired
         if action.kind == "create_network":
-            spec = d.challenges[action.challenge]
-            s.networks[action.challenge] = spec.network_id
-            s.balancers.setdefault(spec.backend, set()).add(action.challenge)
-            s.stick_settings[spec.backend] = (d.stick_ttl, d.stick_capacity)
+            s.balancers.setdefault(action.node, set()).add(action.challenge)
+            s.stick_settings[action.node] = (d.stick_ttl, d.stick_capacity)
         elif action.kind == "start_replica":
             per_node = s.replicas.setdefault(action.challenge, {})
             per_node[action.node] = per_node.get(action.node, 0) + 1
@@ -81,9 +80,7 @@ class StateExecutor:
         elif action.kind == "unbind_ingress":
             del s.ingress[action.external_port]
         elif action.kind == "remove_network":
-            del s.networks[action.challenge]
-            for services in s.balancers.values():
-                services.discard(action.challenge)
+            s.balancers[action.node].discard(action.challenge)
         else:
             raise AssertionError(f"unknown action kind {action.kind}")
 
@@ -116,7 +113,7 @@ def test_challenge_fields_echoed():
     assert spec.backend == "worker"
     assert spec.run_command == "python3 server.py --port {PORT}"
     assert spec.probe == ProbeSpec(kind="tcp", banner="hello")
-    assert spec.network_id == "net-web-pwn"
+    assert network_id(spec.name) == "net-web-pwn"
 
 
 def test_round_trip_example_field_by_field():
@@ -321,8 +318,9 @@ def test_diff_removed_challenge_dependency_order():
     assert kinds == ["stop_replica"] * replicas + ["unbind_ingress",
                                                    "remove_network"]
     assert all(a.challenge == "beta" for a in plan)
+    assert [a.node for a in plan] == ["worker"] * replicas + ["edge", "worker"]
     converge(without_beta, state)
-    assert "beta" not in state.networks
+    assert "beta" not in state.balancers["worker"]
     assert 9002 not in state.ingress
 
 
@@ -390,10 +388,9 @@ def test_diff_deterministic_under_input_ordering():
     state = converge(topo)
     state.replicas["beta"]["worker"] -= 1
     shuffled = ObservedState(
-        networks=dict(reversed(list(state.networks.items()))),
         replicas={k: dict(v) for k, v in reversed(list(state.replicas.items()))},
         ingress=dict(reversed(list(state.ingress.items()))),
-        balancers={k: set(v) for k, v in state.balancers.items()},
+        balancers={k: set(v) for k, v in reversed(list(state.balancers.items()))},
         stick_settings=dict(state.stick_settings),
     )
     assert diff(topo, state) == diff(topo, shuffled)
@@ -402,8 +399,15 @@ def test_diff_deterministic_under_input_ordering():
 @given(topologies(), topologies())
 @settings(max_examples=40)
 def test_convergence_between_arbitrary_topologies(first, second):
-    state = converge(first)
-    converge(second, state)
+    state = ObservedState()
+    for desired in (first, second):
+        # every action names a node the desired or the observed state knows
+        known = (set(desired.nodes) | set(state.balancers)
+                 | {node for _, node in state.ingress.values()}
+                 | {node for per_node in state.replicas.values()
+                    for node in per_node})
+        assert all(a.node in known for a in diff(desired, state))
+        converge(desired, state)
     assert diff(second, state) == ChangeSet()
 
 

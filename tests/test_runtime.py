@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from flagforge.errors import FlagforgeError
+from flagforge.errors import FlagforgeError, NetworkInUseError
 from flagforge.ingress import (MappingTable, PortMapping, load_mappings,
                                save_mappings)
 from flagforge.model import diff, parse_topology
@@ -75,9 +75,11 @@ def test_initial_converge_provisions_everything(tmp_path):
     assert report.all_ok
     assert report.ok == 2 + 3 + 2  # networks, replicas, ingress binds
 
-    networks = json.loads(store.networks_path.read_text())
-    assert networks["alpha"] == {"network_id": "net-alpha", "node": "worker"}
-    assert networks["beta"]["node"] == "worker"
+    registry = cluster.backends["worker"].registry
+    for name in ("alpha", "beta"):  # each challenge owns its network
+        assert registry.has_service(name)
+        with pytest.raises(NetworkInUseError):
+            registry.create_service("other", f"net-{name}")
 
     records = store.load_replicas("worker")
     assert sorted(r["service"] for r in records) == ["alpha", "alpha", "beta"]
@@ -131,6 +133,24 @@ def test_dead_replicas_are_not_adopted(tmp_path):
     assert len(replaced) == 3 and not (replaced & old)
 
 
+def test_networks_file_of_earlier_releases_is_ignored(tmp_path):
+    cluster, store, _ = make_cluster(tmp_path)
+    cluster.converge()
+    pids = {r["pid"] for r in store.load_replicas("worker")}
+    # earlier releases kept each challenge's network a second time, beside
+    # balancer.json; "gone" is an entry whose challenge was already removed
+    legacy = store.root / "networks.json"
+    legacy.write_text(json.dumps({
+        name: {"network_id": f"net-{name}", "node": "worker"}
+        for name in ("alpha", "beta", "gone")}))
+    before = legacy.read_text()
+
+    upgraded, _, _ = make_cluster(tmp_path, adoptable=pids, alive=pids)
+    assert upgraded.converge().results == []
+    assert legacy.read_text() == before
+    assert not upgraded.backends["worker"].registry.has_service("gone")
+
+
 # --- topology changes ---------------------------------------------------------
 
 
@@ -154,7 +174,7 @@ def test_removed_challenge_is_torn_down(tmp_path):
     done = [k for k, _ in kinds(report)]
     # listener teardown rides on remove_network, so no balancer action here
     assert done == ["stop_replica", "unbind_ingress", "remove_network"]
-    assert "beta" not in json.loads(store.networks_path.read_text())
+    assert [r.action.node for r in report.results] == ["worker", "edge", "worker"]
     assert sorted(store.load_balancer()["worker"]["ports"]) == ["alpha"]
     assert store.ingress_path.read_text().splitlines()[0].startswith("9001 ")
     backend = cluster.backends["worker"]
@@ -189,7 +209,7 @@ def test_challenge_move_between_backends(tmp_path):
     assert done.count("stop_replica") == 2
     assert "bind_ingress" in done
 
-    assert json.loads(store2.networks_path.read_text())["alpha"]["node"] == "w2"
+    assert moved.backends["w2"].registry.has_service("alpha")
     assert moved.backends["w1"].supervisor.services() == []
     assert not moved.backends["w1"].registry.has_service("alpha")
     assert len(moved.backends["w2"].supervisor.instances_of("alpha")) == 2
@@ -199,6 +219,18 @@ def test_challenge_move_between_backends(tmp_path):
     line = store2.ingress_path.read_text().splitlines()[0]
     assert line.split()[2] == "w2"
     assert moved.converge().results == []
+
+
+def test_retired_backend_takes_its_challenges_along(tmp_path):
+    cluster, store, _ = make_cluster(tmp_path, text=two_backend_topology("w2"))
+    cluster.converge()
+    # w2 and its challenge leave the topology; its replicas are already gone,
+    # and nothing is left to host the listener w2 had on record
+    retired = "\n".join(TWO_BACKENDS.splitlines()[:3]) + "\n"
+    fresh, _, _ = make_cluster(tmp_path, text=retired)
+    report = fresh.converge()
+    assert kinds(report) == [("unbind_ingress", "ok")]
+    assert fresh.converge().results == []
 
 
 DRIFTS = {
@@ -273,7 +305,7 @@ def test_every_action_kind_is_wired(tmp_path, kind):
 
     action = next(a for a in plan if a.kind == kind)
     assert callable(getattr(_ClusterExecutor(cluster), f"_{kind}", None))
-    assert cluster._action_node(action) in cluster.topology.nodes
+    assert action.node in cluster.topology.nodes
     assert "None" not in action.describe()
 
 
