@@ -142,7 +142,7 @@ class Action:
 
     def describe(self) -> str:
         if self.kind in ("create_network", "remove_network"):
-            return f"{self.kind} {network_id(self.challenge)}"
+            return f"{self.kind} {network_id(self.challenge)} on {self.node}"
         if self.kind in ("start_replica", "stop_replica", "roll_service"):
             return f"{self.kind} {self.challenge} on {self.node}"
         if self.kind == "update_balancer_config":
@@ -455,14 +455,16 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
     update_balancer_config, bind_ingress, stop_replica, unbind_ingress,
     remove_network. Creation precedes binding so no ingress ever points at a
     service without replicas; removal stops replicas before dropping their
-    ingress and network. One roll_service per challenge replaces the replicas
-    on its backend that run another spec (version, run command or probe). It
-    runs before the scale actions: the roll still sees the previous spec to
-    revert to, replicas added by a scale-up start from the new spec, and a
-    scale-down stops rolled replicas, so drift plus a count change converges
-    in one apply. Every action names the node that carries it out: ingress
-    actions the frontend, and remove_network each backend whose listener still
-    holds the challenge.
+    ingress and network. A challenge's network is its listener: create_network
+    opens it on the challenge's backend, remove_network closes it on any other
+    backend, so a move closes the old listener only after ingress has left it.
+    update_balancer_config only retunes a node's stick settings. One
+    roll_service per challenge replaces the replicas on its backend that run
+    another spec (version, run command or probe). It runs before the scale
+    actions: the roll still sees the previous spec to revert to, replicas
+    added by a scale-up start from the new spec, and a scale-down stops rolled
+    replicas, so drift plus a count change converges in one apply. Every
+    action names the node that carries it out: ingress actions the frontend.
     """
     actions: list[Action] = []
     frontend = desired.frontend.node_id
@@ -470,13 +472,11 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
     # a listener left on a node the topology no longer has is nobody's to
     # tear down, so only the desired backends' listeners count
     listening = {node: observed.balancers.get(node, set()) for node in backends}
-    provisioned = set().union(*listening.values())
-    created: set[str] = set()
     for name in sorted(desired.challenges):
-        if name not in provisioned:
+        spec = desired.challenges[name]
+        if name not in listening[spec.backend]:
             actions.append(Action("create_network", challenge=name,
-                                  node=desired.challenges[name].backend))
-            created.add(name)
+                                  node=spec.backend))
 
     for name in sorted(desired.challenges):
         spec = desired.challenges[name]
@@ -490,16 +490,9 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
         for _ in range(max(0, spec.replica_count - have)):
             actions.append(Action("start_replica", challenge=name, node=spec.backend))
 
-    removed = provisioned - set(desired.challenges)
+    stick = (desired.stick_ttl, desired.stick_capacity)
     for node in backends:
-        want = {c.name for c in desired.challenges_on(node)}
-        # create/remove network actions already (de)provision listeners
-        added = {c for c in created if desired.challenges[c].backend == node}
-        predicted = (listening[node] | added) - removed
-        settings = observed.stick_settings.get(node)
-        settings_drift = settings is not None and settings != (
-            desired.stick_ttl, desired.stick_capacity)
-        if predicted != want or settings_drift:
+        if observed.stick_settings.get(node, stick) != stick:
             actions.append(Action("update_balancer_config", node=node))
 
     for spec in sorted(desired.challenges.values(), key=lambda c: c.external_port):
@@ -523,10 +516,10 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
                                   challenge=observed.ingress[port][0],
                                   external_port=port))
 
-    for name in sorted(removed):
-        for node in backends:
-            if name in listening[node]:
-                actions.append(Action("remove_network", challenge=name, node=node))
+    for node in backends:
+        want = {c.name for c in desired.challenges_on(node)}
+        for name in sorted(listening[node] - want):
+            actions.append(Action("remove_network", challenge=name, node=node))
     return ChangeSet(tuple(actions))
 
 

@@ -29,7 +29,6 @@ import os
 import threading
 import time
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
 
@@ -42,8 +41,9 @@ from .model import (ROLE_BACKEND, Action, ApplyReport, ChallengeSpec, ChangeSet,
                     ObservedState, Topology, apply_changeset, diff, network_id,
                     parse_topology, serialize_topology, validate_topology)
 from .pipeline import (MODE_DEV, STATE_DEPLOYED, ArtifactManifest,
-                       PipelineReport, StatusRecord, extract_payload,
-                       read_status, run_pipeline, write_status)
+                       PipelineReport, StatusRecord, _now_iso,
+                       extract_payload, read_status, run_pipeline,
+                       write_status)
 from .registry import Registry
 from .runner import SubprocessRunner, _pid_running
 from .supervisor import READY_POLL, PortAllocator, Supervisor
@@ -52,10 +52,6 @@ log = logging.getLogger(__name__)
 
 # ports found occupied by foreign processes before giving up on a service
 PORT_CONFLICT_LIMIT = 10
-
-
-def _utc_iso(clock: Callable[[], float] = time.time) -> str:
-    return datetime.fromtimestamp(clock(), tz=timezone.utc).isoformat()
 
 
 class StateStore:
@@ -240,12 +236,7 @@ class BackendNode:
             self.registry.create_service(spec.name, network_id(spec.name))
         self.supervisor.set_desired(spec)
 
-    def ensure_balancer_port(self, service: str) -> int:
-        if service in self._balancer_ports:
-            port = self._balancer_ports[service]
-            if self.server is not None:
-                self.server.bind_service(service, port)
-            return port
+    def open_listener(self, service: str) -> int:
         conflicts = 0
         while True:
             port = self.allocator.allocate()
@@ -273,20 +264,6 @@ class BackendNode:
             if self.server is not None:
                 self.server.unbind_service(name)
             self.allocator.release(port)
-
-    def apply_balancer_config(self, topology: Topology) -> dict[str, int]:
-        """Regenerate this node's listener set from the desired topology."""
-        want = {c.name for c in topology.challenges_on(self.node_id)}
-        for service in sorted(set(self._balancer_ports) - want):
-            port = self._balancer_ports.pop(service)
-            if self.server is not None:
-                self.server.unbind_service(service)
-            self.allocator.release(port)
-        for service in sorted(want):
-            self.ensure_balancer_port(service)
-        self.balancer.configure(topology.stick_ttl, topology.stick_capacity)
-        self.persist_balancer()
-        return dict(self._balancer_ports)
 
     def persist_balancer(self) -> None:
         config = self.store.load_balancer()
@@ -465,21 +442,6 @@ class Cluster:
         config = self.store.load_balancer().get(node_id) or {}
         return (config.get("ports") or {}).get(service)
 
-    def refresh_ingress_ports(self, node_id: str, ports: dict[str, int]) -> None:
-        """Repoint mappings at a node's current balancer ports.
-
-        Only possible when this cluster hosts the frontend; a served frontend
-        learns new ports from the next apply that rewrites the mapping file.
-        """
-        if self.frontend is None:
-            return
-        for mapping in load_mappings(self.store.ingress_path):
-            if mapping.backend_node != node_id:
-                continue
-            port = ports.get(mapping.challenge)
-            if port is not None and port != mapping.balancer_port:
-                self.frontend.bind(replace(mapping, balancer_port=port))
-
     # --- artifact deployment ---------------------------------------------------
 
     def pipeline_once(self, mode: str, store_dir: Path,
@@ -548,7 +510,7 @@ class Cluster:
                 if record.version != live or record.state != STATE_DEPLOYED:
                     fixes.append(StatusRecord(service, node_id, live,
                                               STATE_DEPLOYED,
-                                              _utc_iso(self.clock)))
+                                              _now_iso(self.clock)))
         if fixes:
             write_status(fixes, self.store.status_path)
 
@@ -581,9 +543,8 @@ class _ClusterExecutor:
         backend = self._require_backend(action.node)
         spec = self.cluster.topology.challenges[action.challenge]
         backend.ensure_service(spec)
-        # the network is the service's listener; the diff plans no separate
-        # balancer action for it
-        backend.ensure_balancer_port(spec.name)
+        # the network is the service's listener
+        backend.open_listener(spec.name)
         backend.persist_balancer()
 
     def _start_replica(self, action: Action) -> None:
@@ -620,8 +581,9 @@ class _ClusterExecutor:
 
     def _update_balancer_config(self, action: Action) -> None:
         backend = self._require_backend(action.node)
-        ports = backend.apply_balancer_config(self.cluster.topology)
-        self.cluster.refresh_ingress_ports(action.node, ports)
+        topology = self.cluster.topology
+        backend.balancer.configure(topology.stick_ttl, topology.stick_capacity)
+        backend.persist_balancer()
 
     def _bind_ingress(self, action: Action) -> None:
         spec = self.cluster.topology.challenges[action.challenge]

@@ -159,10 +159,10 @@ class Supervisor:
 
     # --- desired state ----------------------------------------------------
 
-    def set_desired(self, spec: ChallengeSpec, count: int | None = None) -> None:
+    def set_desired(self, spec: ChallengeSpec) -> None:
         with self._lock:
             self._desired[spec.name] = spec
-            self._counts[spec.name] = count if count is not None else spec.replica_count
+            self._counts[spec.name] = spec.replica_count
 
     def drop_desired(self, service: str) -> None:
         with self._lock:

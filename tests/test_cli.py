@@ -101,7 +101,7 @@ def test_apply_converges_and_exits_zero(workspace, capsys):
 
     assert main(["apply", str(topo), "--state", str(state)]) == 0
     out = capsys.readouterr().out
-    assert "create_network net-alpha ok" in out
+    assert "create_network net-alpha on worker ok" in out
     assert f"bind_ingress {external} alpha ok" in out
     assert "3 changed, 0 failed, 0 skipped" in out
 

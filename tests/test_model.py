@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,12 +62,13 @@ class StateExecutor:
         s, d = self.state, self.desired
         if action.kind == "create_network":
             s.balancers.setdefault(action.node, set()).add(action.challenge)
-            s.stick_settings[action.node] = (d.stick_ttl, d.stick_capacity)
+            # a node's first listener runs with the desired settings; an
+            # existing node keeps its own until update_balancer_config
+            s.stick_settings.setdefault(action.node, (d.stick_ttl, d.stick_capacity))
         elif action.kind == "start_replica":
             per_node = s.replicas.setdefault(action.challenge, {})
             per_node[action.node] = per_node.get(action.node, 0) + 1
         elif action.kind == "update_balancer_config":
-            s.balancers[action.node] = {c.name for c in d.challenges_on(action.node)}
             s.stick_settings[action.node] = (d.stick_ttl, d.stick_capacity)
         elif action.kind == "bind_ingress":
             spec = d.challenges[action.challenge]
@@ -348,10 +351,12 @@ def test_diff_backend_move_repairs_balancers():
         stick_ttl=topo.stick_ttl, stick_capacity=topo.stick_capacity,
         poll_interval=topo.poll_interval, probe_interval=topo.probe_interval)
     plan = diff(moved, state)
-    kinds = [a.kind for a in plan]
-    assert kinds == ["start_replica", "start_replica", "update_balancer_config",
-                     "update_balancer_config", "bind_ingress", "stop_replica",
-                     "stop_replica"]
+    # the new listener opens first, the old one closes after ingress left it
+    assert [(a.kind, a.node) for a in plan] == [
+        ("create_network", "spare"), ("start_replica", "spare"),
+        ("start_replica", "spare"), ("bind_ingress", "edge"),
+        ("stop_replica", "worker"), ("stop_replica", "worker"),
+        ("remove_network", "worker")]
     converge(moved, state)
     assert diff(moved, state) == ChangeSet()
     assert state.ingress[9001] == ("web", "spare")
@@ -406,9 +411,30 @@ def test_convergence_between_arbitrary_topologies(first, second):
                  | {node for _, node in state.ingress.values()}
                  | {node for per_node in state.replicas.values()
                     for node in per_node})
-        assert all(a.node in known for a in diff(desired, state))
+        plan = diff(desired, state)
+        assert all(a.node in known for a in plan)
+        # a listener is opened or closed on a node, never both in one plan
+        created = {(a.challenge, a.node) for a in plan if a.kind == "create_network"}
+        removed = {(a.challenge, a.node) for a in plan if a.kind == "remove_network"}
+        assert not created & removed
         converge(desired, state)
     assert diff(second, state) == ChangeSet()
+
+
+@given(topologies(), st.data())
+@settings(max_examples=40)
+def test_convergence_through_backend_moves(first, data):
+    backends = [n.node_id for n in first.backends]
+    moved = replace(first, challenges={
+        name: replace(spec, backend=data.draw(st.sampled_from(backends)))
+        for name, spec in first.challenges.items()})
+    state = converge(first)
+    converge(moved, state)
+    assert diff(moved, state) == ChangeSet()
+    # each challenge is left with exactly one listener, on its new backend
+    assert {(name, node) for node, names in state.balancers.items()
+            for name in names} == {(c.name, c.backend)
+                                   for c in moved.challenges.values()}
 
 
 # --- apply ------------------------------------------------------------------
@@ -455,5 +481,5 @@ def test_report_rendering():
     state = ObservedState()
     report = apply_changeset(diff(topo, state), StateExecutor(topo, state))
     text = report.render()
-    assert "create_network net-web-pwn ok" in text
+    assert "create_network net-web-pwn on worker ok" in text
     assert text.strip().endswith("0 failed, 0 skipped")

@@ -12,7 +12,7 @@ import pytest
 from flagforge.errors import FlagforgeError, NetworkInUseError
 from flagforge.ingress import (MappingTable, PortMapping, load_mappings,
                                save_mappings)
-from flagforge.model import diff, parse_topology
+from flagforge.model import Action, diff, parse_topology
 from flagforge.pipeline import package_artifact, read_status, write_status
 from flagforge.pipeline import StatusRecord
 from flagforge.runner import MockRunner
@@ -204,10 +204,13 @@ def test_challenge_move_between_backends(tmp_path):
                                     adoptable=pids, alive=pids)
     report = moved.converge()
     assert report.all_ok
-    done = [k for k, _ in kinds(report)]
-    assert done.count("start_replica") == 2
-    assert done.count("stop_replica") == 2
-    assert "bind_ingress" in done
+    # the new listener opens first; the old one closes after ingress left it
+    assert [(r.action.kind, r.action.node) for r in report.results] == [
+        ("create_network", "w2"), ("start_replica", "w2"),
+        ("start_replica", "w2"), ("bind_ingress", "edge"),
+        ("stop_replica", "w1"), ("stop_replica", "w1"),
+        ("remove_network", "w1")]
+    assert report.results[-1].render() == "remove_network net-alpha on w1 ok"
 
     assert moved.backends["w2"].registry.has_service("alpha")
     assert moved.backends["w1"].supervisor.services() == []
@@ -218,6 +221,31 @@ def test_challenge_move_between_backends(tmp_path):
     assert sorted(balancer["w2"]["ports"]) == ["alpha"]
     line = store2.ingress_path.read_text().splitlines()[0]
     assert line.split()[2] == "w2"
+    assert moved.converge().results == []
+
+
+def test_half_finished_move_only_closes_the_old_listener(tmp_path):
+    cluster, store, _ = make_cluster(tmp_path, text=two_backend_topology("w1"))
+    cluster.converge()
+    pids = {r["pid"] for r in store.load_replicas("w1")}
+
+    moved, store2, _ = make_cluster(tmp_path, text=two_backend_topology("w2"),
+                                    adoptable=pids, alive=pids)
+    # an earlier apply of the move stopped right after the ingress rebind
+    executor = _ClusterExecutor(moved)
+    for action in (Action("create_network", challenge="alpha", node="w2"),
+                   Action("start_replica", challenge="alpha", node="w2"),
+                   Action("start_replica", challenge="alpha", node="w2"),
+                   Action("bind_ingress", challenge="alpha", node="edge",
+                          external_port=9001)):
+        executor.execute(action)
+    assert moved.observe().balancers == {"w1": {"alpha"}, "w2": {"alpha"}}
+
+    report = moved.converge()
+    assert report.all_ok
+    assert [(r.action.kind, r.action.node) for r in report.results] == [
+        ("stop_replica", "w1"), ("stop_replica", "w1"), ("remove_network", "w1")]
+    assert store2.load_balancer()["w1"]["ports"] == {}
     assert moved.converge().results == []
 
 
