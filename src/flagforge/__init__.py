@@ -11,8 +11,9 @@ The package is organized around six cooperating parts:
   balancer listeners
 - ``pipeline``   artifact store scanning, bundle packaging, and deployment
 
-``runtime`` wires these together over a state directory and ``cli`` exposes
-the operator commands.
+``state`` owns the state directory, ``backend`` runs one backend node,
+``runtime`` converges the nodes a process hosts, loading each role's code only
+where it is hosted, and ``cli`` exposes the operator commands.
 """
 
 __version__ = "0.1.0"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import secrets
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
@@ -18,7 +17,7 @@ def replacing(path: Path, mode: str = "x") -> Iterator[IO]:
     and the last rename wins. On an error the temp file is removed and
     ``path`` is left as it was. ``mode`` is ``"x"`` or ``"xb"``.
     """
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, mode) as f:
             yield f

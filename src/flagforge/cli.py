@@ -4,7 +4,7 @@ Commands coordinate through the state directory, never via RPC: `apply`
 writes the desired topology and converges whatever nodes no serve process
 owns; a running `serve` notices the changed desired file and converges its
 own node. The directory comes from `--state` unless FLAGFORGE_STATE is set,
-which wins.
+which wins. A command imports the modules it runs only when it runs them.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import FlagforgeError
-from .model import ROLE_BACKEND, parse_topology, validate_topology
-from .pipeline import MODE_DEPLOY, MODE_DEV, package_artifact
-from .runtime import Cluster, NodeService, StateStore, status_rows
+from .model import (MODE_DEPLOY, MODE_DEV, ROLE_BACKEND, parse_topology,
+                    validate_topology)
+from .state import StateStore, status_rows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,6 +48,7 @@ def _split_ownership(store: StateStore,
 
 
 def _converge(store: StateStore, topology, out) -> int:
+    from .runtime import Cluster
     free, served = _split_ownership(store, topology.nodes)
     cluster = Cluster(topology, store, hosted=free, bind_listeners=False)
     try:
@@ -62,17 +63,17 @@ def _converge(store: StateStore, topology, out) -> int:
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.topology).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    topology = parse_topology(text)
+    topology = parse_topology(Path(args.topology).read_text())
     validate_topology(topology)
     return _converge(_state_store(args), topology, sys.stdout)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .runtime import NodeService
+    # a signal that arrives while the node starts up stops it once it is up
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
     root = os.environ.get("FLAGFORGE_STATE") or args.state
     service = NodeService(
         topology_path=Path(args.topology) if args.topology else None,
@@ -85,9 +86,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 print(f"error: {failure}", file=sys.stderr)
             return EXIT_ERROR
         print(f"serving {args.node} from {root}", flush=True)
-        stop = threading.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(signum, lambda *_: stop.set())
         stop.wait()
     finally:
         service.stop()
@@ -149,6 +147,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             print(f"{node_id}: delegated to serve process"
                   f" (pid {served[node_id]})")
         return EXIT_OK
+    from .runtime import Cluster
     select = args.select.split(",") if args.select else None
     cluster = Cluster(topology, store, hosted=free, bind_listeners=False)
     try:
@@ -168,12 +167,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_package(args: argparse.Namespace) -> int:
-    try:
-        bundle = package_artifact(Path(args.source), Path(args.store))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    print(bundle)
+    from .pipeline import package_artifact
+    print(package_artifact(Path(args.source), Path(args.store)))
     return EXIT_OK
 
 
@@ -236,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FlagforgeError as exc:
+    except (FlagforgeError, OSError) as exc:  # e.g. a missing input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -20,6 +20,7 @@ from ._files import replacing
 from ._net import TcpListener, relay, render_proxy_header
 from .errors import IngressError
 from .model import Topology
+from .state import StateStore
 
 BACKEND_CONNECT_TIMEOUT = 3.0
 
@@ -182,3 +183,57 @@ class IngressServer:
             relay(conn, upstream)
 
         return handler
+
+
+class FrontendNode:
+    """Ingress host: applies the mapping file and keeps it in sync."""
+
+    def __init__(self, topology: Topology, node_id: str, store: StateStore,
+                 bind_listeners: bool):
+        self.node_id = node_id
+        self.node = topology.nodes[node_id]
+        self.store = store
+        self.server = (IngressServer(self.node.bind_address)
+                       if bind_listeners else None)
+        self._applied_text: str | None = None
+
+    def refresh_from_file(self) -> None:
+        path = self.store.ingress_path
+        text = path.read_text() if path.exists() else ""
+        if self.server is not None and text != self._applied_text:
+            self.server.apply_table(parse_mappings(text))
+            self._applied_text = text
+
+    def bind_failures(self) -> list[str]:
+        """Mapped external ports the live server failed to bind."""
+        if self.server is None:
+            return []
+        want = {m.external_port for m in load_mappings(self.store.ingress_path)}
+        missing = want - set(self.server.bound_ports())
+        return [f"external port {port} could not be bound"
+                for port in sorted(missing)]
+
+    def bind(self, mapping: PortMapping) -> None:
+        self._commit(mapping.external_port, mapping)
+
+    def unbind(self, external_port: int) -> None:
+        self._commit(external_port, None)
+
+    def _commit(self, port: int, mapping: PortMapping | None) -> None:
+        """Map ``port`` to ``mapping`` (or to nothing) in file and server."""
+        kept = [m for m in load_mappings(self.store.ingress_path)
+                if m.external_port != port]
+        if mapping is not None:
+            kept.append(mapping)
+        table = MappingTable(tuple(sorted(kept, key=lambda m: m.external_port)))
+        save_mappings(table, self.store.ingress_path)
+        self._applied_text = serialize_mappings(table)
+        if self.server is None:
+            return
+        for bound, status in self.server.apply_table(table):
+            if mapping is not None and bound == port and status.startswith("failed"):
+                raise IngressError(f"port {port}: {status}")
+
+    def close(self) -> None:
+        if self.server is not None:
+            self.server.close()

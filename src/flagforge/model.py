@@ -36,6 +36,10 @@ DEFAULT_PROBE_INTERVAL = 5
 ROLE_FRONTEND = "frontend"
 ROLE_BACKEND = "backend"
 
+# promotion modes: dev rolls what is deployed, deploy the selection
+MODE_DEV = "dev"
+MODE_DEPLOY = "deploy"
+
 
 def network_id(challenge: str) -> str:
     """The private network of a challenge, named after it."""

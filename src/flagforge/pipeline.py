@@ -26,7 +26,8 @@ from typing import Iterable, Mapping, Protocol
 
 from ._files import replacing
 from .errors import ManifestError, PipelineError, VersionConflictError
-from .model import NAME_RE, VERSION_RE, ChallengeSpec, ProbeSpec
+from .model import (MODE_DEPLOY, MODE_DEV, NAME_RE, VERSION_RE, ChallengeSpec,
+                    ProbeSpec)
 
 MANIFEST_KEYS = ("challenge", "version", "created_at", "checksum", "replicas",
                  "internal_port", "external_port", "run", "probe")
@@ -400,10 +401,6 @@ def write_status(records: Iterable[StatusRecord], path: Path) -> None:
 
 
 # --- the promotion loop ---------------------------------------------------------
-
-
-MODE_DEV = "dev"
-MODE_DEPLOY = "deploy"
 
 
 class Deployer(Protocol):

@@ -23,6 +23,7 @@ from typing import Protocol
 
 from .errors import SpawnError
 from .model import ChallengeSpec
+from .state import _pid_running
 
 STOP_GRACE = 5.0
 
@@ -41,22 +42,6 @@ class RunnerBackend(Protocol):
 class ProcessHandle:
     pid: int
     process: subprocess.Popen | None = None
-
-
-def _pid_running(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as fh:
-            # field 3 is the state; Z/X means the pid only exists as a zombie
-            state = fh.read().rsplit(b")", 1)[1].split()[0]
-        return state not in (b"Z", b"X")
-    except OSError:
-        return True
 
 
 class SubprocessRunner:

@@ -1,358 +1,42 @@
-"""Live cluster runtime: persisted state plus converge over real nodes.
-
-Everything a command needs sits under one state directory:
-
-    desired.json        applied topology text + artifact checksums
-    replicas-<node>.json  running replica records (pid, port, version, spec)
-    balancer.json       per-node balancer ports, stick settings and counts;
-                        a challenge's network lives with its listener here
-    ingress.map         frontend port mappings
-    latest-build.txt    deployment status records
-    serve-<node>.lock   pid of the serve process hosting a node
-    logs/, bundles/     replica logs and materialized artifact payloads
+"""Live cluster runtime: converge the nodes one process hosts.
 
 A ``Cluster`` hosts live runtimes for some of the topology's nodes (all of
 them for one-shot converge, a single one inside ``serve``) and executes diff
-actions against them. Replicas are detached processes, so state survives the
-hosting process: the next command adopts them back by pid, together with the
-fingerprint of the spec each one was started from, so spec drift (a new
-version, run command or probe) is planned as a rolling update. Promotion
-takes the same path: a pass records the new artifacts into the desired
-topology, then converges.
+actions against them. It imports ``backend`` only for a backend node it
+hosts, and ``pipeline`` only for a promotion pass. Replicas are detached
+processes, so state (see ``state``) survives the hosting process: the next
+command adopts them back by pid, together with the fingerprint of the spec
+each one was started from, so spec drift (a new version, run command or
+probe) is planned as a rolling update. Promotion takes the same path: a pass
+records the new artifacts into the desired topology, then converges.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ._files import replacing
-from .balancer import Balancer, BalancerServer
 from .errors import FlagforgeError, IngressError, PipelineError, TopologyError
-from .ingress import (IngressServer, MappingTable, PortMapping, load_mappings,
-                      parse_mappings, save_mappings, serialize_mappings)
-from .model import (ROLE_BACKEND, Action, ApplyReport, ChallengeSpec, ChangeSet,
-                    ObservedState, Topology, apply_changeset, diff, network_id,
-                    parse_topology, serialize_topology, validate_topology)
-from .pipeline import (MODE_DEV, STATE_DEPLOYED, ArtifactManifest,
-                       PipelineReport, StatusRecord, _now_iso,
-                       extract_payload, read_status, run_pipeline,
-                       write_status)
-from .registry import Registry
-from .runner import SubprocessRunner, _pid_running
-from .supervisor import READY_POLL, PortAllocator, Supervisor
+from .ingress import FrontendNode, PortMapping, load_mappings
+from .model import (MODE_DEV, ROLE_BACKEND, Action, ApplyReport, ChangeSet,
+                    ObservedState, Topology, apply_changeset, diff,
+                    parse_topology, validate_topology)
+from .state import StateStore, _pid_running
 
-log = logging.getLogger(__name__)
-
-# ports found occupied by foreign processes before giving up on a service
-PORT_CONFLICT_LIMIT = 10
+if TYPE_CHECKING:
+    from .backend import BackendNode
+    from .pipeline import ArtifactManifest, PipelineReport
 
 
-class StateStore:
-    """Files under the state directory; writes are atomic and skip no-ops."""
-
-    def __init__(self, root: Path):
-        self.root = Path(root)
-
-    @property
-    def desired_path(self) -> Path:
-        return self.root / "desired.json"
-
-    @property
-    def balancer_path(self) -> Path:
-        return self.root / "balancer.json"
-
-    @property
-    def ingress_path(self) -> Path:
-        return self.root / "ingress.map"
-
-    @property
-    def status_path(self) -> Path:
-        return self.root / "latest-build.txt"
-
-    @property
-    def logs_dir(self) -> Path:
-        return self.root / "logs"
-
-    @property
-    def bundles_dir(self) -> Path:
-        return self.root / "bundles"
-
-    def replicas_path(self, node_id: str) -> Path:
-        return self.root / f"replicas-{node_id}.json"
-
-    def lock_path(self, node_id: str) -> Path:
-        return self.root / f"serve-{node_id}.lock"
-
-    def _write(self, path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if path.exists() and path.read_text() == text:
-            return
-        with replacing(path) as f:
-            f.write(text)
-
-    def _write_json(self, path: Path, payload) -> None:
-        self._write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    def _read_json(self, path: Path, default):
-        if not path.exists():
-            return default
-        return json.loads(path.read_text())
-
-    def save_desired(self, topology: Topology, checksums: dict) -> None:
-        self._write_json(self.desired_path, {
-            "topology": serialize_topology(topology),
-            "checksums": checksums,
-        })
-
-    def load_desired(self) -> tuple[Topology, dict] | None:
-        payload = self._read_json(self.desired_path, None)
-        if payload is None:
-            return None
-        return parse_topology(payload["topology"]), payload.get("checksums", {})
-
-    def save_replicas(self, node_id: str, records: list[dict]) -> None:
-        self._write_json(self.replicas_path(node_id), records)
-
-    def load_replicas(self, node_id: str) -> list[dict]:
-        return self._read_json(self.replicas_path(node_id), [])
-
-    def replica_nodes(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(p.name[len("replicas-"):-len(".json")]
-                      for p in self.root.glob("replicas-*.json"))
-
-    def save_balancer(self, config: dict) -> None:
-        self._write_json(self.balancer_path, config)
-
-    def load_balancer(self) -> dict:
-        return self._read_json(self.balancer_path, {})
-
-    def lock_owner(self, node_id: str) -> int | None:
-        """Pid holding the serve lock for a node, if that pid is alive."""
-        path = self.lock_path(node_id)
-        if not path.exists():
-            return None
-        try:
-            pid = int(path.read_text().strip())
-        except ValueError:
-            return None
-        return pid if _pid_running(pid) else None
-
-    def acquire_lock(self, node_id: str, pid: int) -> None:
-        owner = self.lock_owner(node_id)
-        if owner is not None and owner != pid:
-            raise FlagforgeError(
-                f"node {node_id} is already served by pid {owner}")
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.lock_path(node_id).write_text(f"{pid}\n")
-
-    def release_lock(self, node_id: str) -> None:
-        try:
-            self.lock_path(node_id).unlink()
-        except FileNotFoundError:
-            pass
-
-
-class BackendNode:
-    """Live control plane of one backend: registry, supervisor, balancer."""
-
-    def __init__(self, topology: Topology, node_id: str, store: StateStore, *,
-                 bind_listeners: bool, clock: Callable[[], float] = time.time,
-                 runner=None, prober=None,
-                 pid_alive: Callable[[int], bool] = _pid_running):
-        self.node_id = node_id
-        self.node = topology.nodes[node_id]
-        self.store = store
-        self.pid_alive = pid_alive
-        self.registry = Registry()
-        self.allocator = PortAllocator(self.node.port_range)
-        self.runner = runner or SubprocessRunner(store.logs_dir,
-                                                 self.node.bind_address)
-        self.supervisor = Supervisor(node_id, self.node.bind_address,
-                                     self.registry, self.runner, self.allocator,
-                                     prober=prober, clock=clock)
-        self.supervisor.on_change = self._persist_replicas
-        self.balancer = Balancer(self.registry, topology.stick_ttl,
-                                 topology.stick_capacity, clock=clock)
-        self.supervisor.sessions = self.balancer.sessions
-        self.server = (BalancerServer(self.balancer, self.node.bind_address,
-                                      require_proxy_header=True)
-                       if bind_listeners else None)
-        self._balancer_ports: dict[str, int] = {}
-
-    @property
-    def balancer_ports(self) -> dict[str, int]:
-        return dict(self._balancer_ports)
-
-    @property
-    def stick_settings(self) -> tuple[int, int]:
-        return (int(self.balancer.stick_ttl), int(self.balancer.stick_capacity))
-
-    def adopt(self, desired: Topology | None) -> None:
-        """Rebuild live state from the files a previous process left behind."""
-        config = self.store.load_balancer().get(self.node_id, {})
-        for service, port in sorted((config.get("ports") or {}).items()):
-            self.allocator.reserve(port)
-            self._balancer_ports[service] = port
-        stick = config.get("stick")
-        if stick:
-            self.balancer.configure(stick[0], stick[1])
-
-        records: dict[str, list[dict]] = {}
-        for record in self.store.load_replicas(self.node_id):
-            if self.pid_alive(record["pid"]):
-                records.setdefault(record["service"], []).append(record)
-        specs = {c.name: c for c in desired.challenges_on(self.node_id)} \
-            if desired else {}
-
-        for name in sorted(set(records) | set(specs) | set(self._balancer_ports)):
-            if not self.registry.has_service(name):
-                self.registry.create_service(name, network_id(name))
-            if name in specs:
-                self.supervisor.set_desired(specs[name])
-            if name in records:
-                self.supervisor.adopt(name, records[name])
-        self._persist_replicas()
-
-        if self.server is not None:
-            for service, port in sorted(self._balancer_ports.items()):
-                try:
-                    self.server.bind_service(service, port)
-                except OSError as exc:
-                    raise FlagforgeError(
-                        f"cannot bind balancer port {port} for {service}:"
-                        f" {exc}") from exc
-
-    def ensure_service(self, spec: ChallengeSpec) -> None:
-        if not self.registry.has_service(spec.name):
-            self.registry.create_service(spec.name, network_id(spec.name))
-        self.supervisor.set_desired(spec)
-
-    def open_listener(self, service: str) -> int:
-        conflicts = 0
-        while True:
-            port = self.allocator.allocate()
-            if self.server is not None:
-                try:
-                    self.server.bind_service(service, port)
-                except OSError:
-                    # a foreign process owns this port; leave it reserved so
-                    # the allocator skips it and try the next one
-                    conflicts += 1
-                    if conflicts >= PORT_CONFLICT_LIMIT:
-                        raise
-                    continue
-            self._balancer_ports[service] = port
-            return port
-
-    def remove_service(self, name: str) -> None:
-        for _ in self.supervisor.instances_of(name):
-            self.supervisor.stop_one(name)
-        self.supervisor.drop_desired(name)
-        if self.registry.has_service(name):
-            self.registry.remove_service(name)
-        port = self._balancer_ports.pop(name, None)
-        if port is not None:
-            if self.server is not None:
-                self.server.unbind_service(name)
-            self.allocator.release(port)
-
-    def persist_balancer(self) -> None:
-        config = self.store.load_balancer()
-        config[self.node_id] = {
-            "ports": dict(sorted(self._balancer_ports.items())),
-            "stick": [int(self.balancer.stick_ttl),
-                      int(self.balancer.stick_capacity)],
-            "stick_counts": {service: self.balancer.stick_count(service)
-                             for service in sorted(self._balancer_ports)},
-        }
-        self.store.save_balancer(config)
-
-    def tick(self) -> None:
-        """One supervision beat: probe, replace, drop aged pins, persist counters."""
-        self.supervisor.probe_all()
-        self.supervisor.reconcile_all()
-        self.balancer.expire_entries()
-        self.persist_balancer()
-
-    def close(self, stop_replicas: bool) -> None:
-        if stop_replicas:
-            self.supervisor.stop_all()
-        if self.server is not None:
-            self.server.close()
-
-    def _persist_replicas(self) -> None:
-        self.store.save_replicas(self.node_id, self.supervisor.snapshot())
-
-
-class FrontendNode:
-    """Ingress host: applies the mapping file and keeps it in sync."""
-
-    def __init__(self, topology: Topology, node_id: str, store: StateStore,
-                 bind_listeners: bool):
-        self.node_id = node_id
-        self.node = topology.nodes[node_id]
-        self.store = store
-        self.server = (IngressServer(self.node.bind_address)
-                       if bind_listeners else None)
-        self._applied_text: str | None = None
-
-    def adopt(self) -> None:
-        self.refresh_from_file()
-
-    def refresh_from_file(self) -> list[tuple[int, str]]:
-        path = self.store.ingress_path
-        text = path.read_text() if path.exists() else ""
-        if self.server is None or text == self._applied_text:
-            return []
-        report = self.server.apply_table(parse_mappings(text))
-        self._applied_text = text
-        return report
-
-    def bind_failures(self) -> list[str]:
-        """Mapped external ports the live server failed to bind."""
-        if self.server is None:
-            return []
-        want = {m.external_port for m in load_mappings(self.store.ingress_path)}
-        missing = want - set(self.server.bound_ports())
-        return [f"external port {port} could not be bound"
-                for port in sorted(missing)]
-
-    def bind(self, mapping: PortMapping) -> None:
-        current = load_mappings(self.store.ingress_path)
-        kept = [m for m in current if m.external_port != mapping.external_port]
-        kept.append(mapping)
-        kept.sort(key=lambda m: m.external_port)
-        self._commit(MappingTable(tuple(kept)), check_port=mapping.external_port)
-
-    def unbind(self, external_port: int) -> None:
-        current = load_mappings(self.store.ingress_path)
-        kept = tuple(m for m in current if m.external_port != external_port)
-        self._commit(MappingTable(kept))
-
-    def _commit(self, table: MappingTable, check_port: int | None = None) -> None:
-        save_mappings(table, self.store.ingress_path)
-        text = serialize_mappings(table)
-        self._applied_text = text
-        if self.server is None:
-            return
-        report = self.server.apply_table(table)
-        if check_port is not None:
-            for port, status in report:
-                if port == check_port and status.startswith("failed"):
-                    raise IngressError(f"port {port}: {status}")
-
-    def close(self) -> None:
-        if self.server is not None:
-            self.server.close()
+def extract_payload(bundle: Path, target: Path) -> None:
+    """``pipeline.extract_payload``; promotion calls it through this name."""
+    from .pipeline import extract_payload
+    extract_payload(bundle, target)
 
 
 class Cluster:
@@ -374,6 +58,7 @@ class Cluster:
         for node_id in sorted(wanted):
             node = topology.nodes[node_id]
             if node.role == ROLE_BACKEND:
+                from .backend import BackendNode
                 runner = runner_factory(node, store) if runner_factory else None
                 backend = BackendNode(topology, node_id, store,
                                       bind_listeners=bind_listeners,
@@ -384,7 +69,7 @@ class Cluster:
             else:
                 self.frontend = FrontendNode(topology, node_id, store,
                                              bind_listeners)
-                self.frontend.adopt()
+                self.frontend.refresh_from_file()
 
     # --- observation --------------------------------------------------------
 
@@ -454,6 +139,7 @@ class Cluster:
         the live replicas (or, with none running, the desired spec) carry
         its version; anything else reads as unknown provenance.
         """
+        from .pipeline import run_pipeline
         live = self._live_replicas()
         if mode == MODE_DEV:
             names = {r["service"] for node_id in self.backends
@@ -494,6 +180,8 @@ class Cluster:
         fresh: a failed promotion stays on record although the abort left the
         old version running at full count.
         """
+        from .pipeline import (STATE_DEPLOYED, StatusRecord, _now_iso,
+                               read_status, write_status)
         records, _ = read_status(self.store.status_path)
         existing = {(r.challenge, r.backend): r for r in records}
         backend = self.backends[node_id]
@@ -671,17 +359,16 @@ class NodeService:
         self.store = StateStore(state_root)
         persisted = self.store.load_desired()
         if persisted is not None:
-            topology, checksums = persisted
-        elif topology_path is not None:
-            topology = parse_topology(Path(topology_path).read_text())
-            checksums = {}
-            self.store.save_desired(topology, checksums)
-        else:
+            topology, _ = persisted
+        elif topology_path is None:
             raise FlagforgeError("no applied topology and no --topology file")
+        else:
+            topology = parse_topology(Path(topology_path).read_text())
         if node_id not in topology.nodes:
             raise TopologyError(f"unknown node {node_id!r}")
+        if persisted is None:
+            self.store.save_desired(topology, {})
         self.node_id = node_id
-        self.is_backend = topology.nodes[node_id].role == ROLE_BACKEND
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.mode = mode
         self.clock = clock
@@ -693,6 +380,7 @@ class NodeService:
         except Exception:
             self.store.release_lock(node_id)
             raise
+        self.backend = self.cluster.backends.get(node_id)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._desired_mtime = 0.0
@@ -703,10 +391,9 @@ class NodeService:
         """Initial converge plus loop start; returns fatal bind failures."""
         self.cluster.converge(only_node=self.node_id)
         failures: list[str] = []
-        if self.is_backend:
-            backend = self.cluster.backends[self.node_id]
-            backend.supervisor.probe_all()
-            backend.persist_balancer()
+        if self.backend is not None:
+            self.backend.supervisor.probe_all()
+            self.backend.persist_balancer()
         else:
             failures = self.cluster.frontend.bind_failures()
         self._desired_mtime = self._mtime()
@@ -721,18 +408,22 @@ class NodeService:
         except OSError:
             return 0.0
 
-    def _booting(self) -> bool:
-        return (self.is_backend
-                and self.cluster.backends[self.node_id].supervisor.booting())
-
-    def _loop(self) -> None:
+    def _wait(self) -> float:
         # while a replica has yet to answer, wake often enough that it takes
         # players within READY_POLL of its first passing probe
-        while not self._stop.wait(READY_POLL if self._booting() else self.tick):
+        if self.backend is not None and self.backend.supervisor.booting():
+            from .supervisor import READY_POLL
+            return READY_POLL
+        return self.tick
+
+    def _loop(self) -> None:
+        while not self._stop.wait(self._wait()):
             try:
                 self.tick_once()
             except Exception:
-                log.exception("serve tick for %s failed", self.node_id)
+                import traceback  # logging's last-resort output, unimported
+                print(f"serve tick for {self.node_id} failed", file=sys.stderr)
+                traceback.print_exc()
 
     def tick_once(self) -> None:
         now = self.clock()
@@ -744,14 +435,13 @@ class NodeService:
                 topology, self.cluster.checksums = persisted
                 self.cluster.converge(topology, only_node=self.node_id)
                 self._desired_mtime = self._mtime()
-        if self.is_backend:
+        if self.backend is not None:
             topology = self.cluster.topology
-            backend = self.cluster.backends[self.node_id]
             if now - self._last_probe >= topology.probe_interval:
                 self._last_probe = now
-                backend.tick()
+                self.backend.tick()
             else:
-                backend.supervisor.probe_starting()
+                self.backend.supervisor.probe_starting()
             if (self.store_dir is not None
                     and now - self._last_poll >= topology.poll_interval):
                 self._last_poll = now
@@ -770,42 +460,5 @@ class NodeService:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=30)
-        self.cluster.shutdown(stop_replicas=self.is_backend)
+        self.cluster.shutdown(stop_replicas=self.backend is not None)
         self.store.release_lock(self.node_id)
-
-
-def status_rows(store: StateStore,
-                pid_alive: Callable[[int], bool] = _pid_running) -> list[dict]:
-    """One row per desired challenge: live counts joined with status records."""
-    persisted = store.load_desired()
-    if persisted is None:
-        return []
-    topology, _ = persisted
-    records, _ = read_status(store.status_path)
-    by_key = {(r.challenge, r.backend): r for r in records}
-    balancer_config = store.load_balancer()
-    replica_cache: dict[str, list[dict]] = {}
-    rows = []
-    for name in sorted(topology.challenges):
-        spec = topology.challenges[name]
-        if spec.backend not in replica_cache:
-            replica_cache[spec.backend] = [
-                r for r in store.load_replicas(spec.backend)
-                if pid_alive(r["pid"])]
-        live = [r for r in replica_cache[spec.backend] if r["service"] == name]
-        versions = {r["version"] for r in live}
-        version = versions.pop() if len(versions) == 1 else spec.version
-        record = by_key.get((name, spec.backend))
-        if record is not None:
-            state = record.state
-        else:
-            state = STATE_DEPLOYED if len(live) == spec.replica_count \
-                else "degraded"
-        node_config = balancer_config.get(spec.backend) or {}
-        stick = (node_config.get("stick_counts") or {}).get(name, 0)
-        rows.append({
-            "challenge": name, "backend": spec.backend, "version": version,
-            "healthy": len(live), "desired": spec.replica_count,
-            "state": state, "port": spec.external_port, "stick": stick,
-        })
-    return rows

@@ -1,0 +1,163 @@
+"""The state directory, through which commands coordinate, and its status.
+
+    desired.json        applied topology text + artifact checksums
+    replicas-<node>.json  running replica records (pid, port, version, spec)
+    balancer.json       per-node balancer ports, stick settings and counts;
+                        a challenge's network lives with its listener here
+    ingress.map         frontend port mappings
+    latest-build.txt    deployment status records
+    serve-<node>.lock   pid of the serve process hosting a node
+    logs/, bundles/     replica logs and materialized artifact payloads
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+from typing import Callable
+
+from ._files import replacing
+from .errors import FlagforgeError
+from .model import Topology, parse_topology, serialize_topology
+
+
+def _pid_running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            # field 3 is the state; Z/X means the pid only exists as a zombie
+            state = fh.read().rsplit(b")", 1)[1].split()[0]
+        return state not in (b"Z", b"X")
+    except OSError:
+        return True
+
+
+class StateStore:
+    """Files under the state directory; writes are atomic and skip no-ops."""
+
+    def __init__(self, root: Path):
+        self.root = Path(root)
+        self.desired_path = self.root / "desired.json"
+        self.balancer_path = self.root / "balancer.json"
+        self.ingress_path = self.root / "ingress.map"
+        self.status_path = self.root / "latest-build.txt"
+        self.logs_dir = self.root / "logs"
+        self.bundles_dir = self.root / "bundles"
+
+    def replicas_path(self, node_id: str) -> Path:
+        return self.root / f"replicas-{node_id}.json"
+
+    def lock_path(self, node_id: str) -> Path:
+        return self.root / f"serve-{node_id}.lock"
+
+    def _write(self, path: Path, text: str) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.exists() and path.read_text() == text:
+            return
+        with replacing(path) as f:
+            f.write(text)
+
+    def _write_json(self, path: Path, payload) -> None:
+        self._write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    def _read_json(self, path: Path, default):
+        if not path.exists():
+            return default
+        return json.loads(path.read_text())
+
+    def save_desired(self, topology: Topology, checksums: dict) -> None:
+        self._write_json(self.desired_path, {
+            "topology": serialize_topology(topology),
+            "checksums": checksums,
+        })
+
+    def load_desired(self) -> tuple[Topology, dict] | None:
+        payload = self._read_json(self.desired_path, None)
+        if payload is None:
+            return None
+        return parse_topology(payload["topology"]), payload.get("checksums", {})
+
+    def save_replicas(self, node_id: str, records: list[dict]) -> None:
+        self._write_json(self.replicas_path(node_id), records)
+
+    def load_replicas(self, node_id: str) -> list[dict]:
+        return self._read_json(self.replicas_path(node_id), [])
+
+    def replica_nodes(self) -> list[str]:
+        return sorted(p.name[len("replicas-"):-len(".json")]
+                      for p in self.root.glob("replicas-*.json"))
+
+    def save_balancer(self, config: dict) -> None:
+        self._write_json(self.balancer_path, config)
+
+    def load_balancer(self) -> dict:
+        return self._read_json(self.balancer_path, {})
+
+    def lock_owner(self, node_id: str) -> int | None:
+        """Pid holding the serve lock for a node, if that pid is alive."""
+        path = self.lock_path(node_id)
+        if not path.exists():
+            return None
+        try:
+            pid = int(path.read_text().strip())
+        except ValueError:
+            return None
+        return pid if _pid_running(pid) else None
+
+    def acquire_lock(self, node_id: str, pid: int) -> None:
+        owner = self.lock_owner(node_id)
+        if owner is not None and owner != pid:
+            raise FlagforgeError(
+                f"node {node_id} is already served by pid {owner}")
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.lock_path(node_id).write_text(f"{pid}\n")
+
+    def release_lock(self, node_id: str) -> None:
+        try:
+            self.lock_path(node_id).unlink()
+        except FileNotFoundError:
+            pass
+
+
+def status_rows(store: StateStore,
+                pid_alive: Callable[[int], bool] = _pid_running) -> list[dict]:
+    """One row per desired challenge: live counts joined with status records."""
+    persisted = store.load_desired()
+    if persisted is None:
+        return []
+    from .pipeline import STATE_DEPLOYED, read_status
+    topology, _ = persisted
+    records, _ = read_status(store.status_path)
+    by_key = {(r.challenge, r.backend): r for r in records}
+    balancer_config = store.load_balancer()
+    replica_cache: dict[str, list[dict]] = {}
+    rows = []
+    for name in sorted(topology.challenges):
+        spec = topology.challenges[name]
+        if spec.backend not in replica_cache:
+            replica_cache[spec.backend] = [
+                r for r in store.load_replicas(spec.backend)
+                if pid_alive(r["pid"])]
+        live = [r for r in replica_cache[spec.backend] if r["service"] == name]
+        versions = {r["version"] for r in live}
+        version = versions.pop() if len(versions) == 1 else spec.version
+        record = by_key.get((name, spec.backend))
+        if record is not None:
+            state = record.state
+        else:
+            state = STATE_DEPLOYED if len(live) == spec.replica_count \
+                else "degraded"
+        node_config = balancer_config.get(spec.backend) or {}
+        stick = (node_config.get("stick_counts") or {}).get(name, 0)
+        rows.append({
+            "challenge": name, "backend": spec.backend, "version": version,
+            "healthy": len(live), "desired": spec.replica_count,
+            "state": state, "port": spec.external_port, "stick": stick,
+        })
+    return rows

@@ -11,7 +11,7 @@ registered in the health it was probed in.
 
 from __future__ import annotations
 
-import secrets
+import os
 import socket
 import threading
 import time
@@ -404,7 +404,7 @@ class Supervisor:
             if attempt:
                 self.sleep(SPAWN_BACKOFF)
             port = self.allocator.allocate()
-            replica_id = f"{service}-{secrets.token_hex(4)}"
+            replica_id = f"{service}-{os.urandom(4).hex()}"
             try:
                 handle = self.runner.spawn(spec, port, replica_id)
             except SpawnError as exc:

@@ -434,15 +434,133 @@ def test_served_replicas_take_players_without_waiting_for_a_tick(workspace):
     assert not any(_pid_running(pid) for pid in pids)
 
 
+def test_serve_unknown_node_leaves_the_state_directory_empty(workspace,
+                                                            capsys):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    restore = restore_signals()
+    try:
+        code = main(["serve", "--node", "typo", "--topology", str(topo),
+                     "--state", str(state)])
+    finally:
+        restore()
+    assert code == 1
+    assert "error: unknown node 'typo'" in capsys.readouterr().err
+    assert not state.exists() or not any(state.iterdir())
+
+
+def test_serve_missing_topology_file_exits_one(workspace, capsys):
+    root, state = workspace
+    missing = root / "absent.topology"
+    restore = restore_signals()
+    try:
+        code = main(["serve", "--node", "worker", "--topology", str(missing),
+                     "--state", str(state)])
+    finally:
+        restore()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+# --- serve in a fresh interpreter ----------------------------------------------
+
+# entered like the benchmark enters serve; SIGUSR1 prints the loaded modules
+SERVE_ENTRY = (
+    "import signal, sys\n"
+    "signal.signal(signal.SIGUSR1,"
+    " lambda *_: print(*sorted(sys.modules), flush=True))\n"
+    "from flagforge.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))")
+
+
+def src_env() -> dict:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def serve_process(node: str, topo: Path, state: Path) -> subprocess.Popen:
+    process = subprocess.Popen(
+        [sys.executable, "-c", SERVE_ENTRY, "serve", "--node", node,
+         "--topology", str(topo), "--state", str(state)],
+        stdout=subprocess.PIPE, text=True, env=src_env())
+    # a hung child ends its pipe instead of the test run
+    watchdog = threading.Timer(60, process.kill)
+    watchdog.daemon = True
+    watchdog.start()
+    return process
+
+
+def test_serve_signalled_while_starting_still_stops_cleanly(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    pids = root / "replica.pids"
+    # each replica signals serve while serve is still starting its node
+    run = (f"sh -c 'echo $$ >> {pids}; kill -TERM $PPID;"
+           f" exec {sys.executable} {FIXTURE} --port {{PORT}}'")
+    topo = write_topology(root, topology_text(external, backend_base,
+                                              replicas=2).replace(
+        f"{sys.executable} {FIXTURE} --port {{PORT}}", run))
+    process = serve_process("worker", topo, state)
+    try:
+        out, _ = process.communicate(timeout=60)
+    finally:
+        replicas = [int(pid) for pid in pids.read_text().split()] \
+            if pids.exists() else []
+        for pid in replicas:
+            try:
+                os.killpg(pid, signal.SIGKILL)
+            except OSError:
+                pass
+    assert process.returncode == 0
+    assert out.startswith("serving worker")
+    assert len(replicas) == 2
+    assert not any(_pid_running(pid) for pid in replicas)
+    assert not StateStore(state).lock_path("worker").exists()
+
+
+# a frontend runs none of the backend, pipeline or process-spawning code
+FRONTEND_NEVER_LOADS = {
+    "flagforge.pipeline", "flagforge.supervisor", "flagforge.balancer",
+    "flagforge.registry", "flagforge.runner", "subprocess", "tarfile",
+    "logging", "secrets"}
+# a backend without --store runs no promotion pass
+BACKEND_NEVER_LOADS = {"flagforge.pipeline", "tarfile"}
+
+
+def test_each_serve_role_loads_only_its_own_code(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    loaded: dict[str, set[str]] = {}
+    processes = []
+    try:
+        # the backend first, as the frontend binds what it persisted
+        for node in ("worker", "edge"):
+            process = serve_process(node, topo, state)
+            processes.append(process)
+            assert process.stdout.readline().startswith(f"serving {node}")
+            process.send_signal(signal.SIGUSR1)
+            loaded[node] = set(process.stdout.readline().split())
+    finally:
+        for process in processes:
+            process.send_signal(signal.SIGTERM)
+            process.wait(timeout=30)
+    assert sorted(loaded["edge"] & FRONTEND_NEVER_LOADS) == []
+    assert sorted(loaded["worker"] & BACKEND_NEVER_LOADS) == []
+    assert "flagforge.ingress" in loaded["edge"]
+    assert "flagforge.supervisor" in loaded["worker"]
+
+
 # --- module entry point -------------------------------------------------------
 
 
 @pytest.mark.parametrize("module", ["flagforge", "flagforge.cli"])
 def test_module_entry_point_prints_usage(module):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", module, "--help"],
-                          capture_output=True, text=True, env=env, timeout=30)
+                          capture_output=True, text=True, env=src_env(),
+                          timeout=30)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: flagforge")

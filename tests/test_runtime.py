@@ -16,7 +16,8 @@ from flagforge.model import Action, diff, parse_topology
 from flagforge.pipeline import package_artifact, read_status, write_status
 from flagforge.pipeline import StatusRecord
 from flagforge.runner import MockRunner
-from flagforge.runtime import Cluster, StateStore, _ClusterExecutor, status_rows
+from flagforge.runtime import Cluster, _ClusterExecutor
+from flagforge.state import StateStore, status_rows
 
 TOPOLOGY = """
 node edge role=frontend bind=127.0.0.1 ports=9000-9099
