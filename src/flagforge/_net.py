@@ -160,8 +160,12 @@ class TcpListener:
         self._handler = handler
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((address, port))
-        self._sock.listen(128)
+        try:
+            self._sock.bind((address, port))
+            self._sock.listen(128)
+        except OSError:
+            self._sock.close()  # a refused port is retried; keep no socket
+            raise
         self.address, self.port = self._sock.getsockname()[:2]
         self._thread = threading.Thread(
             target=self._accept_loop, name=f"listen-{self.port}", daemon=True)

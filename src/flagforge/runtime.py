@@ -3,12 +3,13 @@
 A ``Cluster`` hosts live runtimes for some of the topology's nodes (all of
 them for one-shot converge, a single one inside ``serve``) and executes diff
 actions against them. It imports ``backend`` only for a backend node it
-hosts, and ``pipeline`` only for a promotion pass. Replicas are detached
-processes, so state (see ``state``) survives the hosting process: the next
-command adopts them back by pid, together with the fingerprint of the spec
-each one was started from, so spec drift (a new version, run command or
-probe) is planned as a rolling update. Promotion takes the same path: a pass
-records the new artifacts into the desired topology, then converges.
+hosts, ``ingress`` only for a hosted frontend, and ``pipeline`` only for a
+promotion pass. Replicas are detached processes, so state (see ``state``)
+survives the hosting process: the next command adopts them back by pid,
+together with the fingerprint of the spec each one was started from, so spec
+drift (a new version, run command or probe) is planned as a rolling update.
+Promotion takes the same path: a pass records the new artifacts into the
+desired topology, then converges.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import FlagforgeError, IngressError, PipelineError, TopologyError
-from .ingress import FrontendNode, PortMapping, load_mappings
 from .model import (MODE_DEV, ROLE_BACKEND, Action, ApplyReport, ChangeSet,
                     ObservedState, Topology, apply_changeset, diff,
                     parse_topology, validate_topology)
-from .state import StateStore, _pid_running
+from .state import PortMapping, StateStore, _pid_running, load_mappings
 
 if TYPE_CHECKING:
     from .backend import BackendNode
+    from .ingress import FrontendNode
     from .pipeline import ArtifactManifest, PipelineReport
 
 
@@ -67,9 +68,9 @@ class Cluster:
                 backend.adopt(adopted)
                 self.backends[node_id] = backend
             else:
+                from .ingress import FrontendNode
                 self.frontend = FrontendNode(topology, node_id, store,
                                              bind_listeners)
-                self.frontend.refresh_from_file()
 
     # --- observation --------------------------------------------------------
 
@@ -89,7 +90,10 @@ class Cluster:
                 counts[node_id] = counts.get(node_id, 0) + 1
                 specs = state.specs.setdefault(record["service"], {})
                 specs.setdefault(node_id, set()).add(record.get("spec", ""))
-        for mapping in load_mappings(self.store.ingress_path):
+        # like a hosted backend's listeners, a hosted frontend's map is live
+        mappings = (self.frontend.mappings.values() if self.frontend is not None
+                    else load_mappings(self.store.ingress_path))
+        for mapping in mappings:
             state.ingress[mapping.external_port] = (mapping.challenge,
                                                     mapping.backend_node)
         return state
@@ -447,14 +451,12 @@ class NodeService:
                 self._last_poll = now
                 self.cluster.pipeline_once(self.mode, self.store_dir)
                 self._desired_mtime = self._mtime()
-        else:
-            self.cluster.frontend.refresh_from_file()
-            if now - self._last_probe >= self.cluster.topology.probe_interval:
-                # a bind that failed because a backend was still coming up
-                # gets retried here
-                self._last_probe = now
-                self.cluster.converge(only_node=self.node_id)
-                self._desired_mtime = self._mtime()
+        elif now - self._last_probe >= self.cluster.topology.probe_interval:
+            # a bind that failed (a backend still coming up, or its port
+            # taken) was not recorded, so this converge plans it again
+            self._last_probe = now
+            self.cluster.converge(only_node=self.node_id)
+            self._desired_mtime = self._mtime()
 
     def stop(self) -> None:
         self._stop.set()

@@ -4,7 +4,7 @@
     replicas-<node>.json  running replica records (pid, port, version, spec)
     balancer.json       per-node balancer ports, stick settings and counts;
                         a challenge's network lives with its listener here
-    ingress.map         frontend port mappings
+    ingress.map         frontend port mappings, written by the frontend's host
     latest-build.txt    deployment status records
     serve-<node>.lock   pid of the serve process hosting a node
     logs/, bundles/     replica logs and materialized artifact payloads
@@ -12,13 +12,15 @@
 
 from __future__ import annotations
 
+import ipaddress
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from ._files import replacing
-from .errors import FlagforgeError
+from .errors import FlagforgeError, IngressError
 from .model import Topology, parse_topology, serialize_topology
 
 
@@ -36,6 +38,55 @@ def _pid_running(pid: int) -> bool:
         return state not in (b"Z", b"X")
     except OSError:
         return True
+
+
+@dataclass(frozen=True)
+class PortMapping:
+    """One ``ingress.map`` line: an external port and the listener behind it."""
+
+    external_port: int
+    challenge: str
+    backend_node: str
+    backend_address: str
+    balancer_port: int
+
+    def render(self) -> str:
+        return (f"{self.external_port} {self.challenge} {self.backend_node}"
+                f" {self.backend_address}:{self.balancer_port}")
+
+
+def serialize_mappings(mappings: Iterable[PortMapping]) -> str:
+    return "".join(m.render() + "\n" for m in mappings)
+
+
+def parse_mappings(text: str) -> tuple[PortMapping, ...]:
+    """The mappings of an ``ingress.map`` text, sorted by external port."""
+    mappings = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise IngressError(f"line {lineno}: expected 4 fields, got {len(fields)}")
+        address, sep, balancer_port = fields[3].rpartition(":")
+        try:
+            external_port = int(fields[0])
+            backend_port = int(balancer_port) if sep else 0
+            ipaddress.IPv4Address(address)
+            if not (1 <= external_port <= 65535 and 1 <= backend_port <= 65535):
+                raise ValueError
+        except ValueError:
+            raise IngressError(f"line {lineno}: malformed mapping {line!r}") from None
+        mappings.append(PortMapping(
+            external_port=external_port, challenge=fields[1],
+            backend_node=fields[2], backend_address=address,
+            balancer_port=backend_port))
+    return tuple(sorted(mappings, key=lambda m: m.external_port))
+
+
+def load_mappings(path: Path) -> tuple[PortMapping, ...]:
+    path = Path(path)
+    return parse_mappings(path.read_text()) if path.exists() else ()
 
 
 class StateStore:
@@ -98,6 +149,10 @@ class StateStore:
 
     def load_balancer(self) -> dict:
         return self._read_json(self.balancer_path, {})
+
+    def save_mappings(self, mappings: Iterable[PortMapping]) -> None:
+        self._write(self.ingress_path, serialize_mappings(
+            sorted(mappings, key=lambda m: m.external_port)))
 
     def lock_owner(self, node_id: str) -> int | None:
         """Pid holding the serve lock for a node, if that pid is alive."""

@@ -127,10 +127,6 @@ class UpdateReport:
     steps: list[UpdateStep] = field(default_factory=list)
     completed: bool = True
 
-    @property
-    def replaced(self) -> int:
-        return sum(1 for s in self.steps if s.outcome == "ok")
-
 
 class Supervisor:
     def __init__(self, node_id: str, bind_address: str, registry: Registry,
@@ -153,7 +149,6 @@ class Supervisor:
         # replica id -> sessions still open through the balancer, for draining
         self.sessions: Callable[[str], int] = lambda replica_id: 0
         self._desired: dict[str, ChallengeSpec] = {}
-        self._counts: dict[str, int] = {}
         self._instances: dict[str, ReplicaInstance] = {}
         self._lock = threading.RLock()
 
@@ -162,12 +157,10 @@ class Supervisor:
     def set_desired(self, spec: ChallengeSpec) -> None:
         with self._lock:
             self._desired[spec.name] = spec
-            self._counts[spec.name] = spec.replica_count
 
     def drop_desired(self, service: str) -> None:
         with self._lock:
             self._desired.pop(service, None)
-            self._counts.pop(service, None)
             self.degraded.discard(service)
 
     def desired_spec(self, service: str) -> ChallengeSpec:
@@ -178,19 +171,7 @@ class Supervisor:
             return spec
 
     def desired_count(self, service: str) -> int:
-        with self._lock:
-            if service not in self._counts:
-                raise UnknownServiceError(f"unknown service {service!r}")
-            return self._counts[service]
-
-    def scale(self, service: str, count: int) -> None:
-        if count < 1:
-            raise ValueError("replica count must be at least 1; remove the"
-                             " challenge from the topology instead")
-        with self._lock:
-            self.desired_spec(service)
-            self._counts[service] = count
-        self._changed()
+        return self.desired_spec(service).replica_count
 
     def services(self) -> list[str]:
         with self._lock:
@@ -244,7 +225,7 @@ class Supervisor:
         """Converge one service to its desired count; returns actions taken."""
         with self._lock:
             spec = self.desired_spec(service)
-            want = self._counts[service]
+            want = spec.replica_count
             actions: list[str] = []
             restarts = 0
             for instance in self.instances_of(service):

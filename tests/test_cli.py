@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 from flagforge.cli import main
-from flagforge.ingress import MappingTable, PortMapping, save_mappings
 from flagforge.registry import HEALTH_HEALTHY
 from flagforge.runner import _pid_running
 from flagforge.runtime import NodeService, StateStore
+from flagforge.state import PortMapping
 
 FIXTURE = Path(__file__).with_name("fixture_server.py")
 
@@ -397,9 +397,8 @@ def test_serve_frontend_exits_when_external_port_is_taken(workspace, capsys):
     blocker.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     blocker.bind(("127.0.0.1", external))
     blocker.listen(1)
-    save_mappings(MappingTable((PortMapping(external, "alpha", "worker",
-                                            "127.0.0.1", backend_base),)),
-                  state / "ingress.map")
+    StateStore(state).save_mappings([PortMapping(external, "alpha", "worker",
+                                                 "127.0.0.1", backend_base)])
     restore = restore_signals()
     try:
         code = main(["serve", "--node", "edge", "--topology", str(topo),
@@ -526,8 +525,8 @@ FRONTEND_NEVER_LOADS = {
     "flagforge.pipeline", "flagforge.supervisor", "flagforge.balancer",
     "flagforge.registry", "flagforge.runner", "subprocess", "tarfile",
     "logging", "secrets"}
-# a backend without --store runs no promotion pass
-BACKEND_NEVER_LOADS = {"flagforge.pipeline", "tarfile"}
+# a backend without --store runs no promotion pass, and no frontend code
+BACKEND_NEVER_LOADS = {"flagforge.pipeline", "flagforge.ingress", "tarfile"}
 
 
 def test_each_serve_role_loads_only_its_own_code(workspace):

@@ -1,4 +1,4 @@
-"""Mapping generation, persistence, and the frontend forwarding path."""
+"""Mapping generation, persistence, the forwarding path and the frontend node."""
 
 from __future__ import annotations
 
@@ -10,16 +10,17 @@ import pytest
 from flagforge._net import TcpListener, parse_proxy_header, read_line
 from flagforge.errors import IngressError
 from flagforge.ingress import (
+    FrontendNode,
     IngressServer,
-    MappingTable,
     PortMapping,
     generate_mappings,
     load_mappings,
     parse_mappings,
-    save_mappings,
     serialize_mappings,
 )
 from flagforge.model import parse_topology
+from flagforge.runtime import Cluster
+from flagforge.state import StateStore
 
 NODES = """
 node edge role=frontend bind=127.0.0.1 ports=9000-9999
@@ -69,10 +70,18 @@ def read_line_from(sock: socket.socket) -> str:
     return buf.decode().strip()
 
 
-def table_for(port: int, backend_port: int,
-              challenge: str = "alpha") -> MappingTable:
-    return MappingTable((PortMapping(port, challenge, "worker", "127.0.0.1",
-                                     backend_port),))
+def mapping_for(port: int, backend_port: int,
+                challenge: str = "alpha") -> PortMapping:
+    return PortMapping(port, challenge, "worker", "127.0.0.1", backend_port)
+
+
+def edge_topology(external: int):
+    """The frontend ``edge`` exposing ``alpha`` of backend ``worker``."""
+    return parse_topology(
+        f"node edge role=frontend bind=127.0.0.1 ports={external}-{external}\n"
+        "node worker role=backend bind=127.0.0.1 ports=20000-20999\n"
+        "challenge alpha version=v1 replicas=1 internal_port=1"
+        f' external_port={external} backend=worker run="a {{PORT}}" probe=tcp\n')
 
 
 # --- generation ----------------------------------------------------------------
@@ -137,13 +146,13 @@ def test_parse_malformed_lines(line):
 
 def test_save_load_round_trip(tmp_path):
     table, _ = generate_mappings(parse_topology(TWO), PORTS)
-    path = tmp_path / "state" / "ingress.map"
-    save_mappings(table, path)
-    loaded = load_mappings(path)
-    assert loaded.mappings == table.mappings
-    save_mappings(loaded, path)
-    assert path.read_text() == serialize_mappings(table)
-    assert load_mappings(tmp_path / "absent.map") == MappingTable()
+    store = StateStore(tmp_path / "state")
+    store.save_mappings(reversed(table))
+    loaded = load_mappings(store.ingress_path)
+    assert loaded == table
+    store.save_mappings(loaded)
+    assert store.ingress_path.read_text() == serialize_mappings(table)
+    assert load_mappings(tmp_path / "absent.map") == ()
 
 
 # --- forwarding -------------------------------------------------------------------
@@ -160,8 +169,7 @@ def test_forward_end_to_end(server, free_port):
     stub = balancer_stub("A")
     external = free_port()
     try:
-        report = server.apply_table(table_for(external, stub.port))
-        assert report == [(external, "bound")]
+        server.bind(mapping_for(external, stub.port))
         with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
             assert read_line_from(sock) == "A 127.0.0.1"
             sock.sendall(b"marco")
@@ -175,7 +183,7 @@ def test_relay_outlives_connect_timeout_of_a_quiet_backend(free_port):
     stub = balancer_stub("A", reply_delay=0.6)
     external = free_port()
     try:
-        ingress.apply_table(table_for(external, stub.port))
+        ingress.bind(mapping_for(external, stub.port))
         with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
             assert read_line_from(sock) == "A 127.0.0.1"
     finally:
@@ -191,7 +199,7 @@ def test_unmapped_port_refused(server, free_port):
 def test_backend_unreachable_closes_inbound(server, free_port):
     external = free_port()
     dead_backend = free_port()  # nothing listens there
-    server.apply_table(table_for(external, dead_backend))
+    server.bind(mapping_for(external, dead_backend))
     with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
         assert sock.recv(64) == b""
 
@@ -199,19 +207,20 @@ def test_backend_unreachable_closes_inbound(server, free_port):
 def test_restart_reproduces_listeners(tmp_path, free_port):
     stub = balancer_stub("A")
     external = free_port()
-    path = tmp_path / "ingress.map"
-    table = table_for(external, stub.port)
-    save_mappings(table, path)
+    topology = edge_topology(external)
+    store = StateStore(tmp_path / "state")
+    store.save_mappings([mapping_for(external, stub.port)])
 
-    first = IngressServer("127.0.0.1")
-    first.apply_table(load_mappings(path))
-    ports_before = first.bound_ports()
+    first = FrontendNode(topology, "edge", store, bind_listeners=True)
+    with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
+        assert read_line_from(sock) == "A 127.0.0.1"
     first.close()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", external), timeout=2)
 
-    second = IngressServer("127.0.0.1")
+    second = FrontendNode(topology, "edge", store, bind_listeners=True)
     try:
-        second.apply_table(load_mappings(path))
-        assert second.bound_ports() == ports_before == [external]
+        assert second.bind_failures() == []
         with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
             assert read_line_from(sock) == "A 127.0.0.1"
     finally:
@@ -223,13 +232,12 @@ def test_swap_lets_inflight_connections_drain(server, free_port):
     stub_a, stub_b = balancer_stub("A"), balancer_stub("B")
     external = free_port()
     try:
-        server.apply_table(table_for(external, stub_a.port))
+        server.bind(mapping_for(external, stub_a.port))
         held = socket.create_connection(("127.0.0.1", external), timeout=5)
         assert read_line_from(held) == "A 127.0.0.1"
 
-        report = server.apply_table(
-            table_for(external, stub_b.port, challenge="alpha"))
-        assert report == [(external, "updated")]
+        # re-targeting a bound port keeps its listener
+        server.bind(mapping_for(external, stub_b.port))
         # the held connection keeps working against the old target
         held.sendall(b"still-here")
         assert held.recv(64) == b"still-here"
@@ -242,17 +250,18 @@ def test_swap_lets_inflight_connections_drain(server, free_port):
         stub_b.close()
 
 
-def test_apply_empty_closes_listeners(server, free_port):
+def test_unbind_closes_listener(server, free_port):
     stub = balancer_stub("A")
-    external = free_port()
+    external, other = free_port(), free_port()
     try:
-        server.apply_table(table_for(external, stub.port))
-        assert server.bound_ports() == [external]
-        report = server.apply_table(MappingTable())
-        assert report == [(external, "closed")]
-        assert server.bound_ports() == []
+        server.bind(mapping_for(external, stub.port))
+        server.bind(mapping_for(other, stub.port, challenge="beta"))
+        server.unbind(external)
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", external), timeout=2)
+        server.unbind(external)  # unbinding an unbound port is a no-op
+        with socket.create_connection(("127.0.0.1", other), timeout=5) as sock:
+            assert read_line_from(sock) == "A 127.0.0.1"
     finally:
         stub.close()
 
@@ -264,13 +273,9 @@ def test_foreign_bind_failure_is_isolated(server, free_port):
     squatter.bind(("127.0.0.1", stolen_port))
     squatter.listen(1)
     try:
-        table = MappingTable((
-            PortMapping(ok_port, "alpha", "worker", "127.0.0.1", stub.port),
-            PortMapping(stolen_port, "beta", "worker", "127.0.0.1", stub.port),
-        ))
-        report = dict(server.apply_table(table))
-        assert report[ok_port] == "bound"
-        assert report[stolen_port].startswith("failed:")
+        server.bind(mapping_for(ok_port, stub.port))
+        with pytest.raises(OSError):
+            server.bind(mapping_for(stolen_port, stub.port, challenge="beta"))
         with socket.create_connection(("127.0.0.1", ok_port), timeout=5) as sock:
             assert read_line_from(sock) == "A 127.0.0.1"
     finally:
@@ -282,10 +287,10 @@ def test_ports_stay_isolated(server, free_port):
     stub_a, stub_b = balancer_stub("A"), balancer_stub("B")
     port_a, port_b = free_port(), free_port()
     try:
-        server.apply_table(MappingTable((
-            PortMapping(port_a, "alpha", "worker", "127.0.0.1", stub_a.port),
-            PortMapping(port_b, "beta", "worker", "127.0.0.1", stub_b.port),
-        )))
+        server.bind(PortMapping(port_a, "alpha", "worker", "127.0.0.1",
+                                stub_a.port))
+        server.bind(PortMapping(port_b, "beta", "worker", "127.0.0.1",
+                                stub_b.port))
         for _ in range(10):
             with socket.create_connection(("127.0.0.1", port_a), timeout=5) as sock:
                 assert read_line_from(sock).startswith("A ")
@@ -294,3 +299,38 @@ def test_ports_stay_isolated(server, free_port):
     finally:
         stub_a.close()
         stub_b.close()
+
+
+# --- the frontend node ----------------------------------------------------------
+
+
+def test_failed_bind_is_planned_again_once_the_port_is_free(tmp_path, free_port):
+    stub = balancer_stub("A")
+    external = free_port()
+    store = StateStore(tmp_path / "state")
+    store.save_balancer({"worker": {"ports": {"alpha": stub.port}}})
+    squatter = socket.socket()
+    squatter.bind(("127.0.0.1", external))
+    squatter.listen(1)
+    cluster = Cluster(edge_topology(external), store, hosted=["edge"])
+    try:
+        report = cluster.converge(only_node="edge")
+        failed, = report.results
+        assert (failed.action.kind, failed.outcome) == ("bind_ingress", "failed")
+        assert not store.ingress_path.exists()  # not recorded as mapped
+        assert cluster.frontend.bind_failures() == [
+            f"external port {external} could not be bound"]
+        squatter.close()
+
+        report = cluster.converge(only_node="edge")
+        assert [(r.action.kind, r.outcome) for r in report.results] == [
+            ("bind_ingress", "ok")]
+        assert load_mappings(store.ingress_path) == (
+            mapping_for(external, stub.port),)
+        assert cluster.frontend.bind_failures() == []
+        with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
+            assert read_line_from(sock) == "A 127.0.0.1"
+    finally:
+        cluster.shutdown()
+        squatter.close()
+        stub.close()

@@ -12,6 +12,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import flagforge
 from flagforge import _net
 from flagforge._net import TcpListener, WorkerPool, relay
@@ -126,6 +128,19 @@ def wait_until(condition, timeout: float = 5.0) -> bool:
             return False
         time.sleep(0.01)
     return True
+
+
+def test_listener_on_a_taken_port_keeps_no_socket(free_port):
+    port = free_port()
+    with socket.socket() as squatter:
+        squatter.bind(("127.0.0.1", port))
+        squatter.listen(1)
+        before = len(os.listdir("/proc/self/fd"))
+        # the traceback held here keeps the half-built listener alive, so
+        # only an explicit close frees its socket
+        with pytest.raises(OSError) as refused:
+            TcpListener("127.0.0.1", port, lambda conn, peer: None)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_sequential_sessions_reuse_a_few_threads():

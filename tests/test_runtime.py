@@ -9,15 +9,14 @@ import time
 
 import pytest
 
+from flagforge import ingress, runtime, state
 from flagforge.errors import FlagforgeError, NetworkInUseError
-from flagforge.ingress import (MappingTable, PortMapping, load_mappings,
-                               save_mappings)
 from flagforge.model import Action, diff, parse_topology
 from flagforge.pipeline import package_artifact, read_status, write_status
 from flagforge.pipeline import StatusRecord
 from flagforge.runner import MockRunner
 from flagforge.runtime import Cluster, _ClusterExecutor
-from flagforge.state import StateStore, status_rows
+from flagforge.state import PortMapping, StateStore, load_mappings, status_rows
 
 TOPOLOGY = """
 node edge role=frontend bind=127.0.0.1 ports=9000-9099
@@ -106,6 +105,32 @@ def test_second_converge_is_a_no_op(tmp_path):
     assert store.ingress_path.read_bytes() == first
     after = store.ingress_path.stat()
     assert (stat.st_ino, stat.st_mtime_ns) == (after.st_ino, after.st_mtime_ns)
+
+
+def test_frontend_reads_its_map_only_when_built(tmp_path, monkeypatch):
+    reads = []
+    read_file = state.load_mappings
+
+    def counting(path):
+        reads.append(path)
+        return read_file(path)
+
+    for module in (state, ingress, runtime):
+        monkeypatch.setattr(module, "load_mappings", counting)
+    cluster, store, _ = make_cluster(tmp_path)
+    assert reads == [store.ingress_path]  # adopted once, at construction
+    reads.clear()
+    first = cluster.converge()
+    # a moved port: one unbind and one bind against the in-memory map
+    moved = cluster.converge(parse_topology(
+        TOPOLOGY.replace("external_port=9002", "external_port=9003")))
+    assert [k for k, _ in kinds(first)].count("bind_ingress") == 2
+    assert sorted(k for k, _ in kinds(moved)) == ["bind_ingress",
+                                                  "unbind_ingress"]
+    assert first.all_ok and moved.all_ok
+    assert reads == []
+    assert [line.split()[0] for line in
+            store.ingress_path.read_text().splitlines()] == ["9001", "9003"]
 
 
 def test_converge_after_restart_adopts_live_replicas(tmp_path):
@@ -587,10 +612,10 @@ def _balancer_writer(tmp_path):
 
 
 def _mappings_writer(tmp_path):
-    path = tmp_path / "state" / "ingress.map"
-    return (lambda table: save_mappings(table, path), lambda: load_mappings(path),
-            lambda n: MappingTable((PortMapping(9000 + n, "alpha", "worker",
-                                                "127.0.0.1", 20000),)))
+    store = StateStore(tmp_path / "state")
+    return (store.save_mappings, lambda: load_mappings(store.ingress_path),
+            lambda n: (PortMapping(9000 + n, "alpha", "worker", "127.0.0.1",
+                                   20000),))
 
 
 @pytest.mark.parametrize("writer", [_balancer_writer, _mappings_writer],

@@ -5,11 +5,12 @@ from __future__ import annotations
 import socket
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
 from flagforge._net import TcpListener
-from flagforge.errors import PortExhaustedError, UnknownServiceError
+from flagforge.errors import PortExhaustedError
 from flagforge.model import ChallengeSpec, ProbeSpec
 from flagforge.registry import (
     EVENT_DEREGISTERED,
@@ -69,6 +70,11 @@ def build(replicas: int = 3):
         sleep=lambda s: clock.advance(s), startup_grace=5.0)
     supervisor.set_desired(make_spec(replicas=replicas))
     return supervisor, runner, registry, clock
+
+
+def scale(supervisor: Supervisor, count: int) -> None:
+    supervisor.set_desired(replace(supervisor.desired_spec("web"),
+                                   replica_count=count))
 
 
 def replica_ids(supervisor: Supervisor, service: str = "web") -> list[str]:
@@ -224,7 +230,7 @@ def test_probe_all_does_not_hold_the_lock_across_a_probe():
     try:
         assert prober.entered.wait(2)
         other, errors = in_thread(
-            lambda: (supervisor.snapshot(), supervisor.scale("web", 4)))
+            lambda: (supervisor.snapshot(), scale(supervisor, 4)))
         other.join(0.5)
         assert not other.is_alive() and errors == []
     finally:
@@ -300,7 +306,7 @@ def test_probe_passes_racing_scale_changes_keep_registry_and_instances_in_step()
     def scale_up_and_down():
         try:
             for n in range(300):
-                supervisor.scale("web", 1 + n % 4)
+                scale(supervisor, 1 + n % 4)
                 supervisor.reconcile("web")
         finally:
             done.set()
@@ -327,10 +333,9 @@ def test_probe_passes_racing_scale_changes_keep_registry_and_instances_in_step()
 def test_scale_up_spawns_difference():
     supervisor, _, _, _ = build(replicas=1)
     supervisor.reconcile("web")
-    supervisor.scale("web", 3)
+    scale(supervisor, 3)
     actions = supervisor.reconcile("web")
     assert len(actions) == 2 and all(a.startswith("spawn") for a in actions)
-    assert supervisor.scale("web", 3) is None
     assert supervisor.reconcile("web") == []
 
 
@@ -339,13 +344,13 @@ def test_scale_down_stops_newest_first():
     supervisor.reconcile("web")
     oldest = replica_ids(supervisor)[0]
     clock.advance(10)
-    supervisor.scale("web", 2)
+    scale(supervisor, 2)
     supervisor.reconcile("web")
     clock.advance(10)
-    supervisor.scale("web", 3)
+    scale(supervisor, 3)
     supervisor.reconcile("web")
     by_age = supervisor.instances_of("web")  # sorted oldest first
-    supervisor.scale("web", 1)
+    scale(supervisor, 1)
     actions = supervisor.reconcile("web")
     assert actions == [f"stop {by_age[2].replica_id} (scale-down)",
                        f"stop {by_age[1].replica_id} (scale-down)"]
@@ -356,17 +361,9 @@ def test_scale_down_tie_break_by_replica_id():
     supervisor, _, _, _ = build(replicas=3)
     supervisor.reconcile("web")  # all three share one started_at tick
     ids = sorted(replica_ids(supervisor))
-    supervisor.scale("web", 2)
+    scale(supervisor, 2)
     actions = supervisor.reconcile("web")
     assert actions == [f"stop {ids[0]} (scale-down)"]
-
-
-def test_scale_validation():
-    supervisor, _, _, _ = build()
-    with pytest.raises(ValueError):
-        supervisor.scale("web", 0)
-    with pytest.raises(UnknownServiceError):
-        supervisor.scale("ghost", 2)
 
 
 def test_spawn_failure_marks_degraded_then_heals():
@@ -400,7 +397,8 @@ def test_rolling_update_replaces_all_one_at_a_time():
         deregistered.append(rid) if event == EVENT_DEREGISTERED else None)
     runner.events.clear()
     report = supervisor.rolling_update("web", make_spec(version="v2"))
-    assert report.completed and report.replaced == 3
+    assert report.completed
+    assert [step.outcome for step in report.steps] == ["ok"] * 3
     versions = {i.endpoint.version for i in supervisor.instances_of("web")}
     assert versions == {"v2"}
     assert set(replica_ids(supervisor)).isdisjoint(old_ids)
