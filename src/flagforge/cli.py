@@ -1,9 +1,9 @@
 """Operator commands: converge, serve, inspect, scale, promote, package.
 
-Commands coordinate through the state directory, never via RPC: `apply`
-writes the desired topology and converges whatever nodes no serve process
-owns; a running `serve` notices the changed desired file and converges its
-own node. The directory comes from `--state` unless FLAGFORGE_STATE is set,
+Commands coordinate through the state directory, never via RPC: `apply` and
+`scale` write the desired topology, then converge the nodes no serve process
+owns; a running `serve` only reads that file and converges its own node when
+it changes. The directory comes from `--state` unless FLAGFORGE_STATE is set,
 which wins. A command imports the modules it runs only when it runs them.
 """
 
@@ -47,25 +47,27 @@ def _split_ownership(store: StateStore,
     return free, served
 
 
-def _converge(store: StateStore, topology, out) -> int:
+def _converge(store: StateStore, topology) -> int:
     from .runtime import Cluster
     free, served = _split_ownership(store, topology.nodes)
     cluster = Cluster(topology, store, hosted=free, bind_listeners=False)
     try:
+        # recorded first: served nodes pick it up even if nothing here runs
+        store.save_desired(topology, {n: r for n, r in cluster.checksums.items()
+                                      if n in topology.challenges})
         report = cluster.converge(exclude_nodes=set(served))
     finally:
         cluster.shutdown()
-    print(report.render(), file=out)
+    print(report.render())
     for node_id in sorted(served):
-        print(f"{node_id}: delegated to serve process (pid {served[node_id]})",
-              file=out)
+        print(f"{node_id}: delegated to serve process (pid {served[node_id]})")
     return EXIT_OK if report.all_ok else EXIT_PARTIAL
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     topology = parse_topology(Path(args.topology).read_text())
     validate_topology(topology)
-    return _converge(_state_store(args), topology, sys.stdout)
+    return _converge(_state_store(args), topology)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -127,8 +129,7 @@ def cmd_scale(args: argparse.Namespace) -> int:
                    replica_count=args.count)
     challenges = dict(topology.challenges)
     challenges[args.challenge] = spec
-    return _converge(store, replace(topology, challenges=challenges),
-                     sys.stdout)
+    return _converge(store, replace(topology, challenges=challenges))
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:

@@ -5,9 +5,9 @@ balancer listener, and each mapped port is one plain TCP listener that
 prefixes every forwarded connection with the ``PROXY4`` source header. The
 frontend holds its mappings in memory, as a backend holds its listeners:
 ``bind`` opens (or re-targets) one port's listener and ``unbind`` closes it,
-and only then is ``state/ingress.map`` rewritten from memory. A re-target
-takes effect at accept time: live relays drain, new connections route by the
-new mapping. The file format lives in ``state``.
+and the converge that ran them rewrites ``state/ingress.map`` from memory
+once. A re-target takes effect at accept time: live relays drain, new
+connections route by the new mapping. The file format lives in ``state``.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class IngressServer:
 
 
 class FrontendNode:
-    """Ingress host: its port mappings in memory, mirrored to ``ingress.map``.
+    """Ingress host: port mappings in memory, saved by ``Cluster.converge``.
 
     The file is read once, here, to adopt what a previous process mapped. A
     ``bind`` records its mapping only once the listener is up, so a refused
@@ -119,9 +119,7 @@ class FrontendNode:
     def __init__(self, topology: Topology, node_id: str, store: StateStore,
                  bind_listeners: bool):
         self.node_id = node_id
-        self.node = topology.nodes[node_id]
-        self.store = store
-        self.server = (IngressServer(self.node.bind_address)
+        self.server = (IngressServer(topology.nodes[node_id].bind_address)
                        if bind_listeners else None)
         self.mappings: dict[int, PortMapping] = {
             m.external_port: m for m in load_mappings(store.ingress_path)}
@@ -141,14 +139,12 @@ class FrontendNode:
         if self.server is not None:
             self._listen(mapping)
         self.mappings[mapping.external_port] = mapping
-        self.store.save_mappings(self.mappings.values())
 
     def unbind(self, external_port: int) -> None:
         if self.server is not None:
             self.server.unbind(external_port)
         self.refused.discard(external_port)
         self.mappings.pop(external_port, None)
-        self.store.save_mappings(self.mappings.values())
 
     def _listen(self, mapping: PortMapping) -> None:
         port = mapping.external_port

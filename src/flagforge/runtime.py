@@ -8,8 +8,8 @@ promotion pass. Replicas are detached processes, so state (see ``state``)
 survives the hosting process: the next command adopts them back by pid,
 together with the fingerprint of the spec each one was started from, so spec
 drift (a new version, run command or probe) is planned as a rolling update.
-Promotion takes the same path: a pass records the new artifacts into the
-desired topology, then converges.
+Converging never writes ``desired.json``. A promotion pass adds its artifacts
+to the file as it is on disk and then converges, the path ``apply`` takes.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ class Cluster:
         self.clock = clock
         self.pid_alive = pid_alive
         persisted = store.load_desired()
-        adopted, self.checksums = persisted if persisted else (topology, {})
+        if persisted is None:  # the first process on an empty directory
+            store.save_desired(topology, {})
+        adopted, self.checksums = persisted or (topology, {})
         wanted = set(hosted) if hosted is not None else set(topology.nodes)
         self.backends: dict[str, BackendNode] = {}
         self.frontend: FrontendNode | None = None
@@ -116,14 +118,15 @@ class Cluster:
                  exclude_nodes: set[str] | None = None) -> ApplyReport:
         if topology is not None:
             self.topology = topology
-        self.checksums = {name: record for name, record in self.checksums.items()
-                          if name in self.topology.challenges}
-        self.store.save_desired(self.topology, self.checksums)
         changeset = ChangeSet(tuple(
             a for a in diff(self.topology, self.observe())
             if (only_node is None or a.node == only_node)
             and a.node not in (exclude_nodes or ())))
-        return apply_changeset(changeset, _ClusterExecutor(self))
+        mapped = dict(self.frontend.mappings) if self.frontend else None
+        report = apply_changeset(changeset, _ClusterExecutor(self))
+        if self.frontend is not None and self.frontend.mappings != mapped:
+            self.store.save_mappings(self.frontend.mappings.values())
+        return report
 
     def balancer_port_of(self, node_id: str, service: str) -> int | None:
         if node_id in self.backends:
@@ -318,7 +321,7 @@ class _Promoter:
         return min(n.node_id for n in self.cluster.topology.backends)
 
     def record(self, manifest: ArtifactManifest) -> None:
-        """Extract a bundle's payload and record its spec as desired.
+        """Extract a bundle's payload; add its spec to ``desired.json`` on disk.
 
         The payload lands in a directory keyed by checksum, and ``{DIR}`` in
         the run command expands to it, so content changes always change the
@@ -332,6 +335,8 @@ class _Promoter:
             if not bundle.is_file():
                 raise PipelineError(f"bundle {manifest.bundle_name} not in store")
             extract_payload(bundle, target)
+        cluster.topology, cluster.checksums = (
+            cluster.store.load_desired() or (cluster.topology, cluster.checksums))
         spec = manifest.challenge_spec(
             self.backend_of(manifest.challenge),
             run_command=manifest.run_command.replace("{DIR}", str(target)))
@@ -361,6 +366,8 @@ class NodeService:
                  mode: str = MODE_DEV, pid: int | None = None,
                  clock: Callable[[], float] = time.time, tick: float = 0.5):
         self.store = StateStore(state_root)
+        # noted before the read: a write after it is seen by the next tick
+        self._desired_mtime = self._mtime()
         persisted = self.store.load_desired()
         if persisted is not None:
             topology, _ = persisted
@@ -370,8 +377,6 @@ class NodeService:
             topology = parse_topology(Path(topology_path).read_text())
         if node_id not in topology.nodes:
             raise TopologyError(f"unknown node {node_id!r}")
-        if persisted is None:
-            self.store.save_desired(topology, {})
         self.node_id = node_id
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.mode = mode
@@ -387,7 +392,6 @@ class NodeService:
         self.backend = self.cluster.backends.get(node_id)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._desired_mtime = 0.0
         self._last_probe = 0.0
         self._last_poll = self.clock()
 
@@ -400,7 +404,6 @@ class NodeService:
             self.backend.persist_balancer()
         else:
             failures = self.cluster.frontend.bind_failures()
-        self._desired_mtime = self._mtime()
         self._thread = threading.Thread(target=self._loop,
                                         name=f"serve-{self.node_id}", daemon=True)
         self._thread.start()
@@ -438,7 +441,6 @@ class NodeService:
             if persisted is not None:
                 topology, self.cluster.checksums = persisted
                 self.cluster.converge(topology, only_node=self.node_id)
-                self._desired_mtime = self._mtime()
         if self.backend is not None:
             topology = self.cluster.topology
             if now - self._last_probe >= topology.probe_interval:
@@ -450,13 +452,11 @@ class NodeService:
                     and now - self._last_poll >= topology.poll_interval):
                 self._last_poll = now
                 self.cluster.pipeline_once(self.mode, self.store_dir)
-                self._desired_mtime = self._mtime()
         elif now - self._last_probe >= self.cluster.topology.probe_interval:
             # a bind that failed (a backend still coming up, or its port
             # taken) was not recorded, so this converge plans it again
             self._last_probe = now
             self.cluster.converge(only_node=self.node_id)
-            self._desired_mtime = self._mtime()
 
     def stop(self) -> None:
         self._stop.set()

@@ -1,10 +1,13 @@
 """The state directory, through which commands coordinate, and its status.
 
-    desired.json        applied topology text + artifact checksums
+    desired.json        applied topology text + artifact checksums, written
+                        by apply/scale, a promotion and the first process on
+                        an empty directory; serve only reads it
     replicas-<node>.json  running replica records (pid, port, version, spec)
     balancer.json       per-node balancer ports, stick settings and counts;
                         a challenge's network lives with its listener here
-    ingress.map         frontend port mappings, written by the frontend's host
+    ingress.map         frontend port mappings, written once per converge by
+                        the frontend's host (when they changed)
     latest-build.txt    deployment status records
     serve-<node>.lock   pid of the serve process hosting a node
     logs/, bundles/     replica logs and materialized artifact payloads

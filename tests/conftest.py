@@ -1,4 +1,4 @@
-"""Shared fixtures: handing out bindable loopback ports."""
+"""Shared fixtures: bindable loopback ports, and a log of state writes."""
 
 from __future__ import annotations
 
@@ -29,6 +29,22 @@ def free_port():
                 return port
 
     return get
+
+
+@pytest.fixture
+def state_writes(monkeypatch):
+    """The path of every ``StateStore._write`` call, in order, from any store."""
+    from flagforge.state import StateStore
+
+    paths = []
+    write = StateStore._write
+
+    def recording(self, path, text):
+        paths.append(path)
+        write(self, path, text)
+
+    monkeypatch.setattr(StateStore, "_write", recording)
+    return paths
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import sys
 import threading
 import time
@@ -105,6 +107,14 @@ def test_second_converge_is_a_no_op(tmp_path):
     assert store.ingress_path.read_bytes() == first
     after = store.ingress_path.stat()
     assert (stat.st_ino, stat.st_mtime_ns) == (after.st_ino, after.st_mtime_ns)
+
+
+def test_first_converge_writes_the_ingress_map_once(tmp_path, state_writes):
+    cluster, store, _ = make_cluster(tmp_path)
+    report = cluster.converge()
+    assert [k for k, _ in kinds(report)].count("bind_ingress") == 2
+    assert report.all_ok
+    assert state_writes.count(store.ingress_path) == 1
 
 
 def test_frontend_reads_its_map_only_when_built(tmp_path, monkeypatch):
@@ -446,6 +456,23 @@ def test_dev_pipeline_updates_deployed_challenge(tmp_path):
     assert cluster.converge().results == []
 
 
+def test_promotion_merges_into_the_desire_on_disk(tmp_path):
+    cluster, store, _ = make_cluster(tmp_path)
+    cluster.converge()
+    # an apply this process has not read: beta goes from 1 to 3 replicas
+    store.save_desired(parse_topology(TOPOLOGY.replace("replicas=1",
+                                                       "replicas=3")), {})
+    store_dir = tmp_path / "artifacts"
+    write_bundle(tmp_path, store_dir, "alpha", "v2",
+                 "2024-02-01T00:00:00+00:00", body="print('v2')\n")
+
+    assert cluster.pipeline_once("dev", store_dir).updates == 1
+    topology, checksums = store.load_desired()
+    assert topology.challenges["alpha"].version == "v2"
+    assert checksums["alpha"]["version"] == "v2"
+    assert topology.challenges["beta"].replica_count == 3
+
+
 def test_dev_pipeline_second_pass_is_quiet(tmp_path):
     cluster, store, _ = make_cluster(tmp_path)
     cluster.converge()
@@ -675,3 +702,41 @@ def test_stale_lock_from_dead_pid_is_replaceable(tmp_path):
     assert store.lock_owner("worker") is None
     store.acquire_lock("worker", os.getpid())
     assert store.lock_owner("worker") == os.getpid()
+
+
+# --- the serve loop ------------------------------------------------------------
+
+
+def test_serve_never_reverts_an_apply(tmp_path, state_writes):
+    store = StateStore(tmp_path / "state")
+    store.save_desired(parse_topology(TOPOLOGY), {})
+    # applied a minute ago, so the next write shows a new mtime at any
+    # timestamp granularity
+    past = time.time() - 60
+    os.utime(store.desired_path, (past, past))
+    applied = parse_topology(TOPOLOGY.replace("version=v1", "version=v2", 1))
+    # the clock jumps 1000 s per reading: each tick is due a frontend retry
+    service = runtime.NodeService(None, "edge", store.root, tick=30,
+                                  clock=itertools.count(step=1000).__next__)
+    read_mtime = service._mtime
+    landed = []
+
+    def racing_apply():
+        mtime = read_mtime()
+        if not landed:  # the apply lands right after the tick's read
+            store.save_desired(applied, {})
+            landed.append(True)
+        return mtime
+
+    try:
+        service.start()
+        service._mtime = racing_apply
+        state_writes.clear()
+        for _ in range(4):  # the racing tick, then 3 more
+            service.tick_once()
+    finally:
+        service.stop()
+    topology, _ = store.load_desired()
+    assert topology.challenges["alpha"].version == "v2"
+    assert service.cluster.topology.challenges["alpha"].version == "v2"
+    assert state_writes.count(store.desired_path) == 1  # the apply's own
