@@ -39,8 +39,7 @@ class BackendNode:
         self.balancer = Balancer(self.registry, topology.stick_ttl,
                                  topology.stick_capacity, clock=clock)
         self.supervisor.sessions = self.balancer.sessions
-        self.server = (BalancerServer(self.balancer, self.node.bind_address,
-                                      require_proxy_header=True)
+        self.server = (BalancerServer(self.balancer, self.node.bind_address)
                        if bind_listeners else None)
         self._balancer_ports: dict[str, int] = {}
 

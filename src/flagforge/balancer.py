@@ -6,9 +6,9 @@ the healthy replica list hands out first assignments. Replicas that refuse a
 connection are marked suspect and skipped until a health probe clears them;
 the registry's probe-driven health stays untouched by the balancer.
 
-The data plane (``BalancerServer``) strips the frontend's ``PROXY4`` header
-when configured to expect one, so stickiness keys on the participant's real
-address rather than on the frontend's.
+The data plane (``BalancerServer``) reads and strips the ``PROXY4`` header
+the frontend sends first on every connection, so stickiness keys on the
+participant's real address rather than on the frontend's.
 """
 
 from __future__ import annotations
@@ -283,11 +283,9 @@ class Balancer:
 class BalancerServer:
     """Listener-per-service data plane in front of a Balancer."""
 
-    def __init__(self, balancer: Balancer, bind_address: str,
-                 require_proxy_header: bool = False):
+    def __init__(self, balancer: Balancer, bind_address: str):
         self.balancer = balancer
         self.bind_address = bind_address
-        self.require_proxy_header = require_proxy_header
         self._listeners: dict[str, TcpListener] = {}
         self._lock = threading.Lock()
 
@@ -301,7 +299,7 @@ class BalancerServer:
 
             def handler(conn: socket.socket, peer: tuple,
                         service: str = service) -> None:
-                self._handle(service, conn, peer)
+                self._handle(service, conn)
 
             self._listeners[service] = TcpListener(self.bind_address, port, handler)
 
@@ -323,18 +321,15 @@ class BalancerServer:
         for listener in listeners:
             listener.close()
 
-    def _handle(self, service: str, conn: socket.socket, peer: tuple) -> None:
-        source_ip = peer[0]
-        leftover = b""
-        if self.require_proxy_header:
-            try:
-                line, leftover = read_line(
-                    conn, limit=PROXY_HEADER_LIMIT,
-                    deadline=time.monotonic() + PROXY_HEADER_TIMEOUT)
-                source_ip = parse_proxy_header(line)
-            except (ValueError, TimeoutError):
-                return  # listener closes the connection
-            conn.settimeout(None)  # the relay blocks; only the header has a deadline
+    def _handle(self, service: str, conn: socket.socket) -> None:
+        try:
+            line, leftover = read_line(
+                conn, limit=PROXY_HEADER_LIMIT,
+                deadline=time.monotonic() + PROXY_HEADER_TIMEOUT)
+            source_ip = parse_proxy_header(line)
+        except (ValueError, TimeoutError):
+            return  # listener closes the connection
+        conn.settimeout(None)  # the relay blocks; only the header has a deadline
         try:
             endpoint, upstream = self.balancer.connect_upstream(service, source_ip)
         except NoHealthyReplicasError:

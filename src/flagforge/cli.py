@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import FlagforgeError
 from .model import (MODE_DEPLOY, MODE_DEV, ROLE_BACKEND, parse_topology,
                     validate_topology)
-from .state import StateStore, status_rows
+from .state import StateStore, _pid_running, status_rows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -49,8 +49,15 @@ def _split_ownership(store: StateStore,
 
 def _converge(store: StateStore, topology) -> int:
     from .runtime import Cluster
-    free, served = _split_ownership(store, topology.nodes)
-    cluster = Cluster(topology, store, hosted=free, bind_listeners=False)
+    applied = store.load_desired()
+    # a backend that left the topology with live replicas: this command stops
+    # them, hosting it from the applied topology that still names it
+    retired = [n for n in (applied[0].nodes if applied else ())
+               if n not in topology.nodes and any(
+                   _pid_running(r["pid"]) for r in store.load_replicas(n))]
+    free, served = _split_ownership(store, [*topology.nodes, *retired])
+    cluster = Cluster(topology, store, hosted=free, bind_listeners=False,
+                      applied=applied)
     try:
         # recorded first: served nodes pick it up even if nothing here runs
         store.save_desired(topology, {n: r for n, r in cluster.checksums.items()

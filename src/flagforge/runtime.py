@@ -8,8 +8,13 @@ promotion pass. Replicas are detached processes, so state (see ``state``)
 survives the hosting process: the next command adopts them back by pid,
 together with the fingerprint of the spec each one was started from, so spec
 drift (a new version, run command or probe) is planned as a rolling update.
-Converging never writes ``desired.json``. A promotion pass adds its artifacts
-to the file as it is on disk and then converges, the path ``apply`` takes.
+A converge reads each shared state file once and, after its last action,
+writes ``balancer.json`` and ``ingress.map`` once; only ``replicas-<node>.json``
+is written per action (see ``state``). It never writes ``desired.json``: a
+promotion pass adds its artifacts to the file as it is on disk and then
+converges, the path ``apply`` takes. A frontend ``serve`` converges when
+``desired.json`` changes, and each ``probe_interval`` while its last converge
+had a failed action.
 """
 
 from __future__ import annotations
@@ -46,12 +51,14 @@ class Cluster:
     def __init__(self, topology: Topology, store: StateStore, *,
                  hosted: list[str] | None = None, bind_listeners: bool = True,
                  clock: Callable[[], float] = time.time, runner_factory=None,
-                 prober=None, pid_alive: Callable[[int], bool] = _pid_running):
+                 prober=None, pid_alive: Callable[[int], bool] = _pid_running,
+                 applied: tuple[Topology, dict] | None = None):
         self.topology = topology
         self.store = store
         self.clock = clock
         self.pid_alive = pid_alive
-        persisted = store.load_desired()
+        self.recorded_ports: dict[str, dict[str, int]] = {}  # see observe
+        persisted = applied or store.load_desired()  # unless the caller read it
         if persisted is None:  # the first process on an empty directory
             store.save_desired(topology, {})
         adopted, self.checksums = persisted or (topology, {})
@@ -59,11 +66,13 @@ class Cluster:
         self.backends: dict[str, BackendNode] = {}
         self.frontend: FrontendNode | None = None
         for node_id in sorted(wanted):
-            node = topology.nodes[node_id]
+            # a retired node, hosted to stop its replicas, is known only there
+            home = topology if node_id in topology.nodes else adopted
+            node = home.nodes[node_id]
             if node.role == ROLE_BACKEND:
                 from .backend import BackendNode
                 runner = runner_factory(node, store) if runner_factory else None
-                backend = BackendNode(topology, node_id, store,
+                backend = BackendNode(home, node_id, store,
                                       bind_listeners=bind_listeners,
                                       clock=clock, runner=runner, prober=prober,
                                       pid_alive=pid_alive)
@@ -78,8 +87,10 @@ class Cluster:
 
     def observe(self) -> ObservedState:
         state = ObservedState()
+        self.recorded_ports = {}  # for this converge's binds to unhosted nodes
         for node_id, config in self.store.load_balancer().items():
-            state.balancers[node_id] = set(config.get("ports") or {})
+            self.recorded_ports[node_id] = config.get("ports") or {}
+            state.balancers[node_id] = set(self.recorded_ports[node_id])
             stick = config.get("stick")
             if stick:
                 state.stick_settings[node_id] = (stick[0], stick[1])
@@ -124,15 +135,12 @@ class Cluster:
             and a.node not in (exclude_nodes or ())))
         mapped = dict(self.frontend.mappings) if self.frontend else None
         report = apply_changeset(changeset, _ClusterExecutor(self))
+        # each shared file once per converge, after its node's last action
+        for node_id in sorted({a.node for a in changeset} & set(self.backends)):
+            self.backends[node_id].persist_balancer()
         if self.frontend is not None and self.frontend.mappings != mapped:
             self.store.save_mappings(self.frontend.mappings.values())
         return report
-
-    def balancer_port_of(self, node_id: str, service: str) -> int | None:
-        if node_id in self.backends:
-            return self.backends[node_id].balancer_ports.get(service)
-        config = self.store.load_balancer().get(node_id) or {}
-        return (config.get("ports") or {}).get(service)
 
     # --- artifact deployment ---------------------------------------------------
 
@@ -240,7 +248,6 @@ class _ClusterExecutor:
         backend.ensure_service(spec)
         # the network is the service's listener
         backend.open_listener(spec.name)
-        backend.persist_balancer()
 
     def _start_replica(self, action: Action) -> None:
         backend = self._require_backend(action.node)
@@ -278,11 +285,12 @@ class _ClusterExecutor:
         backend = self._require_backend(action.node)
         topology = self.cluster.topology
         backend.balancer.configure(topology.stick_ttl, topology.stick_capacity)
-        backend.persist_balancer()
 
     def _bind_ingress(self, action: Action) -> None:
         spec = self.cluster.topology.challenges[action.challenge]
-        port = self.cluster.balancer_port_of(spec.backend, spec.name)
+        backend = self.cluster.backends.get(spec.backend)
+        port = (backend.balancer_ports if backend is not None else
+                self.cluster.recorded_ports.get(spec.backend, {})).get(spec.name)
         if port is None:
             raise IngressError(
                 f"{spec.name}: no balancer port bound on {spec.backend}")
@@ -299,7 +307,6 @@ class _ClusterExecutor:
     def _remove_network(self, action: Action) -> None:
         backend = self._require_backend(action.node)
         backend.remove_service(action.challenge)
-        backend.persist_balancer()
 
     def _require_frontend(self) -> FrontendNode:
         if self.cluster.frontend is None:
@@ -363,8 +370,8 @@ class NodeService:
 
     def __init__(self, topology_path: Path | None, node_id: str,
                  state_root: Path, store_dir: Path | None = None,
-                 mode: str = MODE_DEV, pid: int | None = None,
-                 clock: Callable[[], float] = time.time, tick: float = 0.5):
+                 mode: str = MODE_DEV, clock: Callable[[], float] = time.time,
+                 tick: float = 0.5):
         self.store = StateStore(state_root)
         # noted before the read: a write after it is seen by the next tick
         self._desired_mtime = self._mtime()
@@ -382,10 +389,11 @@ class NodeService:
         self.mode = mode
         self.clock = clock
         self.tick = tick
-        self.store.acquire_lock(node_id, pid if pid is not None else os.getpid())
+        self.store.acquire_lock(node_id, os.getpid())
         try:
             self.cluster = Cluster(topology, self.store, hosted=[node_id],
-                                   bind_listeners=True, clock=clock)
+                                   bind_listeners=True, clock=clock,
+                                   applied=persisted)
         except Exception:
             self.store.release_lock(node_id)
             raise
@@ -394,14 +402,14 @@ class NodeService:
         self._thread: threading.Thread | None = None
         self._last_probe = 0.0
         self._last_poll = self.clock()
+        self._report = ApplyReport()  # of the last converge
 
     def start(self) -> list[str]:
         """Initial converge plus loop start; returns fatal bind failures."""
-        self.cluster.converge(only_node=self.node_id)
+        self._report = self.cluster.converge(only_node=self.node_id)
         failures: list[str] = []
         if self.backend is not None:
             self.backend.supervisor.probe_all()
-            self.backend.persist_balancer()
         else:
             failures = self.cluster.frontend.bind_failures()
         self._thread = threading.Thread(target=self._loop,
@@ -439,8 +447,8 @@ class NodeService:
             self._desired_mtime = mtime
             persisted = self.store.load_desired()
             if persisted is not None:
-                topology, self.cluster.checksums = persisted
-                self.cluster.converge(topology, only_node=self.node_id)
+                self.cluster.topology, self.cluster.checksums = persisted
+                self._report = self.cluster.converge(only_node=self.node_id)
         if self.backend is not None:
             topology = self.cluster.topology
             if now - self._last_probe >= topology.probe_interval:
@@ -452,11 +460,12 @@ class NodeService:
                     and now - self._last_poll >= topology.poll_interval):
                 self._last_poll = now
                 self.cluster.pipeline_once(self.mode, self.store_dir)
-        elif now - self._last_probe >= self.cluster.topology.probe_interval:
-            # a bind that failed (a backend still coming up, or its port
-            # taken) was not recorded, so this converge plans it again
+        elif (not self._report.all_ok
+              and now - self._last_probe >= self.cluster.topology.probe_interval):
+            # a failed bind (its backend's port not on record yet, or its own
+            # port taken) is not recorded, so this converge plans it again
             self._last_probe = now
-            self.cluster.converge(only_node=self.node_id)
+            self._report = self.cluster.converge(only_node=self.node_id)
 
     def stop(self) -> None:
         self._stop.set()

@@ -3,9 +3,12 @@
     desired.json        applied topology text + artifact checksums, written
                         by apply/scale, a promotion and the first process on
                         an empty directory; serve only reads it
-    replicas-<node>.json  running replica records (pid, port, version, spec)
-    balancer.json       per-node balancer ports, stick settings and counts;
-                        a challenge's network lives with its listener here
+    replicas-<node>.json  running replica records (pid, port, version, spec),
+                        written after each spawn or stop: every pid is on
+                        disk before the next action runs
+    balancer.json       per-node balancer ports, stick settings and counts,
+                        written by a backend's host once per converge and
+                        tick; a challenge's network lives with its listener
     ingress.map         frontend port mappings, written once per converge by
                         the frontend's host (when they changed)
     latest-build.txt    deployment status records

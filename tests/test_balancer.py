@@ -346,6 +346,13 @@ def data_plane():
         listener.close()
 
 
+def connect(port: int, timeout: float) -> socket.socket:
+    """A connection to a balancer port that first sends the frontend's header."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
+    sock.sendall(render_proxy_header("127.0.0.1"))
+    return sock
+
+
 def read_greeting(sock: socket.socket) -> str:
     buf = b""
     while not buf.endswith(b"\n"):
@@ -359,7 +366,7 @@ def read_greeting(sock: socket.socket) -> str:
 def test_relay_reaches_replica_and_echoes_identity(data_plane):
     _, _, server, _ = data_plane
     port = server.ports()["web"]
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+    with connect(port, timeout=5) as sock:
         assert read_greeting(sock) == "r1 v1"
 
 
@@ -368,7 +375,7 @@ def test_relay_transparent_one_mebibyte(data_plane):
     port = server.ports()["web"]
     payload = random.Random(7).randbytes(1 << 20)
     received = bytearray()
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+    with connect(port, timeout=10) as sock:
         read_greeting(sock)
 
         def drain():
@@ -391,17 +398,17 @@ def test_zero_healthy_closes_immediately(data_plane):
     for i in (1, 2, 3):
         registry.mark_health(f"r{i}", HEALTH_UNHEALTHY)
     port = server.ports()["web"]
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+    with connect(port, timeout=5) as sock:
         assert sock.recv(64) == b""
 
 
 def test_connect_failure_retries_once_and_marks_suspect(data_plane):
     registry, balancer, server, listeners = data_plane
     port = server.ports()["web"]
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+    with connect(port, timeout=5) as sock:
         assert read_greeting(sock) == "r1 v1"
     listeners[0].close()  # r1's listener is gone but the registry lags
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+    with connect(port, timeout=5) as sock:
         # same source ip was pinned to r1; the relay must fail over
         assert read_greeting(sock) == "r2 v1"
     assert balancer.suspects() == {"r1"}
@@ -421,12 +428,12 @@ def test_session_counts_against_its_replica_until_it_ends(data_plane):
             time.sleep(0.01)
         return True
 
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+    with connect(port, timeout=5) as sock:
         assert read_greeting(sock) == "r1 v1"
         assert balancer.sessions("r1") == 1
     assert settled("r1", 0)
     listeners[0].close()  # a refused connect must not count either
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+    with connect(port, timeout=5) as sock:
         assert read_greeting(sock) == "r2 v1"
         assert (balancer.sessions("r1"), balancer.sessions("r2")) == (0, 1)
     assert settled("r2", 0)
@@ -444,7 +451,7 @@ def test_relay_outlives_connect_timeout_of_a_quiet_replica():
     server.bind_service("web", 0)
     try:
         port = server.ports()["web"]
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        with connect(port, timeout=5) as sock:
             assert read_greeting(sock) == "r1 v1"
             time.sleep(0.3)  # player silent longer than the connect timeout
             sock.sendall(b"ping")
@@ -456,7 +463,7 @@ def test_relay_outlives_connect_timeout_of_a_quiet_replica():
 
 def test_proxy_header_strips_and_keys_stickiness(data_plane):
     _, balancer, _, _ = data_plane
-    proxied = BalancerServer(balancer, "127.0.0.1", require_proxy_header=True)
+    proxied = BalancerServer(balancer, "127.0.0.1")
     proxied.bind_service("web", 0)
     try:
         port = proxied.ports()["web"]
@@ -473,7 +480,7 @@ def test_proxy_header_strips_and_keys_stickiness(data_plane):
 
 def test_missing_or_malformed_proxy_header_rejected(data_plane):
     _, balancer, _, _ = data_plane
-    proxied = BalancerServer(balancer, "127.0.0.1", require_proxy_header=True)
+    proxied = BalancerServer(balancer, "127.0.0.1")
     proxied.bind_service("web", 0)
     try:
         port = proxied.ports()["web"]
@@ -490,7 +497,7 @@ def test_missing_or_malformed_proxy_header_rejected(data_plane):
 def test_proxy_header_read_has_a_deadline(data_plane, monkeypatch):
     monkeypatch.setattr(balancer_module, "PROXY_HEADER_TIMEOUT", 0.2)
     _, balancer, _, _ = data_plane
-    proxied = BalancerServer(balancer, "127.0.0.1", require_proxy_header=True)
+    proxied = BalancerServer(balancer, "127.0.0.1")
     proxied.bind_service("web", 0)
     try:
         port = proxied.ports()["web"]
@@ -512,7 +519,7 @@ def test_proxy_header_read_has_a_deadline(data_plane, monkeypatch):
 def test_proxy_header_deadline_covers_the_whole_line(data_plane, monkeypatch):
     monkeypatch.setattr(balancer_module, "PROXY_HEADER_TIMEOUT", 0.5)
     _, balancer, _, _ = data_plane
-    proxied = BalancerServer(balancer, "127.0.0.1", require_proxy_header=True)
+    proxied = BalancerServer(balancer, "127.0.0.1")
     proxied.bind_service("web", 0)
     try:
         port = proxied.ports()["web"]

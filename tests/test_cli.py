@@ -188,6 +188,42 @@ def test_apply_delegates_locked_nodes(workspace, capsys):
     assert store.load_desired() is not None  # intent recorded for the owner
 
 
+def test_apply_stops_the_replicas_of_a_retired_backend(workspace, capsys):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    run = f"{sys.executable} {FIXTURE} --port {{PORT}}"
+    nodes = (f"node edge role=frontend bind=127.0.0.1"
+             f" ports={external}-{external + 9}\n"
+             f"node worker role=backend bind=127.0.0.1"
+             f" ports={backend_base}-{backend_base + 49}\n")
+    retiring = (f"node w2 role=backend bind=127.0.0.1"
+                f" ports={backend_base + 50}-{backend_base + 99}\n")
+
+    def alpha_on(node: str) -> str:
+        return (f"challenge alpha version=v1 replicas=2 internal_port=4000"
+                f" external_port={external} backend={node}"
+                f' run="{run}" probe=tcp\n')
+
+    topo = write_topology(root, nodes + retiring + alpha_on("w2"))
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+    store = StateStore(state)
+    pids = [r["pid"] for r in store.load_replicas("w2")]
+    assert len(pids) == 2 and all(_pid_running(pid) for pid in pids)
+    capsys.readouterr()
+
+    # w2 leaves the topology, and alpha moves to worker
+    topo = write_topology(root, nodes + alpha_on("worker"))
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("stop_replica alpha on w2 ok") == 2
+    assert "0 failed, 0 skipped" in out
+    assert not any(_pid_running(pid) for pid in pids)
+    assert store.load_replicas("w2") == []
+
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+    assert "0 changed, 0 failed, 0 skipped" in capsys.readouterr().out
+
+
 # --- status ------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import socket
 import sys
 import threading
 import time
@@ -57,6 +58,12 @@ def make_cluster(root, text=TOPOLOGY, hosted=None, adoptable=(), alive=None,
                       prober=OkProber(), pid_alive=lambda pid: pid in alive,
                       clock=clock)
     return cluster, store, runners
+
+
+# a third challenge on the same backend
+THREE_CHALLENGES = TOPOLOGY + (
+    'challenge gamma version=v1 replicas=1 internal_port=4200 external_port=9003'
+    ' backend=worker run="run-c {PORT}" probe=tcp\n')
 
 
 def two_backend_topology(backend: str) -> str:
@@ -115,6 +122,60 @@ def test_first_converge_writes_the_ingress_map_once(tmp_path, state_writes):
     assert [k for k, _ in kinds(report)].count("bind_ingress") == 2
     assert report.all_ok
     assert state_writes.count(store.ingress_path) == 1
+
+
+def test_first_converge_writes_the_balancer_file_once(tmp_path, state_writes):
+    cluster, store, _ = make_cluster(tmp_path, text=THREE_CHALLENGES)
+    report = cluster.converge()
+    assert [k for k, _ in kinds(report)].count("create_network") == 3
+    assert report.all_ok
+    assert state_writes.count(store.balancer_path) == 1
+    assert sorted(store.load_balancer()["worker"]["ports"]) == [
+        "alpha", "beta", "gamma"]
+
+
+def test_frontend_converge_reads_the_balancer_file_once(tmp_path, monkeypatch):
+    backend, store, _ = make_cluster(tmp_path, text=THREE_CHALLENGES,
+                                     hosted=["worker"])
+    assert backend.converge(only_node="worker").all_ok
+    frontend, _, _ = make_cluster(tmp_path, text=THREE_CHALLENGES,
+                                  hosted=["edge"])
+    reads = []
+    load = StateStore.load_balancer
+
+    def counting(self):
+        reads.append(self.balancer_path)
+        return load(self)
+
+    monkeypatch.setattr(StateStore, "load_balancer", counting)
+    report = frontend.converge(only_node="edge")
+    assert kinds(report) == [("bind_ingress", "ok")] * 3
+    assert reads == [store.balancer_path]  # in observe, not once per bind
+
+
+def test_each_replica_is_on_disk_by_the_end_of_its_start(tmp_path, monkeypatch):
+    cluster, store, _ = make_cluster(tmp_path)
+    on_disk = []
+    apply = runtime.apply_changeset
+
+    class Recording:
+        def __init__(self, executor):
+            self.executor = executor
+
+        def execute(self, action):
+            self.executor.execute(action)
+            if action.kind == "start_replica":
+                on_disk.append({r["pid"] for r in store.load_replicas("worker")})
+
+    monkeypatch.setattr(runtime, "apply_changeset",
+                        lambda changeset, executor: apply(changeset,
+                                                          Recording(executor)))
+    assert cluster.converge().all_ok
+    # each start added exactly one pid, and the records end as the live set
+    assert [len(pids) for pids in on_disk] == [1, 2, 3]
+    assert on_disk[0] < on_disk[1] < on_disk[2]
+    assert on_disk[-1] == {r["pid"] for r in
+                           cluster.backends["worker"].supervisor.snapshot()}
 
 
 def test_frontend_reads_its_map_only_when_built(tmp_path, monkeypatch):
@@ -715,7 +776,8 @@ def test_serve_never_reverts_an_apply(tmp_path, state_writes):
     past = time.time() - 60
     os.utime(store.desired_path, (past, past))
     applied = parse_topology(TOPOLOGY.replace("version=v1", "version=v2", 1))
-    # the clock jumps 1000 s per reading: each tick is due a frontend retry
+    # the clock jumps 1000 s per reading: each tick is due a frontend retry,
+    # which runs while the binds fail for want of recorded backend ports
     service = runtime.NodeService(None, "edge", store.root, tick=30,
                                   clock=itertools.count(step=1000).__next__)
     read_mtime = service._mtime
@@ -740,3 +802,94 @@ def test_serve_never_reverts_an_apply(tmp_path, state_writes):
     assert topology.challenges["alpha"].version == "v2"
     assert service.cluster.topology.challenges["alpha"].version == "v2"
     assert state_writes.count(store.desired_path) == 1  # the apply's own
+
+
+def serve_state(tmp_path, free_port, *, record_ports: bool) -> StateStore:
+    """An applied topology on free external ports, its backend served elsewhere."""
+    store = StateStore(tmp_path / "state")
+    text = (TOPOLOGY.replace("external_port=9001", f"external_port={free_port()}")
+            .replace("external_port=9002", f"external_port={free_port()}"))
+    store.save_desired(parse_topology(text), {})
+    if record_ports:
+        record_backend_ports(store)
+    return store
+
+
+def record_backend_ports(store: StateStore) -> dict[str, int]:
+    ports = {"alpha": 20001, "beta": 20002}
+    store.save_balancer({"worker": {"ports": ports}})
+    return ports
+
+
+def test_idle_frontend_serve_does_not_converge(tmp_path, free_port,
+                                               monkeypatch):
+    store = serve_state(tmp_path, free_port, record_ports=True)
+    # the clock jumps 1000 s per reading: every tick is past probe_interval
+    service = runtime.NodeService(None, "edge", store.root, tick=30,
+                                  clock=itertools.count(step=1000).__next__)
+    converges, reads = [], []
+    converge, load = Cluster.converge, StateStore.load_balancer
+
+    def counting_converge(self, *args, **kwargs):
+        converges.append(args)
+        return converge(self, *args, **kwargs)
+
+    def counting_load(self):
+        reads.append(self.balancer_path)
+        return load(self)
+
+    monkeypatch.setattr(Cluster, "converge", counting_converge)
+    monkeypatch.setattr(StateStore, "load_balancer", counting_load)
+    try:
+        assert service.start() == []
+        assert len(service.cluster.frontend.mappings) == 2
+        converges.clear()
+        reads.clear()
+        for _ in range(5):
+            service.tick_once()
+    finally:
+        service.stop()
+    assert (converges, reads) == ([], [])
+
+
+def test_frontend_serve_binds_once_its_backend_port_is_recorded(tmp_path,
+                                                                free_port):
+    store = serve_state(tmp_path, free_port, record_ports=False)
+    service = runtime.NodeService(None, "edge", store.root, tick=30,
+                                  clock=itertools.count(step=1000).__next__)
+    try:
+        assert service.start() == []  # a port not yet recorded is not fatal
+        assert service.cluster.frontend.mappings == {}
+        service.tick_once()  # still nothing recorded: the retry fails again
+        assert service.cluster.frontend.mappings == {}
+        ports = record_backend_ports(store)
+        service.tick_once()
+        mappings = service.cluster.frontend.mappings
+        assert {m.challenge: m.balancer_port for m in mappings.values()} == ports
+        for external_port in mappings:
+            socket.create_connection(("127.0.0.1", external_port),
+                                     timeout=5).close()
+    finally:
+        service.stop()
+    assert len(load_mappings(store.ingress_path)) == 2
+
+
+def test_serve_parses_the_applied_topology_once(tmp_path, monkeypatch):
+    store = StateStore(tmp_path / "state")
+    topology_file = tmp_path / "cluster.topology"
+    topology_file.write_text(TOPOLOGY)
+    parses = []
+
+    def counting(text):
+        parses.append(text)
+        return parse_topology(text)
+
+    for module in (state, runtime):
+        monkeypatch.setattr(module, "parse_topology", counting)
+    # a fresh directory bootstrapped from --topology, then one that holds
+    # the desired.json that bootstrap wrote
+    for topology_path in (topology_file, None):
+        parses.clear()
+        runtime.NodeService(topology_path, "edge", store.root).stop()
+        assert len(parses) == 1
+    assert store.load_desired() is not None
