@@ -1,13 +1,32 @@
-"""Small TCP plumbing shared by the balancer, ingress, and test fixtures."""
+"""The data plane's I/O model: one epoll loop thread per process.
+
+Every listener and every relayed session of a process runs on one daemon
+thread, started with the first ``Listener``. A listener binds in its caller,
+so a refused port raises there, and then hands its socket to the loop. The
+loop accepts, dials upstream and relays both ways with non-blocking calls; no
+thread is started per connection. Callbacks run on the loop thread and must
+not block. An exception that escapes one is reported through
+``threading.excepthook`` and closes the session whose callback it was.
+
+Only the loop thread watches, reads, writes or closes a socket it was handed,
+and it closes them after dispatching a whole batch of events, so a descriptor
+number is never reused while an event for it is pending.
+"""
 
 from __future__ import annotations
 
 import errno
+import heapq
 import ipaddress
+import itertools
+import os
 import re
+import select
 import socket
+import sys
 import threading
 import time
+from collections import deque
 from typing import Callable
 
 RELAY_CHUNK = 65536
@@ -18,15 +37,14 @@ ACCEPT_RETRY_ERRNOS = frozenset({errno.EMFILE, errno.ENFILE, errno.ENOBUFS,
                                  errno.ENOMEM, errno.ECONNABORTED})
 ACCEPT_RETRY_DELAY = 0.05
 
-# a pool worker that finishes its task while this many others are idle exits,
-# so the thread count falls back after a burst of connections; two cover the
-# handler and return pump of a connection that arrives while others end
-MAX_IDLE_WORKERS = 2
+LOOP_THREAD_NAME = "flagforge-loop"
 
 # wire protocol between the frontend relay and a backend balancer: the very
 # first bytes of a forwarded connection carry the participant's address
 PROXY_HEADER_RE = re.compile(rb"PROXY4 (\d{1,3}(?:\.\d{1,3}){3})\n\Z")
 PROXY_HEADER_LIMIT = 64
+
+IN, OUT = select.EPOLLIN, select.EPOLLOUT
 
 
 def render_proxy_header(source_ip: str) -> bytes:
@@ -43,165 +61,382 @@ def parse_proxy_header(line: bytes) -> str:
     return ip
 
 
-def read_line(sock: socket.socket, limit: int = 256,
-              deadline: float | None = None) -> tuple[bytes, bytes]:
-    """Read up to and including the first newline.
+class Timer:
+    """A ``call_later`` callback; ``cancel`` keeps it from running."""
 
-    Returns ``(line_with_newline, leftover)`` where leftover is whatever
-    arrived after the newline and must be forwarded by the caller. Raises
-    ValueError if the peer closes first or the limit is hit. With a
-    ``deadline`` (a ``time.monotonic()`` value), the whole line must arrive
-    by then or TimeoutError is raised; the socket keeps a timeout set.
-    """
-    buf = b""
-    while b"\n" not in buf:
-        if len(buf) >= limit:
-            raise ValueError("line too long")
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError("no newline before the deadline")
-            sock.settimeout(left)
-        chunk = sock.recv(limit)
-        if not chunk:
-            raise ValueError("connection closed before newline")
-        buf += chunk
-    line, _, rest = buf.partition(b"\n")
-    return line + b"\n", rest
+    __slots__ = ("fn", "owner")
+
+    def __init__(self, fn: Callable[[], None], owner) -> None:
+        self.fn, self.owner = fn, owner
+
+    def cancel(self) -> None:
+        self.fn = self.owner = None
 
 
-class WorkerPool:
-    """Daemon threads that are reused from task to task.
+class Loop:
+    """An epoll loop on its own daemon thread.
 
-    A task runs on the most recently idled worker, or on a new thread when
-    none is idle. There is no upper bound: every relayed connection holds two
-    blocking pumps, so a capped pool would deadlock. An exception that
-    escapes a task reaches ``threading.excepthook`` and ends its thread.
+    ``call_soon`` is the one method other threads may call; everything else
+    runs on the loop thread. A watched socket's owner gets ``ready(sock)``
+    when the socket can move what it waits for; an owner is anything with
+    ``close()``, which the loop calls when one of its callbacks raises.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # (wake, inbox) per idle worker; releasing wake hands over the task
-        # put in inbox
-        self._idle: list[tuple[threading.Lock, list]] = []
+        self._epoll = select.epoll()
+        self._wake = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        self._epoll.register(self._wake, IN)
+        self._watched: dict[int, tuple[object, socket.socket, int]] = {}
+        self._timers: list[tuple[float, int, Timer]] = []
+        self._order = itertools.count()  # breaks ties between equal deadlines
+        self._calls: deque = deque()
+        self._closing: list[socket.socket] = []
+        self.thread = threading.Thread(target=self._run, name=LOOP_THREAD_NAME,
+                                       daemon=True)
+        self.thread.start()
 
-    def submit(self, fn: Callable, *args) -> None:
-        with self._lock:
-            if self._idle:
-                wake, inbox = self._idle.pop()
-                inbox.append((fn, args))
-                wake.release()
-                return
-        threading.Thread(target=self._work, args=(fn, args),
-                         daemon=True).start()
+    def call_soon(self, fn: Callable, *args, owner=None) -> None:
+        """Run ``fn(*args)`` on the loop thread; safe from any thread."""
+        self._calls.append((fn, args, owner))
+        os.eventfd_write(self._wake, 1)
 
-    def _work(self, fn: Callable, args: tuple) -> None:
-        wake = threading.Lock()
-        wake.acquire()
-        inbox: list = []
-        while True:
+    def call_later(self, delay: float, fn: Callable[[], None], owner) -> Timer:
+        timer = Timer(fn, owner)
+        heapq.heappush(self._timers,
+                       (time.monotonic() + delay, next(self._order), timer))
+        return timer
+
+    def watch(self, sock: socket.socket, events: int, owner) -> None:
+        """Wait for ``events`` on ``sock`` on behalf of ``owner``; 0 stops.
+
+        A socket waiting for nothing is taken out of the epoll set, so a
+        peer's hang-up cannot wake the loop over and over.
+        """
+        fd = sock.fileno()
+        entry = self._watched.get(fd)
+        if not events:
+            if entry is not None:
+                del self._watched[fd]
+                self._epoll.unregister(fd)
+        elif entry is None:
+            self._epoll.register(fd, events)
+            self._watched[fd] = (owner, sock, events)
+        elif entry[2] != events:
+            self._epoll.modify(fd, events)
+            self._watched[fd] = (owner, sock, events)
+
+    def close(self, sock: socket.socket) -> None:
+        """Stop watching ``sock`` and close it once this batch is dispatched."""
+        if sock.fileno() >= 0:
+            self.watch(sock, 0, None)
+            self._closing.append(sock)
+
+    def run(self, fn: Callable, args: tuple, owner) -> None:
+        """Call ``fn``; if it raises, report it and close ``owner``."""
+        try:
             fn(*args)
-            del fn, args  # an idle worker keeps nothing of its last task alive
-            with self._lock:
-                if len(self._idle) >= MAX_IDLE_WORKERS:
-                    return
-                self._idle.append((wake, inbox))
-            wake.acquire()
-            fn, args = inbox.pop()
+        except Exception:
+            threading.excepthook(threading.ExceptHookArgs(
+                (*sys.exc_info(), self.thread)))
+            if owner is not None:
+                self.run(owner.close, (), None)
 
+    def _timeout(self) -> float:
+        timers = self._timers
+        while timers and timers[0][2].fn is None:
+            heapq.heappop(timers)  # cancelled
+        if not timers:
+            return -1
+        return max(0.0, timers[0][0] - time.monotonic())
 
-# one pool per process: every listener's handlers and every relay's pumps
-_POOL = WorkerPool()
-
-
-def _pump(src: socket.socket, dst: socket.socket,
-          done: threading.Event | None = None) -> None:
-    try:
+    def _run(self) -> None:
+        watched, run = self._watched, self.run
         while True:
-            data = src.recv(RELAY_CHUNK)
-            if not data:
-                break
-            dst.sendall(data)
-    except OSError:
-        pass
-    finally:
-        # Propagate EOF as a half-close so the opposite direction keeps flowing.
+            for fd, _ in self._epoll.poll(self._timeout()):
+                entry = watched.get(fd)
+                if entry is not None:  # else unwatched earlier in this batch
+                    run(entry[0].ready, (entry[1],), entry[0])
+                elif fd == self._wake:
+                    os.eventfd_read(self._wake)
+            while self._calls:
+                fn, args, owner = self._calls.popleft()
+                run(fn, args, owner)
+            now = time.monotonic()
+            while self._timers and self._timers[0][0] <= now:
+                timer = heapq.heappop(self._timers)[2]
+                if timer.fn is not None:
+                    run(timer.fn, (), timer.owner)
+            while self._closing:
+                run(self._closing.pop().close, (), None)
+
+
+_loop: Loop | None = None
+_loop_lock = threading.Lock()
+
+
+def event_loop() -> Loop:
+    """This process's loop, started on first use."""
+    global _loop
+    with _loop_lock:
+        if _loop is None:
+            _loop = Loop()
+        return _loop
+
+
+class _Side:
+    """One socket of a session and the bytes waiting to be written to it."""
+
+    __slots__ = ("sock", "pending", "eof", "shut", "connecting", "peer")
+
+    def __init__(self, sock: socket.socket | None) -> None:
+        self.sock = sock
+        self.pending = b""  # at most one RELAY_CHUNK, plus a head or leftover
+        self.eof = False  # the peer process sent its FIN on this socket
+        self.shut = False  # this socket's write half is shut down
+        self.connecting = False
+        self.peer: _Side
+
+
+class Session:
+    """An accepted connection and, once dialled, its upstream.
+
+    Bytes are relayed both ways, one ``RELAY_CHUNK`` at a time: a side with
+    unsent bytes stops the read from its peer. An EOF half-closes the other
+    side, and both sockets close once both directions have ended. ``close``
+    may be called at any point and runs the dial's ``release`` once.
+    """
+
+    def __init__(self, loop: Loop, client: socket.socket) -> None:
+        self._loop = loop
+        self._client = _Side(client)
+        self._upstream = _Side(None)
+        self._client.peer, self._upstream.peer = self._upstream, self._client
+        self._timer: Timer | None = None
+        self._line: tuple[bytes, int, Callable[[bytes], None]] | None = None
+        self._release: Callable[[], None] | None = None
+        self._refused: Callable[[], None] | None = None
+        self._closed = False
+
+    def read_line(self, limit: int, timeout: float,
+                  then: Callable[[bytes], None]) -> None:
+        """Read the client's first line, newline included, within ``timeout``
+        seconds and ``limit`` bytes, and pass it to ``then``; bytes that came
+        after it go upstream first. A late, long or cut-off line closes."""
+        self._line = (b"", limit, then)
+        self._read_line()  # the line usually came with the connection
+        if self._line is not None and not self._closed:
+            self._timer = self._loop.call_later(timeout, self.close, self)
+
+    def connect(self, address: tuple[str, int], timeout: float, *,
+                head: bytes = b"", release: Callable[[], None] | None = None,
+                refused: Callable[[], None] | None = None) -> None:
+        """Dial ``address`` within ``timeout`` seconds, then relay.
+
+        ``head`` goes upstream before any byte from the client. ``release``
+        runs once, when the dial fails or the session closes. A failed dial
+        then calls ``refused``, which may dial again; without one it closes.
+        """
+        up = self._upstream
+        up.pending = head + up.pending
+        self._release, self._refused = release, refused
         try:
-            dst.shutdown(socket.SHUT_WR)
+            up.sock = socket.socket(socket.AF_INET,
+                                    socket.SOCK_STREAM | socket.SOCK_NONBLOCK)
+            result = up.sock.connect_ex(address)
         except OSError:
-            pass
-        if done is not None:
-            done.set()
+            self._dial_failed()
+            return
+        if result not in (0, errno.EINPROGRESS):
+            self._dial_failed()
+            return
+        up.connecting = True
+        self._timer = self._loop.call_later(timeout, self._dial_failed, self)
+        self._update()
 
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        if self._timer is not None:
+            self._timer.cancel()
+        for side in (self._client, self._upstream):
+            if side.sock is not None:
+                self._loop.close(side.sock)
+        release, self._release = self._release, None
+        if release is not None:
+            release()
 
-def relay(a: socket.socket, b: socket.socket) -> None:
-    """Pump bytes both ways until each direction hits EOF, then close both."""
-    back = threading.Event()
-    _POOL.submit(_pump, b, a, back)
-    _pump(a, b)
-    back.wait()
-    for s in (a, b):
+    def ready(self, sock: socket.socket) -> None:
+        if self._closed:
+            return
+        if self._line is not None:
+            self._read_line()
+            return
+        up = self._upstream
+        if up.connecting:
+            if sock is up.sock:
+                self._dial_done()
+            else:  # the client, read while the dial is under way
+                self._transfer(self._client)
+            return
+        self._transfer(self._client if sock is self._client.sock else up)
+
+    def _read_line(self) -> None:
+        buf, limit, then = self._line
         try:
-            s.close()
+            chunk = self._client.sock.recv(limit)
+        except BlockingIOError:
+            self._loop.watch(self._client.sock, IN, self)
+            return
         except OSError:
-            pass
+            self.close()
+            return
+        buf += chunk
+        if b"\n" not in buf:
+            if not chunk or len(buf) >= limit:
+                self.close()
+            else:
+                self._line = (buf, limit, then)
+                self._loop.watch(self._client.sock, IN, self)
+            return
+        self._line = None
+        if self._timer is not None:
+            self._timer.cancel()
+        line, _, self._upstream.pending = buf.partition(b"\n")
+        then(line + b"\n")
+
+    def _dial_done(self) -> None:
+        up = self._upstream
+        if up.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+            self._dial_failed()
+            return
+        up.connecting = False
+        self._timer.cancel()
+        self._transfer(up, read=False)
+
+    def _dial_failed(self) -> None:
+        up = self._upstream
+        up.connecting = False
+        if self._timer is not None:
+            self._timer.cancel()
+        if up.sock is not None:
+            self._loop.close(up.sock)
+            up.sock = None
+        release, self._release = self._release, None
+        if release is not None:
+            release()
+        if self._refused is None:
+            self.close()
+        else:
+            self._refused()
+
+    def _transfer(self, side: _Side, read: bool = True) -> None:
+        """Move what ``side`` has to send and, if asked, what it can give."""
+        peer = side.peer
+        try:
+            self._send(side)
+            if read and not side.eof and not peer.pending:
+                try:
+                    data = side.sock.recv(RELAY_CHUNK)
+                except BlockingIOError:
+                    data = None
+                if data:
+                    peer.pending = data
+                    self._send(peer)
+                elif data is not None:
+                    side.eof = True
+            for end in (side, peer):
+                if (end.peer.eof and not end.pending and not end.shut
+                        and end.sock is not None and not end.connecting):
+                    end.sock.shutdown(socket.SHUT_WR)
+                    end.shut = True
+        except OSError:  # reset or refused: the session is over
+            self.close()
+            return
+        self._update()
+
+    @staticmethod
+    def _send(side: _Side) -> None:
+        if side.pending and side.sock is not None and not side.connecting:
+            try:
+                sent = side.sock.send(side.pending)
+            except BlockingIOError:
+                return
+            side.pending = side.pending[sent:]
+
+    def _update(self) -> None:
+        """Close once both directions have ended; else watch what can move."""
+        client, up = self._client, self._upstream
+        if client.shut and up.shut:
+            self.close()
+            return
+        for side in (client, up):
+            if side.sock is None:
+                continue
+            if side.connecting:
+                events = OUT
+            else:
+                events = OUT if side.pending else 0
+                if not side.eof and not side.peer.pending:
+                    events |= IN
+            self._loop.watch(side.sock, events, self)
 
 
-class TcpListener:
-    """Accept loop on one port; each connection's handler runs on the pool.
+class Listener:
+    """A listening TCP port whose connections are sessions on the loop.
 
-    The handler receives ``(conn, peer_address)`` and owns the socket; it is
-    closed after the handler returns in case the handler did not. Running out
-    of descriptors or memory pauses accepting; only ``close`` ends it.
+    ``on_accept(session, peer)`` runs on the loop thread for each accepted
+    connection and owns the session. Running out of descriptors or memory
+    pauses accepting for ``ACCEPT_RETRY_DELAY``; only ``close`` ends it.
     """
 
     def __init__(self, address: str, port: int,
-                 handler: Callable[[socket.socket, tuple], None]):
-        self._handler = handler
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                 on_accept: Callable[[Session, tuple], None]):
+        self._loop = event_loop()
+        sock = socket.socket(socket.AF_INET,
+                             socket.SOCK_STREAM | socket.SOCK_NONBLOCK)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            self._sock.bind((address, port))
-            self._sock.listen(128)
+            sock.bind((address, port))
+            sock.listen(128)
         except OSError:
-            self._sock.close()  # a refused port is retried; keep no socket
+            sock.close()  # a refused port is retried; keep no socket
             raise
-        self.address, self.port = self._sock.getsockname()[:2]
-        self._thread = threading.Thread(
-            target=self._accept_loop, name=f"listen-{self.port}", daemon=True)
-        self._thread.start()
+        self.address, self.port = sock.getsockname()[:2]
+        self._sock = sock
+        self._on_accept = on_accept
+        self._closed = False
+        # queued, not awaited: a caller may hold a lock an accept takes
+        self._loop.call_soon(self._listen, owner=self)
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, peer = self._sock.accept()
-            except OSError as exc:
-                if exc.errno not in ACCEPT_RETRY_ERRNOS:
-                    return  # EBADF or EINVAL: the listener was closed
-                # the pending connection stays queued until a descriptor frees
-                time.sleep(ACCEPT_RETRY_DELAY)
-                continue
-            _POOL.submit(self._run_handler, conn, peer)
-
-    def _run_handler(self, conn: socket.socket, peer: tuple) -> None:
+    def ready(self, sock: socket.socket) -> None:
         try:
-            self._handler(conn, peer)
-        except OSError:
-            pass
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn, peer = self._sock.accept()
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            if exc.errno not in ACCEPT_RETRY_ERRNOS:
+                self._loop.close(self._sock)  # EINVAL: shut down by close
+                return
+            # the pending connection stays queued until a descriptor frees
+            self._loop.watch(self._sock, 0, self)
+            self._loop.call_later(ACCEPT_RETRY_DELAY, self._listen, self)
+            return
+        conn.setblocking(False)
+        session = Session(self._loop, conn)
+        self._loop.run(self._on_accept, (session, peer), session)
 
     def close(self) -> None:
-        # shutdown first: close alone leaves the port alive while the accept
-        # loop is blocked on it
+        """Stop accepting. On return the port refuses connections and can
+        be bound again; sessions already accepted carry on."""
+        self._closed = True
         try:
+            # a listening socket that is shut down leaves its port at once
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self._loop.call_soon(self._loop.close, self._sock)
+
+    def _listen(self) -> None:
+        if not self._closed:
+            self._loop.watch(self._sock, IN, self)

@@ -140,6 +140,8 @@ class BackendNode:
     def close(self, stop_replicas: bool) -> None:
         if stop_replicas:
             self.supervisor.stop_all()
+        else:
+            self.supervisor.detach_all()
         if self.server is not None:
             self.server.close()
 

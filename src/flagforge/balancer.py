@@ -6,9 +6,12 @@ the healthy replica list hands out first assignments. Replicas that refuse a
 connection are marked suspect and skipped until a health probe clears them;
 the registry's probe-driven health stays untouched by the balancer.
 
-The data plane (``BalancerServer``) reads and strips the ``PROXY4`` header
-the frontend sends first on every connection, so stickiness keys on the
-participant's real address rather than on the frontend's.
+The data plane (``BalancerServer``) is one ``_net.Listener`` per service on
+the process's event loop. Each accepted connection reads and strips the
+``PROXY4`` header the frontend sends first, so stickiness keys on the
+participant's real address rather than on the frontend's; then the loop
+dials the picked replica, retrying once on a refusal, and relays. No step
+blocks and no thread is started per connection.
 """
 
 from __future__ import annotations
@@ -19,15 +22,10 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from ._net import (
-    PROXY_HEADER_LIMIT,
-    TcpListener,
-    parse_proxy_header,
-    read_line,
-    relay,
-)
+from ._net import PROXY_HEADER_LIMIT, Listener, Session, parse_proxy_header
 from .errors import NoHealthyReplicasError
 from .registry import (
     EVENT_DEREGISTERED,
@@ -192,18 +190,25 @@ class Balancer:
                     return endpoint
             raise NoHealthyReplicasError(f"no healthy replicas for {service}")
 
+    def pick(self, service: str, source_ip: str) -> ReplicaEndpoint:
+        """``select_replica``, counted as an open session until ``end_session``.
+
+        Picked and counted under the lock a deregistration also takes.
+        """
+        with self._lock:
+            endpoint = self.select_replica(service, source_ip)
+            self._sessions[endpoint.replica_id] += 1
+            return endpoint
+
     def connect_upstream(self, service: str,
                          source_ip: str) -> tuple[ReplicaEndpoint, socket.socket]:
-        """Select and connect, retrying the selection once on connect failure.
+        """Pick and connect, blocking, retrying the pick once on connect failure.
 
-        The session counts against its replica until ``end_session``; picked
-        and counted under the lock a deregistration also takes.
+        The session counts against its replica until ``end_session``.
         """
         last_error: OSError | None = None
         for _ in range(2):
-            with self._lock:
-                endpoint = self.select_replica(service, source_ip)
-                self._sessions[endpoint.replica_id] += 1
+            endpoint = self.pick(service, source_ip)
             try:
                 upstream = socket.create_connection(
                     (endpoint.address, endpoint.port), timeout=self.connect_timeout)
@@ -286,7 +291,7 @@ class BalancerServer:
     def __init__(self, balancer: Balancer, bind_address: str):
         self.balancer = balancer
         self.bind_address = bind_address
-        self._listeners: dict[str, TcpListener] = {}
+        self._listeners: dict[str, Listener] = {}
         self._lock = threading.Lock()
 
     def bind_service(self, service: str, port: int) -> None:
@@ -296,12 +301,8 @@ class BalancerServer:
                 if existing.port == port:
                     return
                 existing.close()
-
-            def handler(conn: socket.socket, peer: tuple,
-                        service: str = service) -> None:
-                self._handle(service, conn)
-
-            self._listeners[service] = TcpListener(self.bind_address, port, handler)
+            self._listeners[service] = Listener(
+                self.bind_address, port, partial(self._accept, service))
 
     def unbind_service(self, service: str) -> None:
         with self._lock:
@@ -321,22 +322,38 @@ class BalancerServer:
         for listener in listeners:
             listener.close()
 
-    def _handle(self, service: str, conn: socket.socket) -> None:
+    # --- on the event loop ----------------------------------------------------
+
+    def _accept(self, service: str, session: Session, peer: tuple) -> None:
+        # the deadline covers the whole header, not each read of it
+        session.read_line(PROXY_HEADER_LIMIT, PROXY_HEADER_TIMEOUT,
+                          partial(self._route, service, session))
+
+    def _route(self, service: str, session: Session, line: bytes) -> None:
         try:
-            line, leftover = read_line(
-                conn, limit=PROXY_HEADER_LIMIT,
-                deadline=time.monotonic() + PROXY_HEADER_TIMEOUT)
             source_ip = parse_proxy_header(line)
-        except (ValueError, TimeoutError):
-            return  # listener closes the connection
-        conn.settimeout(None)  # the relay blocks; only the header has a deadline
-        try:
-            endpoint, upstream = self.balancer.connect_upstream(service, source_ip)
-        except NoHealthyReplicasError:
+        except ValueError:
+            session.close()
             return
+        self._dial(service, session, source_ip, attempts=2)
+
+    def _dial(self, service: str, session: Session, source_ip: str,
+              attempts: int) -> None:
         try:
-            if leftover:
-                upstream.sendall(leftover)
-            relay(conn, upstream)
-        finally:
-            self.balancer.end_session(endpoint.replica_id)
+            endpoint = self.balancer.pick(service, source_ip)
+        except NoHealthyReplicasError:
+            session.close()
+            return
+        replica_id = endpoint.replica_id
+
+        def refused() -> None:
+            self.balancer.mark_suspect(replica_id)
+            if attempts > 1:
+                self._dial(service, session, source_ip, attempts - 1)
+            else:
+                session.close()
+
+        session.connect((endpoint.address, endpoint.port),
+                        self.balancer.connect_timeout,
+                        release=partial(self.balancer.end_session, replica_id),
+                        refused=refused)

@@ -157,7 +157,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         return EXIT_OK
     from .runtime import Cluster
     select = args.select.split(",") if args.select else None
-    cluster = Cluster(topology, store, hosted=free, bind_listeners=False)
+    cluster = Cluster(topology, store, hosted=free, bind_listeners=False,
+                      applied=persisted)
     try:
         while True:
             report = cluster.pipeline_once(args.mode, Path(args.store),

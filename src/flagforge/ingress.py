@@ -1,21 +1,23 @@
 """Controlled entry point: external ports on the frontend, forwarded inward.
 
 Each mapping translates one public external port to the owning backend's
-balancer listener, and each mapped port is one plain TCP listener that
-prefixes every forwarded connection with the ``PROXY4`` source header. The
-frontend holds its mappings in memory, as a backend holds its listeners:
-``bind`` opens (or re-targets) one port's listener and ``unbind`` closes it,
-and the converge that ran them rewrites ``state/ingress.map`` from memory
-once. A re-target takes effect at accept time: live relays drain, new
-connections route by the new mapping. The file format lives in ``state``.
+balancer listener, and each mapped port is one ``_net.Listener`` on the
+process's event loop: an accepted connection is dialled through to the
+balancer and relayed, prefixed with the ``PROXY4`` source header, with no
+thread started for it. The frontend holds its mappings in memory, as a
+backend holds its listeners: ``bind`` opens (or re-targets) one port's
+listener and ``unbind`` closes it, and the converge that ran them rewrites
+``state/ingress.map`` from memory once. A re-target takes effect at accept
+time: live relays drain, new connections route by the new mapping. The file
+format lives in ``state``.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
+from functools import partial
 
-from ._net import TcpListener, relay, render_proxy_header
+from ._net import Listener, Session, render_proxy_header
 from .errors import IngressError
 from .model import Topology
 # the file format is state's; its names stay importable from here too
@@ -50,13 +52,13 @@ def generate_mappings(topology: Topology,
 
 
 class IngressServer:
-    """Binds one acceptor per external port and relays with a PROXY4 prefix."""
+    """Binds one listener per external port and relays with a PROXY4 prefix."""
 
     def __init__(self, bind_address: str,
                  connect_timeout: float = BACKEND_CONNECT_TIMEOUT):
         self.bind_address = bind_address
         self.connect_timeout = connect_timeout
-        self._listeners: dict[int, TcpListener] = {}
+        self._listeners: dict[int, Listener] = {}
         self._routes: dict[int, PortMapping] = {}
         self._lock = threading.Lock()
 
@@ -69,8 +71,8 @@ class IngressServer:
         port = mapping.external_port
         with self._lock:
             if port not in self._listeners:
-                self._listeners[port] = TcpListener(self.bind_address, port,
-                                                    self._handler_for(port))
+                self._listeners[port] = Listener(self.bind_address, port,
+                                                 partial(self._accept, port))
             self._routes[port] = mapping
 
     def unbind(self, port: int) -> None:
@@ -88,23 +90,15 @@ class IngressServer:
         for listener in listeners:
             listener.close()
 
-    def _handler_for(self, port: int):
-        def handler(conn: socket.socket, peer: tuple) -> None:
-            with self._lock:
-                mapping = self._routes.get(port)
-            if mapping is None:
-                return
-            try:
-                upstream = socket.create_connection(
-                    (mapping.backend_address, mapping.balancer_port),
-                    timeout=self.connect_timeout)
-            except OSError:
-                return
-            upstream.settimeout(None)  # bound the connect, not the relay
-            upstream.sendall(render_proxy_header(peer[0]))
-            relay(conn, upstream)
-
-        return handler
+    def _accept(self, port: int, session: Session, peer: tuple) -> None:
+        """On the event loop: dial the port's current route."""
+        with self._lock:
+            mapping = self._routes.get(port)
+        if mapping is None:
+            session.close()
+            return
+        session.connect((mapping.backend_address, mapping.balancer_port),
+                        self.connect_timeout, head=render_proxy_header(peer[0]))
 
 
 class FrontendNode:

@@ -37,6 +37,23 @@ class RunnerBackend(Protocol):
 
     def adopt(self, pid: int): ...
 
+    def detach(self, handle) -> None: ...
+
+
+class _ReplicaProcess(subprocess.Popen):
+    """A replica's child process; once detached it outlives its handle quietly.
+
+    A Popen dropped while its child runs warns that the child leaked. A
+    replica that a one-shot command leaves running has not leaked: it is
+    recorded in the state directory for the next process to adopt.
+    """
+
+    detached = False
+
+    def __del__(self) -> None:
+        if not self.detached:
+            super().__del__()
+
 
 @dataclass
 class ProcessHandle:
@@ -71,7 +88,7 @@ class SubprocessRunner:
         log_path = self.logs_dir / f"{replica_id}.log"
         try:
             with open(log_path, "ab") as log:
-                process = subprocess.Popen(
+                process = _ReplicaProcess(
                     argv, stdin=subprocess.DEVNULL, stdout=log,
                     stderr=subprocess.STDOUT, env=env, start_new_session=True)
         except OSError as exc:
@@ -114,6 +131,11 @@ class SubprocessRunner:
 
     def adopt(self, pid: int) -> ProcessHandle:
         return ProcessHandle(pid=pid, process=None)
+
+    def detach(self, handle: ProcessHandle) -> None:
+        """Let the replica run on after this process lets go of it."""
+        if handle.process is not None:
+            handle.process.detached = True
 
 
 @dataclass
@@ -163,6 +185,9 @@ class MockRunner:
     def adopt(self, pid: int) -> MockHandle:
         return MockHandle(replica_id="", pid=pid, port=0, version="",
                           adopted=True)
+
+    def detach(self, handle: MockHandle) -> None:
+        pass
 
     def kill(self, replica_id: str) -> None:
         self.handles[replica_id].running = False

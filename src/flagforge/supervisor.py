@@ -376,6 +376,12 @@ class Supervisor:
                 self._stop_instance(instance)
         self._changed()
 
+    def detach_all(self) -> None:
+        """Leave every replica running for the next process to adopt."""
+        with self._lock:
+            for instance in self._instances.values():
+                self.runner.detach(instance.handle)
+
     # --- internals ------------------------------------------------------------
 
     def _spawn(self, service: str, spec: ChallengeSpec,

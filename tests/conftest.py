@@ -1,11 +1,15 @@
-"""Shared fixtures: bindable loopback ports, and a log of state writes."""
+"""Shared fixtures: bindable loopback ports, a log of state writes, and a
+check that no event-loop callback raised during a test."""
 
 from __future__ import annotations
 
 import socket
 import sys
+import threading
 
 import pytest
+
+from flagforge._net import LOOP_THREAD_NAME
 
 # 24000-25899: below the fixed blocks the CLI and acceptance tests carve out
 _counter = [24000]
@@ -45,6 +49,27 @@ def state_writes(monkeypatch):
 
     monkeypatch.setattr(StateStore, "_write", recording)
     return paths
+
+
+@pytest.fixture(autouse=True)
+def loop_callbacks_do_not_raise(monkeypatch):
+    """Fails a test during which an exception escaped an event-loop callback.
+
+    A test that means to raise one installs its own ``threading.excepthook``.
+    """
+    escaped = []
+    report = threading.excepthook
+
+    def record(args):
+        if args.thread is not None and args.thread.name == LOOP_THREAD_NAME:
+            escaped.append(args)
+        report(args)
+
+    monkeypatch.setattr(threading, "excepthook", record)
+    yield
+    if escaped:
+        pytest.fail("event-loop callbacks raised: " + "; ".join(
+            f"{a.exc_type.__name__}: {a.exc_value}" for a in escaped))
 
 
 def pytest_terminal_summary(terminalreporter):

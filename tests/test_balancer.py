@@ -10,7 +10,8 @@ import time
 import pytest
 
 from flagforge import balancer as balancer_module
-from flagforge._net import TcpListener, parse_proxy_header, render_proxy_header
+from flagforge._net import (RELAY_CHUNK, Session, event_loop, parse_proxy_header,
+                           render_proxy_header)
 from flagforge.balancer import (
     HEAP_REBUILD_FACTOR,
     Balancer,
@@ -25,6 +26,7 @@ from flagforge.registry import (
     ReplicaEndpoint,
 )
 from reference_models import ReferenceSelector, ReferenceStickTable
+from threaded_listener import TcpListener
 
 
 class FakeClock:
@@ -437,6 +439,122 @@ def test_session_counts_against_its_replica_until_it_ends(data_plane):
         assert read_greeting(sock) == "r2 v1"
         assert (balancer.sessions("r1"), balancer.sessions("r2")) == (0, 1)
     assert settled("r2", 0)
+
+
+def wait_until(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def one_replica(replica: socket.socket) -> tuple[Balancer, BalancerServer]:
+    """A balancer serving ``web`` from the one replica listening on ``replica``."""
+    registry = Registry()
+    registry.create_service("web", "net-web")
+    registry.register_replica("web", ReplicaEndpoint(
+        "r1", "127.0.0.1", replica.getsockname()[1], "v1", HEALTH_HEALTHY))
+    balancer = Balancer(registry, stick_ttl=100, stick_capacity=100)
+    server = BalancerServer(balancer, "127.0.0.1")
+    server.bind_service("web", 0)
+    return balancer, server
+
+
+def live_sessions() -> list[Session]:
+    return [owner for owner, _, _ in list(event_loop()._watched.values())
+            if isinstance(owner, Session)]
+
+
+def test_concurrent_sessions_start_no_thread():
+    # the replica end is served from this thread too
+    replica = socket.create_server(("127.0.0.1", 0))
+    replica.settimeout(5)
+    balancer, server = one_replica(replica)
+    before = set(threading.enumerate())
+    clients, upstreams = [], []
+    try:
+        for _ in range(32):
+            clients.append(connect(server.ports()["web"], timeout=5))
+        for _ in range(32):
+            conn, _ = replica.accept()
+            upstreams.append(conn)
+            conn.sendall(b"r1 v1\n")
+        for sock in clients:
+            assert read_greeting(sock) == "r1 v1"
+        assert balancer.sessions("r1") == 32
+        assert set(threading.enumerate()) <= before
+    finally:
+        for sock in clients + upstreams:
+            sock.close()
+        server.close()
+        replica.close()
+    assert wait_until(lambda: balancer.sessions("r1") == 0)
+
+
+def test_a_client_that_stops_reading_holds_back_the_stream():
+    payload = random.Random(11).randbytes(16 << 20)
+    replica = socket.create_server(("127.0.0.1", 0))
+    balancer, server = one_replica(replica)
+
+    def stream() -> None:
+        conn, _ = replica.accept()
+        with conn:
+            conn.sendall(payload)
+
+    streamer = threading.Thread(target=stream, daemon=True)
+    streamer.start()
+    try:
+        with connect(server.ports()["web"], timeout=10) as sock:
+            # the relay fills the client's socket, then holds one chunk back
+            assert wait_until(lambda: any(s._client.pending
+                                          for s in live_sessions()))
+            for _ in range(20):
+                for session in live_sessions():
+                    assert (len(session._client.pending)
+                            + len(session._upstream.pending)) <= RELAY_CHUNK
+                time.sleep(0.01)
+            received = bytearray()
+            while len(received) < len(payload):
+                chunk = sock.recv(1 << 20)
+                if not chunk:
+                    break
+                received.extend(chunk)
+        assert bytes(received) == payload
+        streamer.join(10)
+        assert not streamer.is_alive()
+    finally:
+        server.close()
+        replica.close()
+    assert wait_until(lambda: balancer.sessions("r1") == 0)
+
+
+def test_callback_exception_reaches_excepthook_and_closes_its_session(
+        data_plane, monkeypatch):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    _, balancer, server, _ = data_plane
+    port = server.ports()["web"]
+    transfer = Session._transfer
+
+    def boom(self, *args, **kwargs):
+        raise RuntimeError("boom")
+
+    with connect(port, timeout=5) as sock:
+        assert read_greeting(sock) == "r1 v1"
+        monkeypatch.setattr(Session, "_transfer", boom)
+        sock.sendall(b"ping")
+        try:  # a close with "ping" unread resets
+            assert sock.recv(64) == b""
+        except ConnectionResetError:
+            pass
+    monkeypatch.setattr(Session, "_transfer", transfer)
+    assert wait_until(lambda: balancer.sessions("r1") == 0)
+    assert [(h.exc_type, h.thread) for h in hooked] == [
+        (RuntimeError, event_loop().thread)]
+    with connect(port, timeout=5) as sock:  # the loop carries on
+        assert read_greeting(sock) == "r1 v1"
 
 
 def test_relay_outlives_connect_timeout_of_a_quiet_replica():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import fnmatch
+import gc
 import itertools
 import json
 import os
@@ -12,13 +13,15 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 from flagforge.cli import main
+from flagforge.model import parse_topology
 from flagforge.registry import HEALTH_HEALTHY
-from flagforge.runner import _pid_running
+from flagforge.runner import SubprocessRunner, _pid_running
 from flagforge.runtime import NodeService, StateStore
 from flagforge.state import PortMapping
 
@@ -136,6 +139,51 @@ def test_apply_leaves_only_documented_state_files(workspace, capsys):
     assert "networks.json" not in patterns
     for entry in state.iterdir():
         assert any(fnmatch.fnmatch(entry.name, p) for p in patterns), entry.name
+
+
+def leak_warnings(run) -> list[str]:
+    """The "still running" warnings of child processes dropped by ``run()``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+        gc.collect()
+    return [str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning)
+            and "still running" in str(w.message)]
+
+
+def test_apply_lets_go_of_the_replicas_it_leaves_running(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base,
+                                              replicas=2))
+    assert leak_warnings(
+        lambda: main(["apply", str(topo), "--state", str(state)])) == []
+    records = StateStore(state).load_replicas("worker")
+    assert len(records) == 2 and all(_pid_running(r["pid"]) for r in records)
+
+
+def test_a_replica_dropped_without_detach_still_warns(workspace):
+    root, _ = workspace
+    external, backend_base = fresh_ports()
+    spec = parse_topology(topology_text(external, backend_base)
+                          ).challenges["alpha"]
+    runner = SubprocessRunner(root / "logs", "127.0.0.1")
+    pids = []
+
+    def spawn(detach: bool) -> None:
+        handle = runner.spawn(spec, backend_base + len(pids), f"alpha-{detach}")
+        pids.append(handle.pid)
+        if detach:
+            runner.detach(handle)
+
+    try:
+        assert leak_warnings(lambda: spawn(detach=True)) == []
+        assert leak_warnings(lambda: spawn(detach=False)) == [
+            f"subprocess {pids[1]} is still running"]
+    finally:
+        for pid in pids:
+            os.killpg(pid, signal.SIGKILL)
 
 
 def test_apply_twice_is_idempotent(workspace, capsys):
@@ -371,6 +419,34 @@ def test_pipeline_run_once_promotes_new_version(workspace, capsys):
     assert main(["pipeline", "run-once", "--mode", "dev",
                  "--state", str(state), "--store", str(store_dir)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "0 updates"
+
+
+def test_pipeline_deploy_parses_the_applied_topology_once(workspace, capsys,
+                                                         monkeypatch):
+    import flagforge.state as state_module
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+    source = write_bundle_source(root, "v2", "2024-02-01T00:00:00+00:00",
+                                 external)
+    store_dir = root / "artifacts"
+    assert main(["package", str(source), "--store", str(store_dir)]) == 0
+    parses = []
+
+    def counting(text):
+        parses.append(text)
+        return parse_topology(text)
+
+    monkeypatch.setattr(state_module, "parse_topology", counting)
+    deploy = ["pipeline", "run-once", "--mode", "deploy", "--select", "alpha",
+              "--state", str(state), "--store", str(store_dir)]
+    assert main(deploy) == 0
+    assert "alpha v2 deployed" in capsys.readouterr().out
+    parses.clear()  # a promotion merges into desired.json as it is on disk
+    assert main(deploy) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "0 updates"
+    assert len(parses) == 1
 
 
 def test_pipeline_dev_with_all_backends_served_delegates(workspace, capsys):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import pytest
 
-from flagforge._net import TcpListener, parse_proxy_header, read_line
+from flagforge._net import parse_proxy_header
 from flagforge.errors import IngressError
 from flagforge.ingress import (
     FrontendNode,
@@ -21,6 +22,7 @@ from flagforge.ingress import (
 from flagforge.model import parse_topology
 from flagforge.runtime import Cluster
 from flagforge.state import StateStore
+from threaded_listener import TcpListener, read_line
 
 NODES = """
 node edge role=frontend bind=127.0.0.1 ports=9000-9999
@@ -299,6 +301,50 @@ def test_ports_stay_isolated(server, free_port):
     finally:
         stub_a.close()
         stub_b.close()
+
+
+def test_bind_and_unbind_finish_while_connections_are_routed(free_port):
+    # an accept reads its route under the lock that bind and unbind hold
+    ingress = IngressServer("127.0.0.1", connect_timeout=2.0)
+    stub = balancer_stub("A")
+    external = free_port()
+    others = [free_port() for _ in range(4)]
+    ingress.bind(mapping_for(external, stub.port))
+    stop = threading.Event()
+    answers: list[str] = []
+    errors: list[BaseException] = []
+
+    def connect_in_a_loop() -> None:
+        try:
+            while not stop.is_set():
+                with socket.create_connection(("127.0.0.1", external),
+                                              timeout=5) as sock:
+                    answers.append(read_line_from(sock))
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    def churn() -> None:
+        for _ in range(25):
+            for port in others:
+                ingress.bind(mapping_for(port, stub.port, challenge="beta"))
+            for port in others:
+                ingress.unbind(port)
+
+    client = threading.Thread(target=connect_in_a_loop, daemon=True)
+    churner = threading.Thread(target=churn, daemon=True)
+    try:
+        client.start()
+        churner.start()
+        churner.join(20)
+        assert not churner.is_alive()
+    finally:
+        stop.set()
+        client.join(10)
+        stub.close()
+        if not churner.is_alive():  # a deadlocked churner holds the lock
+            ingress.close()
+    assert not client.is_alive() and errors == []
+    assert answers and set(answers) == {"A 127.0.0.1"}
 
 
 # --- the frontend node ----------------------------------------------------------

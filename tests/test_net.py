@@ -1,4 +1,4 @@
-"""TCP plumbing: resource pressure and the reusable worker threads."""
+"""The event loop: resource pressure, threads, ports and cross-thread calls."""
 
 from __future__ import annotations
 
@@ -15,20 +15,25 @@ from pathlib import Path
 import pytest
 
 import flagforge
-from flagforge import _net
-from flagforge._net import TcpListener, WorkerPool, relay
+from flagforge._net import Listener, event_loop
 from fixture_server import handle as greet_and_echo
+from threaded_listener import TcpListener
 
 SRC = Path(flagforge.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 
-# A listener whose process runs out of descriptors, then gets them back.
-# Reads one stdin line before freeing them and one before exiting.
+# A listener whose process runs out of descriptors, then gets them back. It
+# relays to a greeter of its own. Reads one stdin line before freeing them
+# and one before exiting.
 EXHAUSTED_LISTENER = textwrap.dedent("""
     import errno, os, resource, sys
-    from flagforge._net import TcpListener
+    from flagforge._net import Listener
+    from threaded_listener import TcpListener
 
-    listener = TcpListener("127.0.0.1", 0,
-                           lambda conn, peer: conn.sendall(b"hello\\n"))
+    greeter = TcpListener("127.0.0.1", 0,
+                          lambda conn, peer: conn.sendall(b"hello\\n"))
+    listener = Listener("127.0.0.1", 0, lambda session, peer: session.connect(
+        ("127.0.0.1", greeter.port), 5))
     _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))
     hogs = []
@@ -58,7 +63,7 @@ def read_line(sock: socket.socket) -> bytes:
 
 
 def test_listener_accepts_again_after_descriptor_exhaustion():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     child = subprocess.Popen([sys.executable, "-c", EXHAUSTED_LISTENER],
                              stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                              text=True, env=env)
@@ -81,56 +86,28 @@ def test_listener_accepts_again_after_descriptor_exhaustion():
         child.stdout.close()
 
 
-def replica() -> socket.socket:
-    """Greets, then echoes, on threads of its own outside the worker pool, as
-    a replica in its own process would."""
-    server = socket.create_server(("127.0.0.1", 0))
-
-    def serve():
-        while True:
-            try:
-                conn, _ = server.accept()
-            except OSError:
-                return
-            threading.Thread(target=greet_and_echo, args=(conn, b"hello\n"),
-                             daemon=True).start()
-
-    threading.Thread(target=serve, daemon=True).start()
-    return server
+def replica() -> TcpListener:
+    """Greets, then echoes, on threads of its own, as a replica in its own
+    process would."""
+    return TcpListener("127.0.0.1", 0,
+                       lambda conn, peer: greet_and_echo(conn, b"hello\n"))
 
 
-def relaying_listener(upstream: socket.socket, handler_threads: list,
-                      relays_ended: threading.Semaphore | None = None
-                      ) -> TcpListener:
-    """Relays every connection to ``upstream``; each handler run appends its
-    thread to ``handler_threads`` and releases ``relays_ended`` once its
-    relay is over."""
-    address = upstream.getsockname()
+def relaying_listener(upstream: TcpListener,
+                      accept_threads: list | None = None) -> Listener:
+    """Relays every connection to ``upstream``; each accept appends the
+    thread it ran on to ``accept_threads``."""
 
-    def forward(conn, peer):
-        handler_threads.append(threading.current_thread())
-        relay(conn, socket.create_connection(address))
-        if relays_ended is not None:
-            relays_ended.release()
+    def forward(session, peer):
+        if accept_threads is not None:
+            accept_threads.append(threading.current_thread())
+        session.connect(("127.0.0.1", upstream.port), 5)
 
-    return TcpListener("127.0.0.1", 0, forward)
-
-
-def close_server(server: socket.socket) -> None:
-    server.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
-    server.close()
-
-
-def wait_until(condition, timeout: float = 5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while not condition():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.01)
-    return True
+    return Listener("127.0.0.1", 0, forward)
 
 
 def test_listener_on_a_taken_port_keeps_no_socket(free_port):
+    event_loop()  # its descriptors are not the listener's
     port = free_port()
     with socket.socket() as squatter:
         squatter.bind(("127.0.0.1", port))
@@ -139,31 +116,38 @@ def test_listener_on_a_taken_port_keeps_no_socket(free_port):
         # the traceback held here keeps the half-built listener alive, so
         # only an explicit close frees its socket
         with pytest.raises(OSError) as refused:
-            TcpListener("127.0.0.1", port, lambda conn, peer: None)
+            Listener("127.0.0.1", port, lambda session, peer: None)
         assert len(os.listdir("/proc/self/fd")) == before
 
 
+def test_closed_listener_frees_its_port_at_once():
+    listener = Listener("127.0.0.1", 0, lambda session, peer: None)
+    listener.close()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", listener.port), timeout=2)
+    with socket.socket() as successor:  # without SO_REUSEADDR
+        successor.bind(("127.0.0.1", listener.port))
+
+
 def test_sequential_sessions_reuse_a_few_threads():
-    handler_threads: list = []
-    relays_ended = threading.Semaphore(0)
+    accept_threads: list = []
     upstream = replica()
-    front = relaying_listener(upstream, handler_threads, relays_ended)
+    front = relaying_listener(upstream, accept_threads)
     try:
         for _ in range(50):
             with socket.create_connection(("127.0.0.1", front.port),
                                           timeout=5) as sock:
                 assert read_line(sock) == b"hello\n"
-            assert relays_ended.acquire(timeout=5)  # one session at a time
     finally:
         front.close()
-        close_server(upstream)
-    assert len(handler_threads) == 50
-    assert len(set(handler_threads)) <= 4
+        upstream.close()
+    assert len(accept_threads) == 50
+    assert set(accept_threads) == {event_loop().thread}
 
 
 def test_idle_sessions_do_not_delay_a_new_one():
     upstream = replica()
-    front = relaying_listener(upstream, [])
+    front = relaying_listener(upstream)
     held = []
     try:
         for _ in range(16):
@@ -179,69 +163,21 @@ def test_idle_sessions_do_not_delay_a_new_one():
         for sock in held:
             sock.close()
         front.close()
-        close_server(upstream)
-
-
-def test_idle_workers_fall_back_after_a_burst(monkeypatch):
-    monkeypatch.setattr(_net, "MAX_IDLE_WORKERS", 1)
-    pool = WorkerPool()
-    release = threading.Event()
-    ran: list = []
-
-    def task():
-        ran.append(threading.current_thread())
-        release.wait(5)
-
-    for _ in range(8):
-        pool.submit(task)
-    assert wait_until(lambda: len(ran) == 8)
-    assert len(set(ran)) == 8  # every blocked task got a thread of its own
-    release.set()
-
-    def idle():
-        return [t for t in ran if t.is_alive()]
-
-    assert wait_until(lambda: len(idle()) <= 1)
-    survivors = idle()
-    assert len(survivors) == 1
-    done = threading.Event()
-    pool.submit(lambda: (ran.append(threading.current_thread()), done.set()))
-    assert done.wait(5)
-    assert ran[-1] in survivors  # an idle worker took the task
-
-
-def test_task_exception_reaches_excepthook_and_ends_its_thread(monkeypatch):
-    hooked = []
-    monkeypatch.setattr(threading, "excepthook", hooked.append)
-    pool = WorkerPool()
-    ran: list = []
-
-    def boom():
-        ran.append(threading.current_thread())
-        raise RuntimeError("boom")
-
-    pool.submit(boom)
-    assert wait_until(lambda: hooked and not ran[0].is_alive())
-    assert hooked[0].exc_type is RuntimeError
-    done = threading.Event()
-    pool.submit(done.set)
-    assert done.wait(5)
+        upstream.close()
 
 
 def test_every_task_runs_exactly_once_under_contention():
-    pool = WorkerPool()
+    loop = event_loop()
     runs: Counter = Counter()
-    runs_lock = threading.Lock()
     finished = threading.Semaphore(0)
 
-    def task(i):
-        with runs_lock:
-            runs[i] += 1
+    def task(i):  # on the loop thread alone, so no lock
+        runs[i] += 1
         finished.release()
 
     def submit_range(start):
         for i in range(start, start + 100):
-            pool.submit(task, i)
+            loop.call_soon(task, i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

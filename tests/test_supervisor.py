@@ -9,7 +9,6 @@ from dataclasses import replace
 
 import pytest
 
-from flagforge._net import TcpListener
 from flagforge.errors import PortExhaustedError
 from flagforge.model import ChallengeSpec, ProbeSpec
 from flagforge.registry import (
@@ -23,6 +22,7 @@ from flagforge.registry import (
 from flagforge.runner import MockRunner
 from flagforge.supervisor import (DRAIN_TIMEOUT, PortAllocator, Supervisor,
                                   TcpProber)
+from threaded_listener import TcpListener
 
 
 class FakeClock:
