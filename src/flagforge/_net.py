@@ -4,8 +4,10 @@ Every listener and every relayed session of a process runs on one daemon
 thread, started with the first ``Listener``. A listener binds in its caller,
 so a refused port raises there, and then hands its socket to the loop. The
 loop accepts, dials upstream and relays both ways with non-blocking calls; no
-thread is started per connection. Callbacks run on the loop thread and must
-not block. An exception that escapes one is reported through
+thread is started per connection. A dial that is up when ``connect`` returns,
+as on loopback and between hosts of one network, relays at once; otherwise it
+waits for writability within its timeout. Callbacks run on the loop thread
+and must not block. An exception that escapes one is reported through
 ``threading.excepthook`` and closes the session whose callback it was.
 
 Only the loop thread watches, reads, writes or closes a socket it was handed,
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import errno
 import heapq
-import ipaddress
 import itertools
 import os
 import re
@@ -41,7 +42,10 @@ LOOP_THREAD_NAME = "flagforge-loop"
 
 # wire protocol between the frontend relay and a backend balancer: the very
 # first bytes of a forwarded connection carry the participant's address
-PROXY_HEADER_RE = re.compile(rb"PROXY4 (\d{1,3}(?:\.\d{1,3}){3})\n\Z")
+# each octet 0-255 in decimal, without leading zeros
+_OCTET = rb"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
+PROXY_HEADER_RE = re.compile(
+    rb"PROXY4 (" + _OCTET + rb"(?:\." + _OCTET + rb"){3})\n\Z")
 PROXY_HEADER_LIMIT = 64
 
 IN, OUT = select.EPOLLIN, select.EPOLLOUT
@@ -56,9 +60,7 @@ def parse_proxy_header(line: bytes) -> str:
     m = PROXY_HEADER_RE.match(line)
     if not m:
         raise ValueError(f"malformed proxy header {line!r}")
-    ip = m.group(1).decode()
-    ipaddress.IPv4Address(ip)  # rejects out-of-range octets
-    return ip
+    return m.group(1).decode()
 
 
 class Timer:
@@ -126,9 +128,17 @@ class Loop:
             self._watched[fd] = (owner, sock, events)
 
     def close(self, sock: socket.socket) -> None:
-        """Stop watching ``sock`` and close it once this batch is dispatched."""
-        if sock.fileno() >= 0:
-            self.watch(sock, 0, None)
+        """Forget ``sock`` and close it once this batch is dispatched.
+
+        The close itself takes the socket out of the epoll set: the loop
+        never dups a socket, so the descriptor is its last reference. A
+        child between fork and exec may hold a copy for a moment; what the
+        copy reports reaches the next owner of the number as a stray
+        wake-up, which every ``ready`` takes as a no-op.
+        """
+        fd = sock.fileno()
+        if fd >= 0:
+            self._watched.pop(fd, None)
             self._closing.append(sock)
 
     def run(self, fn: Callable, args: tuple, owner) -> None:
@@ -136,10 +146,13 @@ class Loop:
         try:
             fn(*args)
         except Exception:
-            threading.excepthook(threading.ExceptHookArgs(
-                (*sys.exc_info(), self.thread)))
-            if owner is not None:
-                self.run(owner.close, (), None)
+            self._failed(owner)
+
+    def _failed(self, owner) -> None:
+        threading.excepthook(threading.ExceptHookArgs(
+            (*sys.exc_info(), self.thread)))
+        if owner is not None:
+            self.run(owner.close, (), None)
 
     def _timeout(self) -> float:
         timers = self._timers
@@ -155,7 +168,11 @@ class Loop:
             for fd, _ in self._epoll.poll(self._timeout()):
                 entry = watched.get(fd)
                 if entry is not None:  # else unwatched earlier in this batch
-                    run(entry[0].ready, (entry[1],), entry[0])
+                    owner = entry[0]
+                    try:
+                        owner.ready(entry[1])
+                    except Exception:
+                        self._failed(owner)
                 elif fd == self._wake:
                     os.eventfd_read(self._wake)
             while self._calls:
@@ -201,9 +218,10 @@ class Session:
     """An accepted connection and, once dialled, its upstream.
 
     Bytes are relayed both ways, one ``RELAY_CHUNK`` at a time: a side with
-    unsent bytes stops the read from its peer. An EOF half-closes the other
-    side, and both sockets close once both directions have ended. ``close``
-    may be called at any point and runs the dial's ``release`` once.
+    unsent bytes stops the read from its peer. The first EOF half-closes the
+    other side; the second closes both sockets, each of which has then read
+    its peer's FIN, so the close sends a FIN and not a reset. ``close`` may be
+    called at any point and runs the dial's ``release`` once.
     """
 
     def __init__(self, loop: Loop, client: socket.socket) -> None:
@@ -232,9 +250,12 @@ class Session:
                 refused: Callable[[], None] | None = None) -> None:
         """Dial ``address`` within ``timeout`` seconds, then relay.
 
-        ``head`` goes upstream before any byte from the client. ``release``
-        runs once, when the dial fails or the session closes. A failed dial
-        then calls ``refused``, which may dial again; without one it closes.
+        ``head`` goes upstream before any byte from the client. A dial that
+        is up when ``connect_ex`` returns (a send on it succeeds) relays at
+        once; otherwise the socket is watched for writability until the dial
+        finishes or ``timeout`` runs out. ``release`` runs once, when the
+        dial fails or the session closes. A failed dial then calls
+        ``refused``, which may dial again; without one it closes.
         """
         up = self._upstream
         up.pending = head + up.pending
@@ -249,9 +270,19 @@ class Session:
         if result not in (0, errno.EINPROGRESS):
             self._dial_failed()
             return
-        up.connecting = True
-        self._timer = self._loop.call_later(timeout, self._dial_failed, self)
-        self._update()
+        try:
+            # fails with EAGAIN while the handshake is under way, and with
+            # the dial's own error (ECONNREFUSED) once it has failed
+            up.pending = up.pending[up.sock.send(up.pending):]
+        except BlockingIOError:
+            up.connecting = True
+            self._timer = self._loop.call_later(timeout, self._dial_failed, self)
+            self._update()
+            return
+        except OSError:
+            self._dial_failed()
+            return
+        self._transfer(up, read=False)
 
     def close(self) -> None:
         if self._closed:
@@ -306,8 +337,14 @@ class Session:
         then(line + b"\n")
 
     def _dial_done(self) -> None:
+        """The upstream is writable: relay if the dial is up, as ``connect``
+        tells it, so a stray wake-up leaves the dial under its timeout."""
         up = self._upstream
-        if up.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR):
+        try:
+            up.pending = up.pending[up.sock.send(up.pending):]
+        except BlockingIOError:
+            return
+        except OSError:
             self._dial_failed()
             return
         up.connecting = False
@@ -334,6 +371,7 @@ class Session:
         """Move what ``side`` has to send and, if asked, what it can give."""
         peer = side.peer
         try:
+            settled = not side.pending
             self._send(side)
             if read and not side.eof and not peer.pending:
                 try:
@@ -343,11 +381,18 @@ class Session:
                 if data:
                     peer.pending = data
                     self._send(peer)
+                    if settled and not peer.pending:
+                        # nothing waits on either side before or after, and
+                        # neither side saw an EOF: the watched events stand
+                        return
                 elif data is not None:
                     side.eof = True
             for end in (side, peer):
                 if (end.peer.eof and not end.pending and not end.shut
                         and end.sock is not None and not end.connecting):
+                    if end.peer.shut:  # the other direction has ended too
+                        self.close()
+                        return
                     end.sock.shutdown(socket.SHUT_WR)
                     end.shut = True
         except OSError:  # reset or refused: the session is over
@@ -365,12 +410,8 @@ class Session:
             side.pending = side.pending[sent:]
 
     def _update(self) -> None:
-        """Close once both directions have ended; else watch what can move."""
-        client, up = self._client, self._upstream
-        if client.shut and up.shut:
-            self.close()
-            return
-        for side in (client, up):
+        """Watch each socket for what can move on it."""
+        for side in (self._client, self._upstream):
             if side.sock is None:
                 continue
             if side.connecting:

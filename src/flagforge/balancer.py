@@ -295,14 +295,19 @@ class BalancerServer:
         self._lock = threading.Lock()
 
     def bind_service(self, service: str, port: int) -> None:
+        """Serve ``service`` on ``port``, moving it there if bound elsewhere.
+
+        The new port is opened before the old one closes, so a refused port
+        raises ``OSError`` and leaves the service where it was.
+        """
         with self._lock:
             existing = self._listeners.get(service)
-            if existing is not None:
-                if existing.port == port:
-                    return
-                existing.close()
+            if existing is not None and existing.port == port:
+                return
             self._listeners[service] = Listener(
                 self.bind_address, port, partial(self._accept, service))
+            if existing is not None:
+                existing.close()
 
     def unbind_service(self, service: str) -> None:
         with self._lock:

@@ -1,5 +1,6 @@
-"""Shared fixtures: bindable loopback ports, a log of state writes, and a
-check that no event-loop callback raised during a test."""
+"""Shared fixtures: bindable loopback ports, a port whose dials never finish,
+a log of state writes, and a check that no event-loop callback raised during
+a test."""
 
 from __future__ import annotations
 
@@ -33,6 +34,20 @@ def free_port():
                 return port
 
     return get
+
+
+@pytest.fixture
+def stuck_port():
+    """A loopback port whose dials stay pending until the test ends.
+
+    Its listener's queue has room for one connection, which is held and
+    never accepted, so the kernel drops the SYN of every later dial.
+    """
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        with socket.create_connection(listener.getsockname(), timeout=5):
+            yield listener.getsockname()[1]
 
 
 @pytest.fixture

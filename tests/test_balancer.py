@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ipaddress
 import random
 import socket
 import threading
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flagforge import balancer as balancer_module
 from flagforge._net import (RELAY_CHUNK, Session, event_loop, parse_proxy_header,
@@ -441,6 +444,47 @@ def test_session_counts_against_its_replica_until_it_ends(data_plane):
     assert settled("r2", 0)
 
 
+def test_a_refused_move_leaves_the_service_on_its_port(data_plane):
+    _, _, server, _ = data_plane
+    port = server.ports()["web"]
+    with socket.create_server(("127.0.0.1", 0)) as squatter:
+        with pytest.raises(OSError):
+            server.bind_service("web", squatter.getsockname()[1])
+    assert server.ports() == {"web": port}
+    with connect(port, timeout=5) as sock:
+        assert read_greeting(sock) == "r1 v1"
+    server.bind_service("web", 0)  # a move that succeeds closes the old port
+    assert server.ports()["web"] != port
+    with pytest.raises(ConnectionRefusedError):
+        connect(port, timeout=2)
+    with connect(server.ports()["web"], timeout=5) as sock:
+        assert read_greeting(sock) == "r1 v1"
+
+
+def test_a_replica_stuck_in_the_dial_is_suspect_after_the_connect_timeout(
+        stuck_port):
+    registry = Registry()
+    registry.create_service("web", "net-web")
+    replica = echo_replica(b"r2 v1\n")
+    for replica_id, port in (("r1", stuck_port), ("r2", replica.port)):
+        registry.register_replica("web", ReplicaEndpoint(
+            replica_id, "127.0.0.1", port, "v1", HEALTH_HEALTHY))
+    balancer = Balancer(registry, stick_ttl=100, stick_capacity=100,
+                        connect_timeout=0.3)
+    server = BalancerServer(balancer, "127.0.0.1")
+    server.bind_service("web", 0)
+    try:
+        started = time.monotonic()
+        with connect(server.ports()["web"], timeout=5) as sock:
+            assert read_greeting(sock) == "r2 v1"  # r1 was picked first
+        assert 0.3 <= time.monotonic() - started < 3
+        assert balancer.suspects() == {"r1"}
+        assert wait_until(lambda: balancer.sessions("r1") == 0)
+    finally:
+        server.close()
+        replica.close()
+
+
 def wait_until(condition, timeout: float = 5.0) -> bool:
     deadline = time.monotonic() + timeout
     while not condition():
@@ -664,3 +708,28 @@ def test_proxy_header_render_parse_round_trip():
         parse_proxy_header(b"PROXY4 1.2.3\n")
     with pytest.raises(ValueError):
         parse_proxy_header(b"PROXY4 256.1.1.1\n")
+
+
+OCTETS = st.one_of(
+    st.integers(0, 999).map(str),  # in range and out of it, 256 among them
+    st.integers(0, 255).map(lambda n: f"0{n}"),  # leading zeros
+    st.text(alphabet="0123456789\u0661\u0662\u0969", max_size=4),  # empty,
+    # too long, and digits that are not ASCII
+)
+
+
+@given(st.lists(OCTETS, min_size=3, max_size=5))
+@example(["256", "1", "1", "1"])
+@example(["01", "2", "3", "4"])
+@example(["1", "", "2", "3"])
+@example(["\u0661", "2", "3", "4"])
+def test_proxy_header_accepts_exactly_the_dotted_quads_ipaddress_accepts(
+        octets):
+    address = ".".join(octets)
+    try:
+        ipaddress.IPv4Address(address)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_proxy_header(render_proxy_header(address))
+    else:
+        assert parse_proxy_header(render_proxy_header(address)) == address

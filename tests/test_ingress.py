@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from flagforge._net import parse_proxy_header
+from flagforge._net import Loop, Session, parse_proxy_header
+from flagforge.balancer import Balancer, BalancerServer
 from flagforge.errors import IngressError
 from flagforge.ingress import (
     FrontendNode,
@@ -20,8 +21,10 @@ from flagforge.ingress import (
     serialize_mappings,
 )
 from flagforge.model import parse_topology
+from flagforge.registry import HEALTH_HEALTHY, Registry, ReplicaEndpoint
 from flagforge.runtime import Cluster
 from flagforge.state import StateStore
+from fixture_server import handle as greet_and_echo
 from threaded_listener import TcpListener, read_line
 
 NODES = """
@@ -204,6 +207,62 @@ def test_backend_unreachable_closes_inbound(server, free_port):
     server.bind(mapping_for(external, dead_backend))
     with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
         assert sock.recv(64) == b""
+
+
+def test_a_backend_stuck_in_the_dial_closes_the_client_after_the_timeout(
+        free_port, stuck_port):
+    ingress = IngressServer("127.0.0.1", connect_timeout=0.3)
+    external = free_port()
+    try:
+        ingress.bind(mapping_for(external, stuck_port))
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", external), timeout=5) as sock:
+            assert sock.recv(64) == b""
+        assert 0.3 <= time.monotonic() - started < 3
+    finally:
+        ingress.close()
+
+
+def test_loopback_dials_relay_without_a_wait_or_a_timer(free_port, monkeypatch):
+    dials_done, timers = [], []
+    dial_done, call_later = Session._dial_done, Loop.call_later
+
+    def counting_dial_done(self):
+        dials_done.append(self)
+        dial_done(self)
+
+    def counting_call_later(self, delay, fn, owner):
+        timers.append(fn)
+        return call_later(self, delay, fn, owner)
+
+    monkeypatch.setattr(Session, "_dial_done", counting_dial_done)
+    monkeypatch.setattr(Loop, "call_later", counting_call_later)
+    replica = TcpListener("127.0.0.1", 0,
+                          lambda conn, peer: greet_and_echo(conn, b"r1 v1\n"))
+    registry = Registry()
+    registry.create_service("alpha", "net-alpha")
+    registry.register_replica("alpha", ReplicaEndpoint(
+        "r1", "127.0.0.1", replica.port, "v1", HEALTH_HEALTHY))
+    balancer = BalancerServer(
+        Balancer(registry, stick_ttl=100, stick_capacity=100), "127.0.0.1")
+    balancer.bind_service("alpha", 0)
+    ingress = IngressServer("127.0.0.1")
+    external = free_port()
+    try:
+        ingress.bind(mapping_for(external, balancer.ports()["alpha"]))
+        for _ in range(50):
+            with socket.create_connection(("127.0.0.1", external),
+                                          timeout=5) as sock:
+                assert read_line_from(sock) == "r1 v1"
+                sock.sendall(b"marco")
+                assert sock.recv(64) == b"marco"
+    finally:
+        ingress.close()
+        balancer.close()
+        replica.close()
+    # no dial waited for writability, none armed a connect timer, and the
+    # balancer's PROXY4 line came with its connection, so no header timer
+    assert dials_done == [] and timers == []
 
 
 def test_restart_reproduces_listeners(tmp_path, free_port):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import flagforge
-from flagforge._net import Listener, event_loop
+from flagforge._net import Listener, Session, event_loop
 from fixture_server import handle as greet_and_echo
 from threaded_listener import TcpListener
 
@@ -164,6 +164,23 @@ def test_idle_sessions_do_not_delay_a_new_one():
             sock.close()
         front.close()
         upstream.close()
+
+
+def test_a_stray_wake_up_leaves_a_pending_dial_under_its_timeout(stuck_port):
+    loop = event_loop()
+    client, accepted = socket.socketpair()
+    accepted.setblocking(False)
+    session = Session(loop, accepted)
+    started = time.monotonic()
+    loop.call_soon(session.connect, ("127.0.0.1", stuck_port), 0.3,
+                   owner=session)
+    # as if epoll reported the upstream writable while its SYN goes unanswered
+    loop.call_soon(lambda: session.ready(session._upstream.sock),
+                   owner=session)
+    with client:
+        client.settimeout(3)
+        assert client.recv(64) == b""
+    assert 0.3 <= time.monotonic() - started < 2
 
 
 def test_every_task_runs_exactly_once_under_contention():
