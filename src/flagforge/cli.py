@@ -1,9 +1,10 @@
 """Operator commands: converge, serve, inspect, scale, promote, package.
 
-Commands coordinate through the state directory, never via RPC: `apply` and
-`scale` write the desired topology, then converge the nodes no serve process
-owns; a running `serve` only reads that file and converges its own node when
-it changes. The directory comes from `--state` unless FLAGFORGE_STATE is set,
+Commands coordinate through the state directory, never via RPC: `apply`,
+`scale` and a `pipeline` pass that promotes a bundle write the desired
+topology once, then converge the nodes no serve process owns; a running
+`serve` only reads that file and converges its own node when it changes. The
+directory comes from `--state` unless FLAGFORGE_STATE is set,
 which wins. A command imports the modules it runs only when it runs them.
 """
 
@@ -15,12 +16,12 @@ import signal
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import FlagforgeError
-from .model import (MODE_DEPLOY, MODE_DEV, ROLE_BACKEND, parse_topology,
-                    validate_topology)
+from .model import MODE_DEPLOY, MODE_DEV, parse_topology, validate_topology
 from .state import StateStore, _pid_running, status_rows
 
 EXIT_OK = 0
@@ -33,48 +34,45 @@ def _state_store(args: argparse.Namespace) -> StateStore:
     return StateStore(Path(root))
 
 
-def _split_ownership(store: StateStore,
-                     node_ids) -> tuple[list[str], dict[str, int]]:
-    """Nodes this command may drive vs nodes owned by live serve processes."""
-    served: dict[str, int] = {}
-    free: list[str] = []
-    for node_id in node_ids:
-        owner = store.lock_owner(node_id)
-        if owner is None:
-            free.append(node_id)
-        else:
-            served[node_id] = owner
-    return free, served
+@contextmanager
+def _hosting(store: StateStore, topology, applied):
+    """A Cluster of the nodes no serve process owns, and the nodes it owns.
 
-
-def _converge(store: StateStore, topology) -> int:
+    A backend that left the topology with live replicas is hosted too, from
+    the applied topology that still names it, so this command stops them.
+    Each served node is named once the command is done.
+    """
     from .runtime import Cluster
-    applied = store.load_desired()
-    # a backend that left the topology with live replicas: this command stops
-    # them, hosting it from the applied topology that still names it
     retired = [n for n in (applied[0].nodes if applied else ())
                if n not in topology.nodes and any(
                    _pid_running(r["pid"]) for r in store.load_replicas(n))]
-    free, served = _split_ownership(store, [*topology.nodes, *retired])
-    cluster = Cluster(topology, store, hosted=free, bind_listeners=False,
-                      applied=applied)
+    owners = {n: store.lock_owner(n) for n in [*topology.nodes, *retired]}
+    served = {n: pid for n, pid in owners.items() if pid is not None}
+    cluster = Cluster(topology, store, bind_listeners=False, applied=applied,
+                      hosted=[n for n in owners if n not in served])
     try:
+        yield cluster, set(served)
+    finally:
+        cluster.shutdown()
+    for node_id in sorted(served):
+        print(f"{node_id}: delegated to serve process (pid {served[node_id]})")
+
+
+def _converge(store: StateStore, topology, applied) -> int:
+    with _hosting(store, topology, applied) as (cluster, served):
         # recorded first: served nodes pick it up even if nothing here runs
         store.save_desired(topology, {n: r for n, r in cluster.checksums.items()
                                       if n in topology.challenges})
-        report = cluster.converge(exclude_nodes=set(served))
-    finally:
-        cluster.shutdown()
-    print(report.render())
-    for node_id in sorted(served):
-        print(f"{node_id}: delegated to serve process (pid {served[node_id]})")
+        report = cluster.converge(exclude_nodes=served)
+        print(report.render())
     return EXIT_OK if report.all_ok else EXIT_PARTIAL
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     topology = parse_topology(Path(args.topology).read_text())
     validate_topology(topology)
-    return _converge(_state_store(args), topology)
+    store = _state_store(args)
+    return _converge(store, topology, store.load_desired())
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -87,7 +85,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = NodeService(
         topology_path=Path(args.topology) if args.topology else None,
         node_id=args.node, state_root=Path(root),
-        store_dir=Path(args.store) if args.store else None, mode=args.mode)
+        store_dir=Path(args.store) if args.store else None)
     try:
         failures = service.start()
         if failures:
@@ -136,7 +134,8 @@ def cmd_scale(args: argparse.Namespace) -> int:
                    replica_count=args.count)
     challenges = dict(topology.challenges)
     challenges[args.challenge] = spec
-    return _converge(store, replace(topology, challenges=challenges))
+    return _converge(store, replace(topology, challenges=challenges),
+                     persisted)
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
@@ -145,32 +144,18 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if persisted is None:
         print("error: no applied topology (run apply first)", file=sys.stderr)
         return EXIT_ERROR
-    topology, _ = persisted
-    free, served = _split_ownership(store, topology.nodes)
-    backends_free = [n for n in free
-                     if topology.nodes[n].role == ROLE_BACKEND]
-    if not backends_free and args.mode == MODE_DEV:
-        # served backends poll the store themselves
-        for node_id in sorted(served):
-            print(f"{node_id}: delegated to serve process"
-                  f" (pid {served[node_id]})")
-        return EXIT_OK
-    from .runtime import Cluster
     select = args.select.split(",") if args.select else None
-    cluster = Cluster(topology, store, hosted=free, bind_listeners=False,
-                      applied=persisted)
-    try:
-        while True:
-            report = cluster.pipeline_once(args.mode, Path(args.store),
-                                           select=select)
-            print(report.render(), flush=True)
-            if args.action == "run-once":
-                break
-            time.sleep(cluster.topology.poll_interval)
-    except KeyboardInterrupt:
-        return EXIT_OK
-    finally:
-        cluster.shutdown()
+    with _hosting(store, persisted[0], persisted) as (cluster, _):
+        try:
+            while True:
+                report = cluster.pipeline_once(args.mode, Path(args.store),
+                                               select=select)
+                print(report.render(), flush=True)
+                if args.action == "run-once":
+                    break
+                time.sleep(cluster.topology.poll_interval)
+        except KeyboardInterrupt:
+            return EXIT_OK
     failed = any(o.state == "failed" for o in report.outcomes)
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -203,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="topology file to bootstrap an empty state directory")
     p.add_argument("--store", default=None,
                    help="artifact store to poll in dev mode")
-    p.add_argument("--mode", choices=(MODE_DEV, MODE_DEPLOY),
-                   default=MODE_DEV, help="pipeline mode for the poll loop")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("status", parents=[common],

@@ -1,15 +1,16 @@
-"""Artifact-driven deployments: package, scan, decide, update, report.
+"""Artifact-driven deployments: package, scan, decide, record the outcome.
 
 A challenge ships as a single ``<challenge>-<version>.bundle`` file: a ustar
 archive whose first member is ``manifest`` (line-oriented ``key=value``)
 followed by the payload files. Versions are immutable: one (challenge,
 version) pair maps to exactly one payload checksum for the life of a store.
 
-``run_pipeline`` is the promotion pass: scan the store, compare against what
-is deployed, record each winning manifest into the desired state, then
-converge once. The converge provisions a new challenge and rolls a running
-one to the recorded build. The mode only picks the candidates: dev mode
-updates challenges that are already deployed, deploy mode the selection.
+A promotion pass decides here and deploys in ``runtime``: ``run_pipeline``
+scans the store and picks, per candidate, the newest bundle that differs
+from what is deployed. The mode only picks the candidates: dev mode the
+challenges that are already deployed, deploy mode the selection. Deciding
+writes nothing; the caller adds the winners to the desired state and
+converges once, as ``apply`` does.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import io
 import re
 import tarfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping
 
 from ._files import replacing
 from .errors import ManifestError, PipelineError, VersionConflictError
@@ -382,11 +383,16 @@ def read_status(path: Path) -> tuple[list[StatusRecord], list[str]]:
     return records, skipped
 
 
-def write_status(records: Iterable[StatusRecord], path: Path) -> None:
-    """Upsert records into the status file: newest per (challenge, backend)."""
+def write_status(records: Iterable[StatusRecord], path: Path,
+                 existing: Iterable[StatusRecord] | None = None) -> None:
+    """Upsert records into the status file: newest per (challenge, backend).
+
+    ``existing`` is the file's records when the caller has just read them.
+    """
     path = Path(path)
     merged: dict[tuple[str, str], StatusRecord] = {}
-    existing, _ = read_status(path)
+    if existing is None:
+        existing, _ = read_status(path)
     for record in existing:
         merged[(record.challenge, record.backend)] = record
     for record in records:
@@ -400,20 +406,7 @@ def write_status(records: Iterable[StatusRecord], path: Path) -> None:
         f.write("".join(merged[key].render() + "\n" for key in sorted(merged)))
 
 
-# --- the promotion loop ---------------------------------------------------------
-
-
-class Deployer(Protocol):
-    """Writes manifests into the desired state, then converges them at once."""
-
-    def backend_of(self, challenge: str) -> str:
-        """The backend node a challenge's status records name."""
-
-    def record(self, manifest: ArtifactManifest) -> None:
-        """Make one manifest part of the desired state; raises if it cannot."""
-
-    def converge(self) -> Mapping[str, str]:
-        """Converge once; map each challenge whose actions failed to why."""
+# --- the promotion decision -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -446,61 +439,32 @@ class PipelineReport:
         return "\n".join(lines)
 
 
-def run_pipeline(mode: str, store: Path, deployer: Deployer, *,
+def run_pipeline(mode: str, store: Path,
                  deployed_view: Mapping[str, str | None],
                  select: list[str] | None = None,
-                 status_path: Path | None = None,
-                 clock=time.time) -> PipelineReport:
-    """One promotion pass over the store.
+                 ) -> tuple[list[ArtifactManifest], list[str], list[str]]:
+    """Decide one promotion pass over the store; writes nothing.
 
-    Dev mode updates challenges that are already deployed and differ from
-    the newest store artifact. Deploy mode provisions exactly the selected
-    challenges (selection mandatory). Every winning manifest is recorded
-    first and then converged in one step. A challenge fails alone, when its
-    manifest cannot be recorded or its converge actions fail; the others go
-    on. The status file is only rewritten when something was attempted.
+    Dev mode picks challenges that are already deployed and differ from
+    the newest store artifact. Deploy mode picks exactly the selected
+    challenges (selection mandatory), deployed or not. Returns the winning
+    manifests, the selected challenges with no bundle in the store (deploy
+    mode) and the bundles skipped as malformed.
     """
     if mode not in (MODE_DEV, MODE_DEPLOY):
         raise PipelineError(f"unknown pipeline mode {mode!r}")
     if mode == MODE_DEPLOY and not select:
         raise PipelineError("deploy mode requires a challenge selection")
+    for name in select or ():
+        if not NAME_RE.match(name):
+            raise PipelineError(f"bad challenge name {name!r} in the selection")
 
     manifests, skipped = scan_store(store)
+    missing: list[str] = []
     if select is not None:
         manifests = [m for m in manifests if m.challenge in select]
+        if mode == MODE_DEPLOY:
+            missing = sorted(set(select) - {m.challenge for m in manifests})
     decided = decide_updates(manifests, deployed_view,
                              include_undeployed=(mode == MODE_DEPLOY))
-
-    outcomes: list[PipelineOutcome] = []
-    if mode == MODE_DEPLOY:
-        in_store = {m.challenge for m in manifests}
-        for name in sorted(set(select or []) - in_store):
-            outcomes.append(PipelineOutcome(
-                challenge=name, version="-", state=STATE_FAILED,
-                detail="no bundle in store"))
-
-    failures: dict[str, str] = {}
-    for challenge, manifest in decided:
-        try:
-            deployer.record(manifest)
-        except Exception as exc:
-            failures[challenge] = str(exc)
-    if len(failures) < len(decided):
-        failures = {**deployer.converge(), **failures}
-    for challenge, manifest in decided:
-        detail = failures.get(challenge)
-        outcomes.append(PipelineOutcome(
-            challenge=challenge, version=manifest.version,
-            state=STATE_DEPLOYED if detail is None else STATE_FAILED,
-            detail=detail or ""))
-
-    if outcomes and status_path is not None:
-        moment = _now_iso(clock)
-        write_status(
-            [StatusRecord(challenge=o.challenge,
-                          backend=deployer.backend_of(o.challenge),
-                          version=o.version, state=o.state, timestamp=moment)
-             for o in outcomes],
-            status_path)
-    return PipelineReport(mode=mode, outcomes=tuple(outcomes),
-                          skipped=tuple(skipped))
+    return [manifest for _, manifest in decided], missing, skipped

@@ -10,9 +10,11 @@ together with the fingerprint of the spec each one was started from, so spec
 drift (a new version, run command or probe) is planned as a rolling update.
 A converge reads each shared state file once and, after its last action,
 writes ``balancer.json`` and ``ingress.map`` once; only ``replicas-<node>.json``
-is written per action (see ``state``). It never writes ``desired.json``: a
-promotion pass adds its artifacts to the file as it is on disk and then
-converges, the path ``apply`` takes. A frontend ``serve`` converges when
+is written per action (see ``state``). It never writes ``desired.json``. A
+promotion pass (``pipeline_once``) takes the path ``apply`` takes: it lets
+``pipeline`` decide the winning bundles, adds them to ``desired.json`` as it
+is on disk, writes that file once, converges once and then writes
+``latest-build.txt`` once. A frontend ``serve`` converges when
 ``desired.json`` changes, and each ``probe_interval`` while its last converge
 had a failed action.
 """
@@ -36,7 +38,7 @@ from .state import PortMapping, StateStore, _pid_running, load_mappings
 if TYPE_CHECKING:
     from .backend import BackendNode
     from .ingress import FrontendNode
-    from .pipeline import ArtifactManifest, PipelineReport
+    from .pipeline import ArtifactManifest, PipelineReport, StatusRecord
 
 
 def extract_payload(bundle: Path, target: Path) -> None:
@@ -146,15 +148,19 @@ class Cluster:
 
     def pipeline_once(self, mode: str, store_dir: Path,
                       select: list[str] | None = None) -> PipelineReport:
-        """One promotion pass (see run_pipeline), then status repair.
+        """One promotion pass: decide, write the desire once, converge once.
 
         The mode only picks the candidates: dev mode the challenges with
         replicas on a backend this process hosts, deploy mode the selection,
         deployed or not. A recorded checksum counts as deployed only while
         the live replicas (or, with none running, the desired spec) carry
-        its version; anything else reads as unknown provenance.
+        its version; anything else reads as unknown provenance. A winner
+        whose bundle cannot be unpacked, whose spec makes the topology
+        invalid, or whose converge actions fail, fails alone.
         """
-        from .pipeline import run_pipeline
+        from .pipeline import (STATE_DEPLOYED, STATE_FAILED, PipelineOutcome,
+                               PipelineReport, StatusRecord, _now_iso,
+                               read_status, run_pipeline, write_status)
         live = self._live_replicas()
         if mode == MODE_DEV:
             names = {r["service"] for node_id in self.backends
@@ -172,14 +178,78 @@ class Cluster:
             record = self.checksums.get(name)
             known = record is not None and versions == {record["version"]}
             view[name] = record["checksum"] if known else None
-        report = run_pipeline(mode, store_dir, _Promoter(self, Path(store_dir)),
-                              deployed_view=view, select=select,
-                              status_path=self.store.status_path,
-                              clock=self.clock)
-        written = {o.challenge for o in report.outcomes}
+        store_dir = Path(store_dir)
+        winners, missing, skipped = run_pipeline(mode, store_dir, view, select)
+
+        failures: dict[str, str] = {}
+        if winners:
+            # merged into the desire as it is on disk, read once per pass
+            self.topology, self.checksums = (self.store.load_desired()
+                                             or (self.topology, self.checksums))
+        for manifest in winners:
+            try:
+                self._admit(manifest, store_dir)
+            except Exception as exc:
+                failures[manifest.challenge] = str(exc)
+        if len(failures) < len(winners):
+            self.store.save_desired(self.topology, self.checksums)
+            report = self.converge(exclude_nodes=self.unhosted_nodes)
+            for result in report.results:
+                if result.outcome != "ok" and result.action.challenge is not None:
+                    failures.setdefault(result.action.challenge, result.render())
+
+        outcomes = [PipelineOutcome(name, "-", STATE_FAILED, "no bundle in store")
+                    for name in missing]
+        outcomes += [PipelineOutcome(
+            m.challenge, m.version,
+            STATE_FAILED if m.challenge in failures else STATE_DEPLOYED,
+            failures.get(m.challenge, "")) for m in winners]
+        moment = _now_iso(self.clock)
+        records = [StatusRecord(o.challenge, self._backend_of(o.challenge),
+                                o.version, o.state, moment) for o in outcomes]
+        # this pass's own outcomes are fresh: a failed promotion stays on
+        # record although the abort left the old version at full count
+        existing, _ = read_status(self.store.status_path)
+        written = {o.challenge for o in outcomes}
+        stale = {(r.challenge, r.backend): r for r in existing
+                 if r.challenge not in written}
         for node_id in sorted(self.backends):
-            self._repair_status(node_id, written)
-        return report
+            records += self._repair_status(node_id, stale, moment)
+        if records:
+            write_status(records, self.store.status_path, existing)
+        return PipelineReport(mode=mode, outcomes=tuple(outcomes),
+                              skipped=tuple(skipped))
+
+    def _backend_of(self, challenge: str) -> str:
+        """The backend a challenge's spec and status records name."""
+        held = self.topology.challenges.get(challenge)
+        if held is not None:
+            return held.backend
+        return min(n.node_id for n in self.topology.backends)
+
+    def _admit(self, manifest: ArtifactManifest, store_dir: Path) -> None:
+        """Extract a bundle's payload and add its spec to the topology.
+
+        The payload lands in a directory keyed by checksum, and ``{DIR}`` in
+        the run command expands to it, so content changes always change the
+        effective spec even under a reused version label.
+        """
+        target = self.store.bundles_dir / (
+            f"{manifest.challenge}-{manifest.checksum[:12]}")
+        if not target.is_dir():
+            bundle = store_dir / manifest.bundle_name
+            if not bundle.is_file():
+                raise PipelineError(f"bundle {manifest.bundle_name} not in store")
+            extract_payload(bundle, target)
+        spec = manifest.challenge_spec(
+            self._backend_of(manifest.challenge),
+            run_command=manifest.run_command.replace("{DIR}", str(target)))
+        topology = replace(self.topology, challenges={
+            **self.topology.challenges, spec.name: spec})
+        validate_topology(topology)
+        self.topology = topology
+        self.checksums[spec.name] = {"checksum": manifest.checksum,
+                                     "version": manifest.version}
 
     @property
     def unhosted_nodes(self) -> set[str]:
@@ -188,22 +258,16 @@ class Cluster:
             hosted.add(self.frontend.node_id)
         return set(self.topology.nodes) - hosted
 
-    def _repair_status(self, node_id: str, written: set[str]) -> None:
-        """Correct stale records: live uniform state wins over old lines.
-
-        The records of ``written``, the challenges this pass promoted, are
-        fresh: a failed promotion stays on record although the abort left the
-        old version running at full count.
-        """
-        from .pipeline import (STATE_DEPLOYED, StatusRecord, _now_iso,
-                               read_status, write_status)
-        records, _ = read_status(self.store.status_path)
-        existing = {(r.challenge, r.backend): r for r in records}
+    def _repair_status(self, node_id: str,
+                       records: dict[tuple[str, str], StatusRecord],
+                       moment: str) -> list[StatusRecord]:
+        """Fixes for a node's records: live uniform state wins over old lines."""
+        from .pipeline import STATE_DEPLOYED, StatusRecord
         backend = self.backends[node_id]
         fixes = []
         for service in backend.supervisor.services():
-            record = existing.get((service, node_id))
-            if record is None or service in written:
+            record = records.get((service, node_id))
+            if record is None:
                 continue
             instances = backend.supervisor.instances_of(service)
             versions = {i.endpoint.version for i in instances}
@@ -212,10 +276,8 @@ class Cluster:
                 live = versions.pop()
                 if record.version != live or record.state != STATE_DEPLOYED:
                     fixes.append(StatusRecord(service, node_id, live,
-                                              STATE_DEPLOYED,
-                                              _now_iso(self.clock)))
-        if fixes:
-            write_status(fixes, self.store.status_path)
+                                              STATE_DEPLOYED, moment))
+        return fixes
 
     # --- lifecycle ---------------------------------------------------------------
 
@@ -314,64 +376,12 @@ class _ClusterExecutor:
         return self.cluster.frontend
 
 
-@dataclass
-class _Promoter:
-    """The pipeline's deployer: record artifacts, then converge the cluster."""
-
-    cluster: Cluster
-    store_dir: Path
-
-    def backend_of(self, challenge: str) -> str:
-        held = self.cluster.topology.challenges.get(challenge)
-        if held is not None:
-            return held.backend
-        return min(n.node_id for n in self.cluster.topology.backends)
-
-    def record(self, manifest: ArtifactManifest) -> None:
-        """Extract a bundle's payload; add its spec to ``desired.json`` on disk.
-
-        The payload lands in a directory keyed by checksum, and ``{DIR}`` in
-        the run command expands to it, so content changes always change the
-        effective spec even under a reused version label.
-        """
-        cluster = self.cluster
-        target = cluster.store.bundles_dir / (
-            f"{manifest.challenge}-{manifest.checksum[:12]}")
-        if not target.is_dir():
-            bundle = self.store_dir / manifest.bundle_name
-            if not bundle.is_file():
-                raise PipelineError(f"bundle {manifest.bundle_name} not in store")
-            extract_payload(bundle, target)
-        cluster.topology, cluster.checksums = (
-            cluster.store.load_desired() or (cluster.topology, cluster.checksums))
-        spec = manifest.challenge_spec(
-            self.backend_of(manifest.challenge),
-            run_command=manifest.run_command.replace("{DIR}", str(target)))
-        topology = replace(cluster.topology,
-                           challenges={**cluster.topology.challenges,
-                                       spec.name: spec})
-        validate_topology(topology)
-        cluster.topology = topology
-        cluster.checksums[spec.name] = {"checksum": manifest.checksum,
-                                        "version": manifest.version}
-        cluster.store.save_desired(topology, cluster.checksums)
-
-    def converge(self) -> dict[str, str]:
-        report = self.cluster.converge(exclude_nodes=self.cluster.unhosted_nodes)
-        failures: dict[str, str] = {}
-        for result in report.results:
-            if result.outcome != "ok" and result.action.challenge is not None:
-                failures.setdefault(result.action.challenge, result.render())
-        return failures
-
-
 class NodeService:
     """What ``serve`` runs: host one node and keep it converged until stopped."""
 
     def __init__(self, topology_path: Path | None, node_id: str,
                  state_root: Path, store_dir: Path | None = None,
-                 mode: str = MODE_DEV, clock: Callable[[], float] = time.time,
-                 tick: float = 0.5):
+                 clock: Callable[[], float] = time.time, tick: float = 0.5):
         self.store = StateStore(state_root)
         # noted before the read: a write after it is seen by the next tick
         self._desired_mtime = self._mtime()
@@ -386,7 +396,6 @@ class NodeService:
             raise TopologyError(f"unknown node {node_id!r}")
         self.node_id = node_id
         self.store_dir = Path(store_dir) if store_dir is not None else None
-        self.mode = mode
         self.clock = clock
         self.tick = tick
         self.store.acquire_lock(node_id, os.getpid())
@@ -459,7 +468,7 @@ class NodeService:
             if (self.store_dir is not None
                     and now - self._last_poll >= topology.poll_interval):
                 self._last_poll = now
-                self.cluster.pipeline_once(self.mode, self.store_dir)
+                self.cluster.pipeline_once(MODE_DEV, self.store_dir)
         elif (not self._report.all_ok
               and now - self._last_probe >= self.cluster.topology.probe_interval):
             # a failed bind (its backend's port not on record yet, or its own

@@ -347,6 +347,24 @@ def test_scale_validates_input(workspace, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_scale_parses_the_applied_topology_once(workspace, capsys,
+                                                monkeypatch):
+    import flagforge.state as state_module
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+    parses = []
+
+    def counting(text):
+        parses.append(text)
+        return parse_topology(text)
+
+    monkeypatch.setattr(state_module, "parse_topology", counting)
+    assert main(["scale", "alpha", "2", "--state", str(state)]) == 0
+    assert len(parses) == 1
+
+
 # --- package and pipeline -------------------------------------------------------
 
 
@@ -447,6 +465,20 @@ def test_pipeline_deploy_parses_the_applied_topology_once(workspace, capsys,
     assert main(deploy) == 0
     assert capsys.readouterr().out.splitlines()[0] == "0 updates"
     assert len(parses) == 1
+
+
+def test_pipeline_select_rejects_bad_names(workspace, capsys):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+    capsys.readouterr()
+    for select in ("ghost,", ",alpha", "alpha,,beta", "Alpha"):
+        assert main(["pipeline", "run-once", "--mode", "deploy",
+                     "--select", select, "--state", str(state),
+                     "--store", str(root / "artifacts")]) == 1
+        assert "bad challenge name" in capsys.readouterr().err
+    assert not StateStore(state).status_path.exists()
 
 
 def test_pipeline_dev_with_all_backends_served_delegates(workspace, capsys):

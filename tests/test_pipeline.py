@@ -1,9 +1,9 @@
-"""Bundle packaging, store scanning, update decisions, and status records."""
+"""Bundle packaging, store scanning, update decisions, status records, and
+the isolation of a failed promotion."""
 
 from __future__ import annotations
 
 import tarfile
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -12,9 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagforge.errors import ManifestError, PipelineError, VersionConflictError
-from flagforge.model import ProbeSpec
+from flagforge.model import ProbeSpec, parse_topology
 from flagforge.pipeline import (
     ArtifactManifest,
+    PipelineOutcome,
     PipelineReport,
     StatusRecord,
     decide_updates,
@@ -62,23 +63,6 @@ def mk_manifest(challenge: str = "web-pwn", version: str = "1",
         challenge=challenge, version=version, created_at=created_at,
         checksum=checksum, replicas=3, internal_port=7000, external_port=9001,
         run_command="python3 server.py {PORT}", probe=ProbeSpec())
-
-
-@dataclass
-class FakeDeployer:
-    deployed: list[tuple[str, str]] = field(default_factory=list)
-    fail: set[str] = field(default_factory=set)
-
-    def backend_of(self, challenge: str) -> str:
-        return "backend-1"
-
-    def record(self, manifest: ArtifactManifest) -> None:
-        if manifest.challenge in self.fail:
-            raise PipelineError(f"injected failure for {manifest.challenge}")
-        self.deployed.append((manifest.challenge, manifest.version))
-
-    def converge(self) -> dict[str, str]:
-        return {}
 
 
 # --- packaging ----------------------------------------------------------------
@@ -341,19 +325,8 @@ def seed_store(tmp_path, specs) -> Path:
 def test_pipeline_dev_nothing_new(tmp_path):
     store = seed_store(tmp_path, [("web-pwn", "1", T1, "x\n")])
     manifests, _ = scan_store(store)
-    status = tmp_path / "latest-build.txt"
-    write_status([StatusRecord("web-pwn", "backend-1", "1", "deployed", T1)],
-                 status)
-    before = status.stat()
-
-    deployer = FakeDeployer()
-    report = run_pipeline("dev", store, deployer,
-                          deployed_view={"web-pwn": manifests[0].checksum},
-                          status_path=status)
-    assert report.render() == "0 updates"
-    assert deployer.deployed == []
-    after = status.stat()
-    assert (before.st_ino, before.st_mtime_ns) == (after.st_ino, after.st_mtime_ns)
+    assert run_pipeline("dev", store,
+                        {"web-pwn": manifests[0].checksum}) == ([], [], [])
 
 
 def test_pipeline_dev_updates_only_stale_challenge(tmp_path):
@@ -361,6 +334,7 @@ def test_pipeline_dev_updates_only_stale_challenge(tmp_path):
         ("alpha", "1", T1, "a1\n"), ("alpha", "2", T2, "a2\n"),
         ("beta", "1", T1, "b1\n"),
         ("gamma", "1", T1, "c1\n"),
+        ("delta", "1", T1, "d1\n"),  # in the store, not deployed
     ])
     manifests, _ = scan_store(store)
     by_key = {(m.challenge, m.version): m for m in manifests}
@@ -369,66 +343,88 @@ def test_pipeline_dev_updates_only_stale_challenge(tmp_path):
         "beta": by_key[("beta", "1")].checksum,
         "gamma": by_key[("gamma", "1")].checksum,
     }
-    status = tmp_path / "latest-build.txt"
-    deployer = FakeDeployer()
-    report = run_pipeline("dev", store, deployer, deployed_view=deployed,
-                          status_path=status)
-    assert deployer.deployed == [("alpha", "2")]
-    assert report.updates == 1
-    records, _ = read_status(status)
-    assert records == [StatusRecord("alpha", "backend-1", "2", "deployed",
-                                    records[0].timestamp)]
+    before = sorted(store.iterdir())
+    winners, missing, skipped = run_pipeline("dev", store, deployed)
+    assert winners == [by_key[("alpha", "2")]]
+    assert (missing, skipped) == ([], [])
+    assert sorted(store.iterdir()) == before  # deciding writes nothing
 
 
 def test_pipeline_failure_is_isolated(tmp_path):
-    store = seed_store(tmp_path, [
+    """beta's bundle claims alpha's external port: beta fails, alpha deploys."""
+    from flagforge.runner import MockRunner
+    from flagforge.runtime import Cluster, StateStore
+
+    class OkProber:
+        def probe(self, address, port, spec):
+            return True
+
+    cluster = Cluster(parse_topology(
+        "node edge role=frontend bind=127.0.0.1 ports=9000-9099\n"
+        "node worker role=backend bind=127.0.0.1 ports=20000-20099\n"
+        'challenge alpha version=1 replicas=1 internal_port=7000'
+        ' external_port=9001 backend=worker run="run-a {PORT}" probe=tcp\n'
+        'challenge beta version=1 replicas=1 internal_port=7000'
+        ' external_port=9002 backend=worker run="run-b {PORT}" probe=tcp\n'),
+        StateStore(tmp_path / "state"), bind_listeners=False,
+        runner_factory=lambda node, store: MockRunner(), prober=OkProber())
+    assert cluster.converge().all_ok
+    store = seed_store(tmp_path, [  # each bundle claims external port 9001
         ("alpha", "2", T2, "a2\n"), ("beta", "2", T2, "b2\n")])
-    status = tmp_path / "latest-build.txt"
-    deployer = FakeDeployer(fail={"alpha"})
-    report = run_pipeline("dev", store, deployer,
-                          deployed_view={"alpha": None, "beta": None},
-                          status_path=status)
-    assert deployer.deployed == [("beta", "2")]
+
+    report = cluster.pipeline_once("dev", store)
     states = {o.challenge: o.state for o in report.outcomes}
-    assert states == {"alpha": "failed", "beta": "deployed"}
-    records, _ = read_status(status)
-    by_challenge = {r.challenge: r for r in records}
-    assert by_challenge["alpha"].state == "failed"
-    assert by_challenge["beta"].state == "deployed"
+    assert states == {"alpha": "deployed", "beta": "failed"}
+    assert report.outcomes[1].detail == "duplicate external_port 9001"
+    records, _ = read_status(cluster.store.status_path)
+    assert {r.challenge: (r.version, r.state) for r in records} == \
+        {"alpha": ("2", "deployed"), "beta": ("2", "failed")}
+    supervisor = cluster.backends["worker"].supervisor
+    assert {i.endpoint.version for i in supervisor.instances_of("alpha")} == {"2"}
+    assert [i.endpoint.version for i in supervisor.instances_of("beta")] == ["1"]
+    topology, _ = cluster.store.load_desired()
+    assert topology.challenges["beta"].version == "1"
+    cluster.shutdown()
 
 
 def test_pipeline_deploy_requires_selection(tmp_path):
     store = seed_store(tmp_path, [("alpha", "1", T1, "a\n")])
     with pytest.raises(PipelineError, match="selection"):
-        run_pipeline("deploy", store, FakeDeployer(), deployed_view={})
+        run_pipeline("deploy", store, {})
     with pytest.raises(PipelineError, match="mode"):
-        run_pipeline("prod", store, FakeDeployer(), deployed_view={})
+        run_pipeline("prod", store, {})
+    for bad in ("", "Alpha", "a/b"):
+        with pytest.raises(PipelineError, match="bad challenge name"):
+            run_pipeline("deploy", store, {}, select=["alpha", bad])
 
 
 def test_pipeline_deploy_provisions_selected_only(tmp_path):
     store = seed_store(tmp_path, [
         (name, "1", T1, f"{name}\n")
         for name in ("alpha", "beta", "gamma", "delta", "epsilon")])
-    deployer = FakeDeployer()
-    report = run_pipeline("deploy", store, deployer, deployed_view={},
-                          select=["beta", "delta"])
-    assert sorted(deployer.deployed) == [("beta", "1"), ("delta", "1")]
-    assert report.updates == 2
+    winners, missing, _ = run_pipeline("deploy", store, {},
+                                       select=["beta", "delta"])
+    assert [(m.challenge, m.version) for m in winners] == \
+        [("beta", "1"), ("delta", "1")]
+    assert missing == []
 
 
 def test_pipeline_deploy_reports_missing_selection(tmp_path):
     store = seed_store(tmp_path, [("alpha", "1", T1, "a\n")])
-    deployer = FakeDeployer()
-    report = run_pipeline("deploy", store, deployer, deployed_view={},
-                          select=["alpha", "ghost"])
-    assert deployer.deployed == [("alpha", "1")]
-    outcomes = {o.challenge: o for o in report.outcomes}
-    assert outcomes["ghost"].state == "failed"
-    assert outcomes["ghost"].detail == "no bundle in store"
+    winners, missing, _ = run_pipeline("deploy", store, {},
+                                       select=["alpha", "ghost"])
+    assert [(m.challenge, m.version) for m in winners] == [("alpha", "1")]
+    assert missing == ["ghost"]
+    # a dev pass only narrows its candidates by a selection
+    assert run_pipeline("dev", store, {"alpha": None},
+                        select=["alpha", "ghost"])[1] == []
 
 
-def test_pipeline_report_render_lists_outcomes(tmp_path):
-    store = seed_store(tmp_path, [("alpha", "2", T2, "a2\n")])
-    report = run_pipeline("dev", store, FakeDeployer(),
-                          deployed_view={"alpha": None})
-    assert report.render() == "1 updates\nalpha 2 deployed"
+def test_pipeline_report_render_lists_outcomes():
+    report = PipelineReport(mode="dev", outcomes=(
+        PipelineOutcome("alpha", "2", "deployed"),
+        PipelineOutcome("ghost", "-", "failed", "no bundle in store")),
+        skipped=("junk.bundle: unreadable bundle",))
+    assert report.render() == (
+        "2 updates\nalpha 2 deployed\nghost - failed (no bundle in store)\n"
+        "skipped: junk.bundle: unreadable bundle")

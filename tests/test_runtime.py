@@ -644,6 +644,85 @@ def test_dev_pipeline_repairs_stale_status_records(tmp_path):
     assert (record.version, record.state) == ("v1", "deployed")
 
 
+def test_a_promotion_pass_writes_the_desire_once(tmp_path, state_writes):
+    bare = "\n".join(TOPOLOGY.splitlines()[:3]) + "\n"
+    cluster, store, _ = make_cluster(tmp_path, text=bare)
+    store_dir = tmp_path / "artifacts"
+    write_bundle(tmp_path, store_dir, "alpha", "v1",
+                 "2024-01-01T00:00:00+00:00", body="print('a')\n")
+    write_bundle(tmp_path, store_dir, "beta", "v1",
+                 "2024-01-01T00:00:00+00:00", body="print('b')\n",
+                 external=9002)
+    state_writes.clear()
+
+    report = cluster.pipeline_once("deploy", store_dir,
+                                   select=["alpha", "beta"])
+    assert [(o.challenge, o.state) for o in report.outcomes] == \
+        [("alpha", "deployed"), ("beta", "deployed")]
+    assert state_writes.count(store.desired_path) == 1
+    topology, checksums = store.load_desired()
+    assert sorted(topology.challenges) == sorted(checksums) == ["alpha", "beta"]
+
+
+def test_a_promotion_pass_reads_and_writes_the_status_file_once(tmp_path, monkeypatch):
+    import flagforge.pipeline as pipeline
+    cluster, store, _ = make_cluster(tmp_path)
+    cluster.converge()
+    write_status([StatusRecord("beta", "worker", "v9", "failed",
+                               "2024-01-01T00:00:00+00:00")],
+                 store.status_path)
+    store_dir = tmp_path / "artifacts"
+    write_bundle(tmp_path, store_dir, "alpha", "v2",
+                 "2024-02-01T00:00:00+00:00", body="print('v2')\n")
+    calls = []
+    read, write = pipeline.read_status, pipeline.write_status
+
+    def reading(path):
+        calls.append(("read", path))
+        return read(path)
+
+    def writing(records, path, *existing):
+        calls.append(("write", path))
+        write(records, path, *existing)
+
+    monkeypatch.setattr(pipeline, "read_status", reading)
+    monkeypatch.setattr(pipeline, "write_status", writing)
+    assert cluster.pipeline_once("dev", store_dir).updates == 1
+    assert calls == [("read", store.status_path), ("write", store.status_path)]
+    records, _ = read_status(store.status_path)
+    assert {r.challenge: (r.version, r.state) for r in records} == \
+        {"alpha": ("v2", "deployed"), "beta": ("v1", "deployed")}
+
+
+def test_a_promotion_pass_calls_through_the_traced_module_names(
+        tmp_path, monkeypatch):
+    """The benchmark times each layer by wrapping these module attributes;
+    a pass that bypassed one would leave that layer's spans empty."""
+    import flagforge.pipeline as pipeline
+    cluster, _, _ = make_cluster(tmp_path)
+    cluster.converge()
+    store_dir = tmp_path / "artifacts"
+    write_bundle(tmp_path, store_dir, "alpha", "v2",
+                 "2024-02-01T00:00:00+00:00", body="print('v2')\n")
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(pipeline, "scan_store")
+    for name in ("extract_payload", "diff", "apply_changeset"):
+        count(runtime, name)
+    assert cluster.pipeline_once("dev", store_dir).updates == 1
+    assert calls == {"scan_store": 1, "extract_payload": 1, "diff": 1,
+                     "apply_changeset": 1}
+
+
 # --- status view -----------------------------------------------------------------
 
 
