@@ -26,7 +26,7 @@ from functools import partial
 from typing import Callable
 
 from ._net import PROXY_HEADER_LIMIT, Listener, Session, parse_proxy_header
-from .errors import NoHealthyReplicasError
+from .errors import NoHealthyReplicasError, UnknownServiceError
 from .registry import (
     EVENT_DEREGISTERED,
     HEALTH_HEALTHY,
@@ -346,7 +346,8 @@ class BalancerServer:
               attempts: int) -> None:
         try:
             endpoint = self.balancer.pick(service, source_ip)
-        except NoHealthyReplicasError:
+        except (NoHealthyReplicasError, UnknownServiceError):
+            # no replica, or the service left the node since this accept
             session.close()
             return
         replica_id = endpoint.replica_id

@@ -2,14 +2,16 @@
 
 Commands coordinate through the state directory, never via RPC: `apply`,
 `scale` and a `pipeline` pass that promotes a bundle write the desired
-topology once, then converge the nodes no serve process owns; a running
-`serve` only reads that file and converges its own node when it changes. The
-directory comes from `--state` unless FLAGFORGE_STATE is set,
-which wins. A command imports the modules it runs only when it runs them.
+topology once, then converge the nodes they host, those no serve process
+owns; a running `serve` only reads that file and, in a tick on its main
+thread, converges its own node when it changes. The directory comes from
+`--state` unless FLAGFORGE_STATE is set, which wins. A command imports the
+modules it runs only when it runs them.
 """
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import os
 import signal
@@ -36,7 +38,7 @@ def _state_store(args: argparse.Namespace) -> StateStore:
 
 @contextmanager
 def _hosting(store: StateStore, topology, applied):
-    """A Cluster of the nodes no serve process owns, and the nodes it owns.
+    """A Cluster of the nodes no serve process owns.
 
     A backend that left the topology with live replicas is hosted too, from
     the applied topology that still names it, so this command stops them.
@@ -51,7 +53,7 @@ def _hosting(store: StateStore, topology, applied):
     cluster = Cluster(topology, store, bind_listeners=False, applied=applied,
                       hosted=[n for n in owners if n not in served])
     try:
-        yield cluster, set(served)
+        yield cluster
     finally:
         cluster.shutdown()
     for node_id in sorted(served):
@@ -59,11 +61,11 @@ def _hosting(store: StateStore, topology, applied):
 
 
 def _converge(store: StateStore, topology, applied) -> int:
-    with _hosting(store, topology, applied) as (cluster, served):
+    with _hosting(store, topology, applied) as cluster:
         # recorded first: served nodes pick it up even if nothing here runs
         store.save_desired(topology, {n: r for n, r in cluster.checksums.items()
                                       if n in topology.challenges})
-        report = cluster.converge(exclude_nodes=served)
+        report = cluster.converge()
         print(report.render())
     return EXIT_OK if report.all_ok else EXIT_PARTIAL
 
@@ -75,12 +77,24 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return _converge(store, topology, store.load_desired())
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .runtime import NodeService
-    # a signal that arrives while the node starts up stops it once it is up
+def _stop_on_signals() -> threading.Event:
+    """An event that SIGINT and SIGTERM set.
+
+    A handler runs on the main thread, which may be inside the event's own
+    ``wait`` and hold its lock there, so the handler sets it from a new
+    thread rather than wait on that lock forever.
+    """
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
+        signal.signal(signum, lambda *_: _thread.start_new_thread(stop.set, ()))
+    return stop
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    from .runtime import NodeService
+    # a signal that arrives while the node starts up stops it once it is up,
+    # and one that arrives during a tick once that tick ends
+    stop = _stop_on_signals()
     root = os.environ.get("FLAGFORGE_STATE") or args.state
     service = NodeService(
         topology_path=Path(args.topology) if args.topology else None,
@@ -93,7 +107,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 print(f"error: {failure}", file=sys.stderr)
             return EXIT_ERROR
         print(f"serving {args.node} from {root}", flush=True)
-        stop.wait()
+        service.run(stop)
     finally:
         service.stop()
     return EXIT_OK
@@ -145,7 +159,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print("error: no applied topology (run apply first)", file=sys.stderr)
         return EXIT_ERROR
     select = args.select.split(",") if args.select else None
-    with _hosting(store, persisted[0], persisted) as (cluster, _):
+    with _hosting(store, persisted[0], persisted) as cluster:
         try:
             while True:
                 report = cluster.pipeline_once(args.mode, Path(args.store),

@@ -45,10 +45,6 @@ class EndpointInUseError(RegistryError):
     pass
 
 
-class NetworkInUseError(RegistryError):
-    pass
-
-
 class SupervisorError(FlagforgeError):
     """Replica lifecycle operation failed."""
 

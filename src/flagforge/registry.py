@@ -20,7 +20,6 @@ from typing import Callable
 from .errors import (
     DuplicateReplicaError,
     EndpointInUseError,
-    NetworkInUseError,
     UnknownReplicaError,
     UnknownServiceError,
 )
@@ -66,10 +65,6 @@ class Registry:
         with self._lock:
             if name in self._services:
                 return self._services[name]
-            for record in self._services.values():
-                if record.network_id == network_id:
-                    raise NetworkInUseError(
-                        f"network {network_id} already belongs to {record.name}")
             record = ServiceRecord(name=name, network_id=network_id)
             self._services[name] = record
             return record

@@ -1,20 +1,23 @@
 """Live cluster runtime: converge the nodes one process hosts.
 
-A ``Cluster`` hosts live runtimes for some of the topology's nodes (all of
-them for one-shot converge, a single one inside ``serve``) and executes diff
-actions against them. It imports ``backend`` only for a backend node it
-hosts, ``ingress`` only for a hosted frontend, and ``pipeline`` only for a
-promotion pass. Replicas are detached processes, so state (see ``state``)
-survives the hosting process: the next command adopts them back by pid,
-together with the fingerprint of the spec each one was started from, so spec
-drift (a new version, run command or probe) is planned as a rolling update.
+A ``Cluster`` hosts live runtimes for some of the topology's nodes (those no
+serve owns for a one-shot command, a single one inside ``serve``). A converge
+plans the whole cluster and runs the actions of the nodes it hosts; the
+others are left to the process that hosts them. It imports ``backend`` only
+for a backend node it hosts, ``ingress`` only for a hosted frontend, and
+``pipeline`` only for a promotion pass. Replicas are detached processes, so
+state (see ``state``) survives the hosting process: the next command adopts
+them back by pid, together with the fingerprint of the spec each one was
+started from, so spec drift (a new version, run command or probe) is planned
+as a rolling update.
 A converge reads each shared state file once and, after its last action,
 writes ``balancer.json`` and ``ingress.map`` once; only ``replicas-<node>.json``
 is written per action (see ``state``). It never writes ``desired.json``. A
 promotion pass (``pipeline_once``) takes the path ``apply`` takes: it lets
 ``pipeline`` decide the winning bundles, adds them to ``desired.json`` as it
 is on disk, writes that file once, converges once and then writes
-``latest-build.txt`` once. A frontend ``serve`` converges when
+``latest-build.txt`` once. A ``serve`` ticks on its main thread, beside the
+data plane's loop thread. A frontend ``serve`` converges when
 ``desired.json`` changes, and each ``probe_interval`` while its last converge
 had a failed action.
 """
@@ -127,14 +130,16 @@ class Cluster:
     # --- convergence ----------------------------------------------------------
 
     def converge(self, topology: Topology | None = None,
-                 only_node: str | None = None,
-                 exclude_nodes: set[str] | None = None) -> ApplyReport:
+                 only_node: str | None = None) -> ApplyReport:
+        """Run the plan's actions on the hosted nodes (``only_node``'s alone)."""
         if topology is not None:
             self.topology = topology
+        hosted = set(self.backends)
+        if self.frontend is not None:
+            hosted.add(self.frontend.node_id)
         changeset = ChangeSet(tuple(
             a for a in diff(self.topology, self.observe())
-            if (only_node is None or a.node == only_node)
-            and a.node not in (exclude_nodes or ())))
+            if a.node in hosted and only_node in (None, a.node)))
         mapped = dict(self.frontend.mappings) if self.frontend else None
         report = apply_changeset(changeset, _ClusterExecutor(self))
         # each shared file once per converge, after its node's last action
@@ -193,7 +198,7 @@ class Cluster:
                 failures[manifest.challenge] = str(exc)
         if len(failures) < len(winners):
             self.store.save_desired(self.topology, self.checksums)
-            report = self.converge(exclude_nodes=self.unhosted_nodes)
+            report = self.converge()
             for result in report.results:
                 if result.outcome != "ok" and result.action.challenge is not None:
                     failures.setdefault(result.action.challenge, result.render())
@@ -251,13 +256,6 @@ class Cluster:
         self.checksums[spec.name] = {"checksum": manifest.checksum,
                                      "version": manifest.version}
 
-    @property
-    def unhosted_nodes(self) -> set[str]:
-        hosted = set(self.backends)
-        if self.frontend is not None:
-            hosted.add(self.frontend.node_id)
-        return set(self.topology.nodes) - hosted
-
     def _repair_status(self, node_id: str,
                        records: dict[tuple[str, str], StatusRecord],
                        moment: str) -> list[StatusRecord]:
@@ -298,27 +296,21 @@ class _ClusterExecutor:
         handler = getattr(self, f"_{action.kind}")
         handler(action)
 
-    def _require_backend(self, node_id: str) -> BackendNode:
-        backend = self.cluster.backends.get(node_id)
-        if backend is None:
-            raise FlagforgeError(f"node {node_id} is not hosted by this process")
-        return backend
-
     def _create_network(self, action: Action) -> None:
-        backend = self._require_backend(action.node)
+        backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges[action.challenge]
         backend.ensure_service(spec)
         # the network is the service's listener
         backend.open_listener(spec.name)
 
     def _start_replica(self, action: Action) -> None:
-        backend = self._require_backend(action.node)
+        backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges[action.challenge]
         backend.ensure_service(spec)
         backend.supervisor.start_one(spec.name)
 
     def _stop_replica(self, action: Action) -> None:
-        backend = self._require_backend(action.node)
+        backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges.get(action.challenge)
         wanted_here = spec is not None and spec.backend == action.node
         if wanted_here:
@@ -333,7 +325,7 @@ class _ClusterExecutor:
                 backend.registry.remove_service(action.challenge)
 
     def _roll_service(self, action: Action) -> None:
-        backend = self._require_backend(action.node)
+        backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges[action.challenge]
         if spec.name not in backend.supervisor.services():
             # adopted replicas of a service this node held no spec for
@@ -344,7 +336,7 @@ class _ClusterExecutor:
                 f"rolling update aborted: {report.steps[-1].detail}")
 
     def _update_balancer_config(self, action: Action) -> None:
-        backend = self._require_backend(action.node)
+        backend = self.cluster.backends[action.node]
         topology = self.cluster.topology
         backend.balancer.configure(topology.stick_ttl, topology.stick_capacity)
 
@@ -356,32 +348,33 @@ class _ClusterExecutor:
         if port is None:
             raise IngressError(
                 f"{spec.name}: no balancer port bound on {spec.backend}")
-        frontend = self._require_frontend()
-        frontend.bind(PortMapping(
+        self.cluster.frontend.bind(PortMapping(
             external_port=action.external_port, challenge=spec.name,
             backend_node=spec.backend,
             backend_address=self.cluster.topology.nodes[spec.backend].bind_address,
             balancer_port=port))
 
     def _unbind_ingress(self, action: Action) -> None:
-        self._require_frontend().unbind(action.external_port)
+        self.cluster.frontend.unbind(action.external_port)
 
     def _remove_network(self, action: Action) -> None:
-        backend = self._require_backend(action.node)
+        backend = self.cluster.backends[action.node]
         backend.remove_service(action.challenge)
 
-    def _require_frontend(self) -> FrontendNode:
-        if self.cluster.frontend is None:
-            raise FlagforgeError("the frontend node is not hosted by this process")
-        return self.cluster.frontend
+
+TICK = 0.5  # seconds between a serve's ticks once its replicas are up
 
 
 class NodeService:
-    """What ``serve`` runs: host one node and keep it converged until stopped."""
+    """What ``serve`` runs: host one node and keep it converged until stopped.
+
+    ``start`` converges once, ``run`` ticks on the calling thread until its
+    event is set, and ``stop`` shuts the node down; no thread of its own.
+    """
 
     def __init__(self, topology_path: Path | None, node_id: str,
                  state_root: Path, store_dir: Path | None = None,
-                 clock: Callable[[], float] = time.time, tick: float = 0.5):
+                 clock: Callable[[], float] = time.time):
         self.store = StateStore(state_root)
         # noted before the read: a write after it is seen by the next tick
         self._desired_mtime = self._mtime()
@@ -397,7 +390,6 @@ class NodeService:
         self.node_id = node_id
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.clock = clock
-        self.tick = tick
         self.store.acquire_lock(node_id, os.getpid())
         try:
             self.cluster = Cluster(topology, self.store, hosted=[node_id],
@@ -407,24 +399,17 @@ class NodeService:
             self.store.release_lock(node_id)
             raise
         self.backend = self.cluster.backends.get(node_id)
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self._last_probe = 0.0
         self._last_poll = self.clock()
         self._report = ApplyReport()  # of the last converge
 
     def start(self) -> list[str]:
-        """Initial converge plus loop start; returns fatal bind failures."""
-        self._report = self.cluster.converge(only_node=self.node_id)
-        failures: list[str] = []
-        if self.backend is not None:
-            self.backend.supervisor.probe_all()
-        else:
-            failures = self.cluster.frontend.bind_failures()
-        self._thread = threading.Thread(target=self._loop,
-                                        name=f"serve-{self.node_id}", daemon=True)
-        self._thread.start()
-        return failures
+        """The first converge; returns fatal bind failures."""
+        self._report = self.cluster.converge()
+        if self.backend is None:
+            return self.cluster.frontend.bind_failures()
+        self.backend.supervisor.probe_all()
+        return []
 
     def _mtime(self) -> float:
         try:
@@ -438,10 +423,11 @@ class NodeService:
         if self.backend is not None and self.backend.supervisor.booting():
             from .supervisor import READY_POLL
             return READY_POLL
-        return self.tick
+        return TICK
 
-    def _loop(self) -> None:
-        while not self._stop.wait(self._wait()):
+    def run(self, stop: threading.Event) -> None:
+        """Tick on the calling thread until ``stop`` is set."""
+        while not stop.wait(self._wait()):
             try:
                 self.tick_once()
             except Exception:
@@ -457,7 +443,7 @@ class NodeService:
             persisted = self.store.load_desired()
             if persisted is not None:
                 self.cluster.topology, self.cluster.checksums = persisted
-                self._report = self.cluster.converge(only_node=self.node_id)
+                self._report = self.cluster.converge()
         if self.backend is not None:
             topology = self.cluster.topology
             if now - self._last_probe >= topology.probe_interval:
@@ -474,11 +460,8 @@ class NodeService:
             # a failed bind (its backend's port not on record yet, or its own
             # port taken) is not recorded, so this converge plans it again
             self._last_probe = now
-            self._report = self.cluster.converge(only_node=self.node_id)
+            self._report = self.cluster.converge()
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=30)
         self.cluster.shutdown(stop_replicas=self.backend is not None)
         self.store.release_lock(self.node_id)

@@ -121,7 +121,7 @@ class StateStore:
             f.write(text)
 
     def _write_json(self, path: Path, payload) -> None:
-        self._write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self._write(path, json.dumps(payload, sort_keys=True) + "\n")
 
     def _read_json(self, path: Path, default):
         if not path.exists():

@@ -144,7 +144,6 @@ class Supervisor:
         self.clock = clock
         self.sleep = sleep
         self.startup_grace = startup_grace
-        self.degraded: set[str] = set()
         self.on_change: Callable[[], None] | None = None
         # replica id -> sessions still open through the balancer, for draining
         self.sessions: Callable[[str], int] = lambda replica_id: 0
@@ -161,7 +160,6 @@ class Supervisor:
     def drop_desired(self, service: str) -> None:
         with self._lock:
             self._desired.pop(service, None)
-            self.degraded.discard(service)
 
     def desired_spec(self, service: str) -> ChallengeSpec:
         with self._lock:
@@ -249,13 +247,9 @@ class Supervisor:
                 try:
                     instance = self._spawn(service, spec, restarts)
                 except (SpawnError, PortExhaustedError) as exc:
-                    self.degraded.add(service)
                     actions.append(f"degraded: {exc}")
                     break
                 actions.append(f"spawn {instance.replica_id}")
-            else:
-                if len(self.instances_of(service)) == want:
-                    self.degraded.discard(service)
         if actions:
             self._changed()
         return actions
@@ -350,7 +344,6 @@ class Supervisor:
         self._desired[service] = old_spec
         if not self.reconcile(service):  # a reconcile that acted persisted
             self._changed()
-        self.degraded.add(service)
         report.completed = False
         return report
 

@@ -407,6 +407,18 @@ def test_zero_healthy_closes_immediately(data_plane):
         assert sock.recv(64) == b""
 
 
+def test_a_late_header_for_a_removed_service_closes_its_session(data_plane):
+    registry, _, server, _ = data_plane
+    port = server.ports()["web"]
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        # the service leaves the node between the accept and the header
+        for i in (1, 2, 3):
+            registry.deregister_replica(f"r{i}")
+        registry.remove_service("web")
+        sock.sendall(render_proxy_header("127.0.0.1"))
+        assert sock.recv(64) == b""
+
+
 def test_connect_failure_retries_once_and_marks_suspect(data_plane):
     registry, balancer, server, listeners = data_plane
     port = server.ports()["web"]

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from flagforge._net import LOOP_THREAD_NAME
 from flagforge.cli import main
 from flagforge.model import parse_topology
 from flagforge.registry import HEALTH_HEALTHY
@@ -560,9 +561,12 @@ def test_served_replicas_take_players_without_waiting_for_a_tick(workspace):
     external, backend_base = fresh_ports()
     topo = write_topology(root, topology_text(external, backend_base,
                                               replicas=3))
-    service = NodeService(topo, "worker", state, tick=30)
+    service = NodeService(topo, "worker", state)
+    stop = threading.Event()
+    ticking = threading.Thread(target=service.run, args=(stop,))
     try:
         service.start()
+        ticking.start()
         registry = service.cluster.backends["worker"].registry
         deadline = time.monotonic() + 3
         while not (len(registry.replicas_of("alpha")) == 3
@@ -572,7 +576,11 @@ def test_served_replicas_take_players_without_waiting_for_a_tick(workspace):
             time.sleep(0.01)
         pids = [r["pid"] for r in StateStore(state).load_replicas("worker")]
     finally:
+        stop.set()
+        if ticking.is_alive():
+            ticking.join(timeout=10)
         service.stop()
+    assert not ticking.is_alive()
     assert len(pids) == 3
     assert not any(_pid_running(pid) for pid in pids)
 
@@ -609,11 +617,14 @@ def test_serve_missing_topology_file_exits_one(workspace, capsys):
 
 # --- serve in a fresh interpreter ----------------------------------------------
 
-# entered like the benchmark enters serve; SIGUSR1 prints the loaded modules
+# entered like the benchmark enters serve; SIGUSR1 prints the loaded modules,
+# SIGUSR2 the names of the running threads
 SERVE_ENTRY = (
-    "import signal, sys\n"
+    "import signal, sys, threading\n"
     "signal.signal(signal.SIGUSR1,"
     " lambda *_: print(*sorted(sys.modules), flush=True))\n"
+    "signal.signal(signal.SIGUSR2, lambda *_: print(*sorted("
+    "t.name for t in threading.enumerate()), flush=True))\n"
     "from flagforge.cli import main\n"
     "sys.exit(main(sys.argv[1:]))")
 
@@ -664,6 +675,24 @@ def test_serve_signalled_while_starting_still_stops_cleanly(workspace):
     assert not StateStore(state).lock_path("worker").exists()
 
 
+# the SIGTERM arrives while the main thread holds the stop event's lock, as
+# it does inside the event's wait between two ticks
+STOP_WHILE_WAITING = (
+    "import signal\n"
+    "from flagforge.cli import _stop_on_signals\n"
+    "stop = _stop_on_signals()\n"
+    "with stop._cond:\n"
+    "    signal.raise_signal(signal.SIGTERM)\n"
+    "print(stop.wait(5), flush=True)\n")
+
+
+def test_a_stop_signal_lands_while_the_main_thread_holds_the_event():
+    done = subprocess.run([sys.executable, "-c", STOP_WHILE_WAITING],
+                          capture_output=True, text=True, env=src_env(),
+                          timeout=30)
+    assert (done.returncode, done.stdout) == (0, "True\n")
+
+
 # a frontend runs none of the backend, pipeline or process-spawning code
 FRONTEND_NEVER_LOADS = {
     "flagforge.pipeline", "flagforge.supervisor", "flagforge.balancer",
@@ -695,6 +724,23 @@ def test_each_serve_role_loads_only_its_own_code(workspace):
     assert sorted(loaded["worker"] & BACKEND_NEVER_LOADS) == []
     assert "flagforge.ingress" in loaded["edge"]
     assert "flagforge.supervisor" in loaded["worker"]
+
+
+def test_backend_serve_runs_its_ticks_on_the_main_thread(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    process = serve_process("worker", topo, state)
+    try:
+        assert process.stdout.readline().startswith("serving worker")
+        process.send_signal(signal.SIGUSR2)
+        threads = process.stdout.readline().split()
+    finally:
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=30)
+    # the data plane's loop, and the main thread ticking: nothing else
+    assert sorted(threads) == sorted(["MainThread", LOOP_THREAD_NAME])
+    assert process.returncode == 0
 
 
 # --- module entry point -------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from flagforge.errors import (
     DuplicateReplicaError,
     EndpointInUseError,
-    NetworkInUseError,
     UnknownReplicaError,
     UnknownServiceError,
 )
@@ -78,18 +77,6 @@ def test_unknown_service_and_replica():
         registry.mark_health("r1", HEALTH_HEALTHY)
     with pytest.raises(UnknownReplicaError):
         registry.deregister_replica("r1")
-
-
-def test_network_isolation_enforced():
-    registry = Registry()
-    registry.create_service("a", "net-a")
-    registry.create_service("b", "net-b")
-    with pytest.raises(NetworkInUseError):
-        registry.create_service("c", "net-a")
-    assert not registry.has_service("c")
-    for network in ("net-a", "net-b"):  # each network keeps its one owner
-        with pytest.raises(NetworkInUseError):
-            registry.create_service("d", network)
 
 
 def test_recovered_replica_reappears_at_registration_position():

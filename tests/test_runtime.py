@@ -13,7 +13,7 @@ import time
 import pytest
 
 from flagforge import ingress, runtime, state
-from flagforge.errors import FlagforgeError, NetworkInUseError
+from flagforge.errors import FlagforgeError
 from flagforge.model import Action, diff, parse_topology
 from flagforge.pipeline import package_artifact, read_status, write_status
 from flagforge.pipeline import StatusRecord
@@ -85,10 +85,7 @@ def test_initial_converge_provisions_everything(tmp_path):
     assert report.ok == 2 + 3 + 2  # networks, replicas, ingress binds
 
     registry = cluster.backends["worker"].registry
-    for name in ("alpha", "beta"):  # each challenge owns its network
-        assert registry.has_service(name)
-        with pytest.raises(NetworkInUseError):
-            registry.create_service("other", f"net-{name}")
+    assert all(registry.has_service(name) for name in ("alpha", "beta"))
 
     records = store.load_replicas("worker")
     assert sorted(r["service"] for r in records) == ["alpha", "alpha", "beta"]
@@ -449,13 +446,16 @@ def test_only_node_converges_that_node_alone(tmp_path):
     assert len(store.ingress_path.read_text().splitlines()) == 2
 
 
-def test_exclude_nodes_defers_their_actions(tmp_path):
-    cluster, store, _ = make_cluster(tmp_path)
-    report = cluster.converge(exclude_nodes={"edge"})
+def test_a_converge_runs_only_the_hosted_nodes_actions(tmp_path):
+    backend, store, _ = make_cluster(tmp_path, hosted=["worker"])
+    report = backend.converge()
     assert report.all_ok
     assert all(k != "bind_ingress" for k, _ in kinds(report))
-    follow_up = cluster.converge()
-    assert [k for k, _ in kinds(follow_up)] == ["bind_ingress", "bind_ingress"]
+    assert not store.ingress_path.exists()
+    frontend, _, _ = make_cluster(tmp_path, hosted=["edge"])
+    report = frontend.converge()
+    assert kinds(report) == [("bind_ingress", "ok")] * 2
+    assert len(load_mappings(store.ingress_path)) == 2
 
 
 def test_ingress_bind_without_balancer_port_fails_cleanly(tmp_path):
@@ -857,8 +857,8 @@ def test_serve_never_reverts_an_apply(tmp_path, state_writes):
     applied = parse_topology(TOPOLOGY.replace("version=v1", "version=v2", 1))
     # the clock jumps 1000 s per reading: each tick is due a frontend retry,
     # which runs while the binds fail for want of recorded backend ports
-    service = runtime.NodeService(None, "edge", store.root, tick=30,
-                                  clock=itertools.count(step=1000).__next__)
+    service = runtime.NodeService(
+        None, "edge", store.root, clock=itertools.count(step=1000).__next__)
     read_mtime = service._mtime
     landed = []
 
@@ -904,8 +904,8 @@ def test_idle_frontend_serve_does_not_converge(tmp_path, free_port,
                                                monkeypatch):
     store = serve_state(tmp_path, free_port, record_ports=True)
     # the clock jumps 1000 s per reading: every tick is past probe_interval
-    service = runtime.NodeService(None, "edge", store.root, tick=30,
-                                  clock=itertools.count(step=1000).__next__)
+    service = runtime.NodeService(
+        None, "edge", store.root, clock=itertools.count(step=1000).__next__)
     converges, reads = [], []
     converge, load = Cluster.converge, StateStore.load_balancer
 
@@ -934,8 +934,8 @@ def test_idle_frontend_serve_does_not_converge(tmp_path, free_port,
 def test_frontend_serve_binds_once_its_backend_port_is_recorded(tmp_path,
                                                                 free_port):
     store = serve_state(tmp_path, free_port, record_ports=False)
-    service = runtime.NodeService(None, "edge", store.root, tick=30,
-                                  clock=itertools.count(step=1000).__next__)
+    service = runtime.NodeService(
+        None, "edge", store.root, clock=itertools.count(step=1000).__next__)
     try:
         assert service.start() == []  # a port not yet recorded is not fatal
         assert service.cluster.frontend.mappings == {}
