@@ -62,9 +62,8 @@ class BackendNode:
             self.balancer.configure(stick[0], stick[1])
 
         records: dict[str, list[dict]] = {}
-        for record in self.store.load_replicas(self.node_id):
-            if self.pid_alive(record["pid"]):
-                records.setdefault(record["service"], []).append(record)
+        for record in self.store.live_replicas(self.node_id, self.pid_alive):
+            records.setdefault(record["service"], []).append(record)
         specs = {c.name: c for c in desired.challenges_on(self.node_id)} \
             if desired else {}
 
@@ -140,8 +139,6 @@ class BackendNode:
     def close(self, stop_replicas: bool) -> None:
         if stop_replicas:
             self.supervisor.stop_all()
-        else:
-            self.supervisor.detach_all()
         if self.server is not None:
             self.server.close()
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .errors import FlagforgeError
 from .model import MODE_DEPLOY, MODE_DEV, parse_topology, validate_topology
-from .state import StateStore, _pid_running, status_rows
+from .state import StateStore, status_rows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,8 +46,7 @@ def _hosting(store: StateStore, topology, applied):
     """
     from .runtime import Cluster
     retired = [n for n in (applied[0].nodes if applied else ())
-               if n not in topology.nodes and any(
-                   _pid_running(r["pid"]) for r in store.load_replicas(n))]
+               if n not in topology.nodes and store.live_replicas(n)]
     owners = {n: store.lock_owner(n) for n in [*topology.nodes, *retired]}
     served = {n: pid for n, pid in owners.items() if pid is not None}
     cluster = Cluster(topology, store, bind_listeners=False, applied=applied,

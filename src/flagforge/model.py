@@ -19,7 +19,7 @@ import hashlib
 import ipaddress
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from .errors import TopologyError
 
@@ -152,23 +152,6 @@ class Action:
         if self.kind == "update_balancer_config":
             return f"{self.kind} {self.node}"
         return f"{self.kind} {self.external_port} {self.challenge}"
-
-
-@dataclass(frozen=True)
-class ChangeSet:
-    actions: tuple[Action, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __iter__(self) -> Iterator[Action]:
-        return iter(self.actions)
-
-    def count(self, kind: str) -> int:
-        return sum(1 for a in self.actions if a.kind == kind)
 
 
 class Executor(Protocol):
@@ -452,8 +435,8 @@ def serialize_topology(topology: Topology) -> str:
 # --- convergence planning ---------------------------------------------------
 
 
-def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
-    """Plan the minimal ordered ChangeSet turning observed state into desired.
+def diff(desired: Topology, observed: ObservedState) -> tuple[Action, ...]:
+    """Plan the minimal ordered actions turning observed state into desired.
 
     Phase order: create_network, roll_service, start_replica,
     update_balancer_config, bind_ingress, stop_replica, unbind_ingress,
@@ -524,10 +507,10 @@ def diff(desired: Topology, observed: ObservedState) -> ChangeSet:
         want = {c.name for c in desired.challenges_on(node)}
         for name in sorted(listening[node] - want):
             actions.append(Action("remove_network", challenge=name, node=node))
-    return ChangeSet(tuple(actions))
+    return tuple(actions)
 
 
-def apply_changeset(changeset: ChangeSet, executor: Executor) -> ApplyReport:
+def apply_changeset(plan: tuple[Action, ...], executor: Executor) -> ApplyReport:
     """Run each action through the executor, collecting per-action outcomes.
 
     A failed action taints its challenge: later actions for that challenge are
@@ -536,7 +519,7 @@ def apply_changeset(changeset: ChangeSet, executor: Executor) -> ApplyReport:
     """
     report = ApplyReport()
     tainted: set[str] = set()
-    for action in changeset:
+    for action in plan:
         if (action.challenge in tainted and action.kind != "unbind_ingress"):
             report.results.append(ActionResult(
                 action, "skipped", f"earlier action for {action.challenge} failed"))

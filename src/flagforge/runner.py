@@ -5,6 +5,12 @@ process-based runner can be swapped for anything that can start a listener.
 ``SubprocessRunner`` executes the challenge's run command with ``{PORT}``
 substituted; ``MockRunner`` fakes it all in memory for tests.
 
+A replica is its pid from spawn to stop: a pid-tracked process group, whether
+this process spawned it or adopted it from a previous process's records, with
+one liveness check and one stop path for both. So a serve restart changes
+nothing about how its replicas are watched and stopped, and a backend never
+loads ``subprocess``.
+
 Spawned children also receive their identity in the environment
 (FLAGFORGE_REPLICA_ID, FLAGFORGE_VERSION, FLAGFORGE_PORT, FLAGFORGE_BIND),
 since a run command template alone cannot carry a per-replica id.
@@ -15,7 +21,6 @@ from __future__ import annotations
 import os
 import shlex
 import signal
-import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +31,9 @@ from .model import ChallengeSpec
 from .state import _pid_running
 
 STOP_GRACE = 5.0
+STOP_POLL = 0.01  # how often a stop checks whether the replica is gone
+# the child default of two signals Python ignores; ignored survives exec
+_RESTORED_SIGNALS = (signal.SIGPIPE, signal.SIGXFSZ)
 
 
 class RunnerBackend(Protocol):
@@ -37,36 +45,33 @@ class RunnerBackend(Protocol):
 
     def adopt(self, pid: int): ...
 
-    def detach(self, handle) -> None: ...
-
-
-class _ReplicaProcess(subprocess.Popen):
-    """A replica's child process; once detached it outlives its handle quietly.
-
-    A Popen dropped while its child runs warns that the child leaked. A
-    replica that a one-shot command leaves running has not leaked: it is
-    recorded in the state directory for the next process to adopt.
-    """
-
-    detached = False
-
-    def __del__(self) -> None:
-        if not self.detached:
-            super().__del__()
-
 
 @dataclass
 class ProcessHandle:
     pid: int
-    process: subprocess.Popen | None = None
+    reaped: bool = False  # its exit was collected; the pid may be reused
+
+
+def _inheritable_fds() -> list[int]:
+    """Descriptors above 2 that a child would inherit across exec."""
+    fds = []
+    for name in os.listdir("/proc/self/fd"):
+        fd = int(name)
+        try:
+            if fd > 2 and os.get_inheritable(fd):
+                fds.append(fd)
+        except OSError:  # the listing's own descriptor, closed by now
+            pass
+    return fds
 
 
 class SubprocessRunner:
-    """Runs each replica as a detached child process.
+    """Runs each replica as a process group of its own.
 
     Children are started in their own session so a whole replica process
     group can be stopped at once and so replicas survive the spawning CLI
-    process. stdout/stderr go to ``logs/<replica_id>.log``.
+    process. stdin is ``/dev/null``; stdout/stderr go to
+    ``logs/<replica_id>.log``.
     """
 
     def __init__(self, logs_dir: Path, bind_address: str):
@@ -86,56 +91,47 @@ class SubprocessRunner:
         })
         self.logs_dir.mkdir(parents=True, exist_ok=True)
         log_path = self.logs_dir / f"{replica_id}.log"
+        actions = [(os.POSIX_SPAWN_CLOSE, fd) for fd in _inheritable_fds()]
+        actions += [
+            (os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
+            (os.POSIX_SPAWN_OPEN, 1, str(log_path),
+             os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666),
+            (os.POSIX_SPAWN_DUP2, 1, 2),
+        ]
         try:
-            with open(log_path, "ab") as log:
-                process = _ReplicaProcess(
-                    argv, stdin=subprocess.DEVNULL, stdout=log,
-                    stderr=subprocess.STDOUT, env=env, start_new_session=True)
+            pid = os.posix_spawnp(argv[0], argv, env, file_actions=actions,
+                                  setsid=True, setsigdef=_RESTORED_SIGNALS)
         except OSError as exc:
             raise SpawnError(f"cannot spawn {replica_id}: {exc}") from exc
-        return ProcessHandle(pid=process.pid, process=process)
+        return ProcessHandle(pid)
 
     def stop(self, handle: ProcessHandle) -> None:
-        if not self.alive(handle):
-            if handle.process is not None:
-                handle.process.poll()
-            return
-        try:
-            os.killpg(handle.pid, signal.SIGTERM)
-        except (ProcessLookupError, PermissionError):
-            return
-        if handle.process is not None:
+        """SIGTERM the replica's group, then SIGKILL it after ``STOP_GRACE``."""
+        for signum in (signal.SIGTERM, signal.SIGKILL):
+            if not self.alive(handle):
+                return
             try:
-                handle.process.wait(timeout=STOP_GRACE)
+                os.killpg(handle.pid, signum)
+            except (ProcessLookupError, PermissionError):
                 return
-            except subprocess.TimeoutExpired:
-                pass
-        else:
-            deadline = STOP_GRACE
-            while deadline > 0 and _pid_running(handle.pid):
-                time.sleep(0.05)
-                deadline -= 0.05
-            if not _pid_running(handle.pid):
-                return
-        try:
-            os.killpg(handle.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
-        if handle.process is not None:
-            handle.process.wait()
+            deadline = time.monotonic() + STOP_GRACE
+            while self.alive(handle) and time.monotonic() < deadline:
+                time.sleep(STOP_POLL)
 
     def alive(self, handle: ProcessHandle) -> bool:
-        if handle.process is not None:
-            return handle.process.poll() is None
-        return _pid_running(handle.pid)
+        if handle.reaped:
+            return False
+        try:
+            pid, _ = os.waitpid(handle.pid, os.WNOHANG)
+        except ChildProcessError:  # not this process's child: adopted
+            return _pid_running(handle.pid)
+        if pid == 0:
+            return True
+        handle.reaped = True
+        return False
 
     def adopt(self, pid: int) -> ProcessHandle:
-        return ProcessHandle(pid=pid, process=None)
-
-    def detach(self, handle: ProcessHandle) -> None:
-        """Let the replica run on after this process lets go of it."""
-        if handle.process is not None:
-            handle.process.detached = True
+        return ProcessHandle(pid)
 
 
 @dataclass
@@ -185,9 +181,6 @@ class MockRunner:
     def adopt(self, pid: int) -> MockHandle:
         return MockHandle(replica_id="", pid=pid, port=0, version="",
                           adopted=True)
-
-    def detach(self, handle: MockHandle) -> None:
-        pass
 
     def kill(self, replica_id: str) -> None:
         self.handles[replica_id].running = False

@@ -5,11 +5,11 @@ serve owns for a one-shot command, a single one inside ``serve``). A converge
 plans the whole cluster and runs the actions of the nodes it hosts; the
 others are left to the process that hosts them. It imports ``backend`` only
 for a backend node it hosts, ``ingress`` only for a hosted frontend, and
-``pipeline`` only for a promotion pass. Replicas are detached processes, so
-state (see ``state``) survives the hosting process: the next command adopts
-them back by pid, together with the fingerprint of the spec each one was
-started from, so spec drift (a new version, run command or probe) is planned
-as a rolling update.
+``pipeline`` only for a promotion pass. Replicas run in sessions of their
+own, so they and their state (see ``state``) outlive the hosting process: the
+next command adopts them back by pid, together with the fingerprint of the
+spec each one was started from, so spec drift (a new version, run command or
+probe) is planned as a rolling update.
 A converge reads each shared state file once and, after its last action,
 writes ``balancer.json`` and ``ingress.map`` once; only ``replicas-<node>.json``
 is written per action (see ``state``). It never writes ``desired.json``. A
@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .errors import FlagforgeError, IngressError, PipelineError, TopologyError
-from .model import (MODE_DEV, ROLE_BACKEND, Action, ApplyReport, ChangeSet,
+from .model import (MODE_DEV, ROLE_BACKEND, Action, ApplyReport,
                     ObservedState, Topology, apply_changeset, diff,
                     parse_topology, validate_topology)
 from .state import PortMapping, StateStore, _pid_running, load_mappings
@@ -123,8 +123,8 @@ class Cluster:
             if node_id in self.backends:
                 live[node_id] = self.backends[node_id].supervisor.snapshot()
             else:
-                live[node_id] = [r for r in self.store.load_replicas(node_id)
-                                 if self.pid_alive(r["pid"])]
+                live[node_id] = self.store.live_replicas(node_id,
+                                                         self.pid_alive)
         return live
 
     # --- convergence ----------------------------------------------------------
@@ -137,13 +137,12 @@ class Cluster:
         hosted = set(self.backends)
         if self.frontend is not None:
             hosted.add(self.frontend.node_id)
-        changeset = ChangeSet(tuple(
-            a for a in diff(self.topology, self.observe())
-            if a.node in hosted and only_node in (None, a.node)))
+        plan = tuple(a for a in diff(self.topology, self.observe())
+                     if a.node in hosted and only_node in (None, a.node))
         mapped = dict(self.frontend.mappings) if self.frontend else None
-        report = apply_changeset(changeset, _ClusterExecutor(self))
+        report = apply_changeset(plan, _ClusterExecutor(self))
         # each shared file once per converge, after its node's last action
-        for node_id in sorted({a.node for a in changeset} & set(self.backends)):
+        for node_id in sorted({a.node for a in plan} & set(self.backends)):
             self.backends[node_id].persist_balancer()
         if self.frontend is not None and self.frontend.mappings != mapped:
             self.store.save_mappings(self.frontend.mappings.values())

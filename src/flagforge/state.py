@@ -146,6 +146,12 @@ class StateStore:
     def load_replicas(self, node_id: str) -> list[dict]:
         return self._read_json(self.replicas_path(node_id), [])
 
+    def live_replicas(self, node_id: str,
+                      pid_alive: Callable[[int], bool] = _pid_running
+                      ) -> list[dict]:
+        """The node's recorded replicas whose pid still runs."""
+        return [r for r in self.load_replicas(node_id) if pid_alive(r["pid"])]
+
     def replica_nodes(self) -> list[str]:
         return sorted(p.name[len("replicas-"):-len(".json")]
                       for p in self.root.glob("replicas-*.json"))
@@ -202,9 +208,8 @@ def status_rows(store: StateStore,
     for name in sorted(topology.challenges):
         spec = topology.challenges[name]
         if spec.backend not in replica_cache:
-            replica_cache[spec.backend] = [
-                r for r in store.load_replicas(spec.backend)
-                if pid_alive(r["pid"])]
+            replica_cache[spec.backend] = store.live_replicas(spec.backend,
+                                                              pid_alive)
         live = [r for r in replica_cache[spec.backend] if r["service"] == name]
         versions = {r["version"] for r in live}
         version = versions.pop() if len(versions) == 1 else spec.version

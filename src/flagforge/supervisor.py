@@ -78,12 +78,14 @@ class TcpProber:
         self.timeout = timeout
 
     def probe(self, address: str, port: int, probe: ProbeSpec) -> bool:
+        # a node's bind is an IPv4 literal, so the connect needs no resolver
         try:
-            with socket.create_connection((address, port), timeout=self.timeout) as sock:
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                sock.settimeout(self.timeout)
+                sock.connect((address, port))
                 if probe.banner is None:
                     return True
                 expected = probe.banner.encode()
-                sock.settimeout(self.timeout)
                 buf = b""
                 while len(buf) < min(BANNER_READ_LIMIT, len(expected)):
                     chunk = sock.recv(BANNER_READ_LIMIT - len(buf))
@@ -368,12 +370,6 @@ class Supervisor:
             for instance in list(self._instances.values()):
                 self._stop_instance(instance)
         self._changed()
-
-    def detach_all(self) -> None:
-        """Leave every replica running for the next process to adopt."""
-        with self._lock:
-            for instance in self._instances.values():
-                self.runner.detach(instance.handle)
 
     # --- internals ------------------------------------------------------------
 

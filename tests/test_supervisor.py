@@ -575,3 +575,18 @@ def test_tcp_probe_closed_port():
     port = placeholder.getsockname()[1]
     placeholder.close()
     assert TcpProber(timeout=0.5).probe("127.0.0.1", port, ProbeSpec()) is False
+
+
+def test_tcp_probe_needs_no_resolver(monkeypatch):
+    def no_resolver(*args, **kwargs):
+        raise socket.gaierror("no resolver in this test")
+
+    monkeypatch.setattr(socket, "getaddrinfo", no_resolver)
+    prober = TcpProber(timeout=2.0)
+    listener = greeting_listener(b"FLAGD v1\n")
+    try:
+        assert prober.probe("127.0.0.1", listener.port,
+                            ProbeSpec(banner="FLAGD")) is True
+    finally:
+        listener.close()
+    assert prober.probe("127.0.0.1", listener.port, ProbeSpec()) is False
