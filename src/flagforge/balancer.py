@@ -252,10 +252,6 @@ class Balancer:
             for table in self._tables.values():
                 table.invalidate_replica(replica_id)
 
-    def suspects(self) -> set[str]:
-        with self._lock:
-            return set(self._suspects)
-
     def invalidate_replica(self, replica_id: str) -> int:
         with self._lock:
             return sum(table.invalidate_replica(replica_id)
@@ -294,8 +290,9 @@ class BalancerServer:
         self._listeners: dict[str, Listener] = {}
         self._lock = threading.Lock()
 
-    def bind_service(self, service: str, port: int) -> None:
-        """Serve ``service`` on ``port``, moving it there if bound elsewhere.
+    def bind_service(self, service: str, port: int) -> int:
+        """Serve ``service`` on ``port``, moving it there if bound elsewhere,
+        and return the port bound (the one the system chose for 0).
 
         The new port is opened before the old one closes, so a refused port
         raises ``OSError`` and leaves the service where it was.
@@ -303,22 +300,18 @@ class BalancerServer:
         with self._lock:
             existing = self._listeners.get(service)
             if existing is not None and existing.port == port:
-                return
-            self._listeners[service] = Listener(
+                return port
+            listener = self._listeners[service] = Listener(
                 self.bind_address, port, partial(self._accept, service))
             if existing is not None:
                 existing.close()
+            return listener.port
 
     def unbind_service(self, service: str) -> None:
         with self._lock:
             listener = self._listeners.pop(service, None)
         if listener is not None:
             listener.close()
-
-    def ports(self) -> dict[str, int]:
-        with self._lock:
-            return {service: listener.port
-                    for service, listener in self._listeners.items()}
 
     def close(self) -> None:
         with self._lock:

@@ -48,9 +48,9 @@ def network_id(challenge: str) -> str:
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Health probe descriptor: TCP connect, optionally expecting a banner prefix."""
+    """Health probe, ``tcp`` or ``tcp:<banner>``: a TCP connect, optionally
+    expecting a banner prefix. TCP is the only kind."""
 
-    kind: str = "tcp"
     banner: str | None = None
 
     @classmethod
@@ -58,10 +58,10 @@ class ProbeSpec:
         kind, sep, banner = text.partition(":")
         if kind != "tcp":
             raise ValueError(f"unsupported probe kind {kind!r}")
-        return cls(kind="tcp", banner=banner if sep and banner else None)
+        return cls(banner=banner if sep and banner else None)
 
     def render(self) -> str:
-        return self.kind if self.banner is None else f"{self.kind}:{self.banner}"
+        return "tcp" if self.banner is None else f"tcp:{self.banner}"
 
 
 @dataclass(frozen=True)

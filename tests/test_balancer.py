@@ -262,15 +262,16 @@ def test_suspect_skipped_until_probe_clears():
     # a probe confirming health clears the suspicion
     registry.mark_health("r1", HEALTH_UNHEALTHY)
     registry.mark_health("r1", HEALTH_HEALTHY)
-    assert balancer.suspects() == set()
-    assert any(pick(balancer, f"10.4.0.{i}") == "r1" for i in range(3))
+    # round robin includes r1 again: three fresh addresses reach all three
+    assert sorted(pick(balancer, f"10.4.0.{i}") for i in range(3)) == [
+        "r1", "r2", "r3"]
 
 
 def test_passing_probe_clears_suspect_on_a_replica_that_stayed_healthy():
     balancer, registry, _ = build(replicas=2)
     balancer.mark_suspect("r1")
+    assert [pick(balancer, f"10.5.1.{i}") for i in range(3)] == ["r2"] * 3
     registry.mark_health("r1", HEALTH_HEALTHY)  # a probe that passes
-    assert balancer.suspects() == set()
     picks = [pick(balancer, f"10.5.0.{i}") for i in range(10)]
     assert picks == ["r1", "r2"] * 5
 
@@ -344,8 +345,8 @@ def data_plane():
             f"r{i}", "127.0.0.1", listener.port, "v1", HEALTH_HEALTHY))
     balancer = Balancer(registry, stick_ttl=100, stick_capacity=100)
     server = BalancerServer(balancer, "127.0.0.1")
-    server.bind_service("web", 0)
-    yield registry, balancer, server, listeners
+    port = server.bind_service("web", 0)
+    yield registry, balancer, server, listeners, port
     server.close()
     for listener in listeners:
         listener.close()
@@ -369,15 +370,13 @@ def read_greeting(sock: socket.socket) -> str:
 
 
 def test_relay_reaches_replica_and_echoes_identity(data_plane):
-    _, _, server, _ = data_plane
-    port = server.ports()["web"]
+    *_, port = data_plane
     with connect(port, timeout=5) as sock:
         assert read_greeting(sock) == "r1 v1"
 
 
 def test_relay_transparent_one_mebibyte(data_plane):
-    _, _, server, _ = data_plane
-    port = server.ports()["web"]
+    *_, port = data_plane
     payload = random.Random(7).randbytes(1 << 20)
     received = bytearray()
     with connect(port, timeout=10) as sock:
@@ -399,17 +398,15 @@ def test_relay_transparent_one_mebibyte(data_plane):
 
 
 def test_zero_healthy_closes_immediately(data_plane):
-    registry, _, server, _ = data_plane
+    registry, *_, port = data_plane
     for i in (1, 2, 3):
         registry.mark_health(f"r{i}", HEALTH_UNHEALTHY)
-    port = server.ports()["web"]
     with connect(port, timeout=5) as sock:
         assert sock.recv(64) == b""
 
 
 def test_a_late_header_for_a_removed_service_closes_its_session(data_plane):
-    registry, _, server, _ = data_plane
-    port = server.ports()["web"]
+    registry, *_, port = data_plane
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
         # the service leaves the node between the accept and the header
         for i in (1, 2, 3):
@@ -420,22 +417,21 @@ def test_a_late_header_for_a_removed_service_closes_its_session(data_plane):
 
 
 def test_connect_failure_retries_once_and_marks_suspect(data_plane):
-    registry, balancer, server, listeners = data_plane
-    port = server.ports()["web"]
+    registry, balancer, _, listeners, port = data_plane
     with connect(port, timeout=5) as sock:
         assert read_greeting(sock) == "r1 v1"
     listeners[0].close()  # r1's listener is gone but the registry lags
     with connect(port, timeout=5) as sock:
         # same source ip was pinned to r1; the relay must fail over
         assert read_greeting(sock) == "r2 v1"
-    assert balancer.suspects() == {"r1"}
+    # r1 is suspect: no fresh address is sent to it
+    assert "r1" not in {pick(balancer, f"198.51.100.{i}") for i in range(6)}
     # registry health was never touched by the balancer
     assert registry.replicas_of("web")[0].health == HEALTH_HEALTHY  # r1
 
 
 def test_session_counts_against_its_replica_until_it_ends(data_plane):
-    _, balancer, server, listeners = data_plane
-    port = server.ports()["web"]
+    _, balancer, _, listeners, port = data_plane
 
     def settled(replica_id: str, count: int) -> bool:
         deadline = time.monotonic() + 5
@@ -457,19 +453,18 @@ def test_session_counts_against_its_replica_until_it_ends(data_plane):
 
 
 def test_a_refused_move_leaves_the_service_on_its_port(data_plane):
-    _, _, server, _ = data_plane
-    port = server.ports()["web"]
+    _, _, server, _, port = data_plane
     with socket.create_server(("127.0.0.1", 0)) as squatter:
         with pytest.raises(OSError):
             server.bind_service("web", squatter.getsockname()[1])
-    assert server.ports() == {"web": port}
     with connect(port, timeout=5) as sock:
         assert read_greeting(sock) == "r1 v1"
-    server.bind_service("web", 0)  # a move that succeeds closes the old port
-    assert server.ports()["web"] != port
+    # a move that succeeds closes the old port
+    moved = server.bind_service("web", 0)
+    assert moved != port
     with pytest.raises(ConnectionRefusedError):
         connect(port, timeout=2)
-    with connect(server.ports()["web"], timeout=5) as sock:
+    with connect(moved, timeout=5) as sock:
         assert read_greeting(sock) == "r1 v1"
 
 
@@ -484,13 +479,14 @@ def test_a_replica_stuck_in_the_dial_is_suspect_after_the_connect_timeout(
     balancer = Balancer(registry, stick_ttl=100, stick_capacity=100,
                         connect_timeout=0.3)
     server = BalancerServer(balancer, "127.0.0.1")
-    server.bind_service("web", 0)
+    port = server.bind_service("web", 0)
     try:
         started = time.monotonic()
-        with connect(server.ports()["web"], timeout=5) as sock:
+        with connect(port, timeout=5) as sock:
             assert read_greeting(sock) == "r2 v1"  # r1 was picked first
         assert 0.3 <= time.monotonic() - started < 3
-        assert balancer.suspects() == {"r1"}
+        # r1 is suspect: no fresh address is sent to it
+        assert {pick(balancer, f"198.51.100.{i}") for i in range(4)} == {"r2"}
         assert wait_until(lambda: balancer.sessions("r1") == 0)
     finally:
         server.close()
@@ -506,16 +502,17 @@ def wait_until(condition, timeout: float = 5.0) -> bool:
     return True
 
 
-def one_replica(replica: socket.socket) -> tuple[Balancer, BalancerServer]:
-    """A balancer serving ``web`` from the one replica listening on ``replica``."""
+def one_replica(replica: socket.socket) -> tuple[Balancer, BalancerServer, int]:
+    """A balancer serving ``web`` from the one replica listening on ``replica``,
+    its server and the port it serves on."""
     registry = Registry()
     registry.create_service("web", "net-web")
     registry.register_replica("web", ReplicaEndpoint(
         "r1", "127.0.0.1", replica.getsockname()[1], "v1", HEALTH_HEALTHY))
     balancer = Balancer(registry, stick_ttl=100, stick_capacity=100)
     server = BalancerServer(balancer, "127.0.0.1")
-    server.bind_service("web", 0)
-    return balancer, server
+    port = server.bind_service("web", 0)
+    return balancer, server, port
 
 
 def live_sessions() -> list[Session]:
@@ -527,12 +524,12 @@ def test_concurrent_sessions_start_no_thread():
     # the replica end is served from this thread too
     replica = socket.create_server(("127.0.0.1", 0))
     replica.settimeout(5)
-    balancer, server = one_replica(replica)
+    balancer, server, port = one_replica(replica)
     before = set(threading.enumerate())
     clients, upstreams = [], []
     try:
         for _ in range(32):
-            clients.append(connect(server.ports()["web"], timeout=5))
+            clients.append(connect(port, timeout=5))
         for _ in range(32):
             conn, _ = replica.accept()
             upstreams.append(conn)
@@ -552,7 +549,7 @@ def test_concurrent_sessions_start_no_thread():
 def test_a_client_that_stops_reading_holds_back_the_stream():
     payload = random.Random(11).randbytes(16 << 20)
     replica = socket.create_server(("127.0.0.1", 0))
-    balancer, server = one_replica(replica)
+    balancer, server, port = one_replica(replica)
 
     def stream() -> None:
         conn, _ = replica.accept()
@@ -562,7 +559,7 @@ def test_a_client_that_stops_reading_holds_back_the_stream():
     streamer = threading.Thread(target=stream, daemon=True)
     streamer.start()
     try:
-        with connect(server.ports()["web"], timeout=10) as sock:
+        with connect(port, timeout=10) as sock:
             # the relay fills the client's socket, then holds one chunk back
             assert wait_until(lambda: any(s._client.pending
                                           for s in live_sessions()))
@@ -590,8 +587,7 @@ def test_callback_exception_reaches_excepthook_and_closes_its_session(
         data_plane, monkeypatch):
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
-    _, balancer, server, _ = data_plane
-    port = server.ports()["web"]
+    _, balancer, _, _, port = data_plane
     transfer = Session._transfer
 
     def boom(self, *args, **kwargs):
@@ -622,9 +618,8 @@ def test_relay_outlives_connect_timeout_of_a_quiet_replica():
     balancer = Balancer(registry, stick_ttl=100, stick_capacity=100,
                         connect_timeout=0.2)
     server = BalancerServer(balancer, "127.0.0.1")
-    server.bind_service("web", 0)
+    port = server.bind_service("web", 0)
     try:
-        port = server.ports()["web"]
         with connect(port, timeout=5) as sock:
             assert read_greeting(sock) == "r1 v1"
             time.sleep(0.3)  # player silent longer than the connect timeout
@@ -636,11 +631,10 @@ def test_relay_outlives_connect_timeout_of_a_quiet_replica():
 
 
 def test_proxy_header_strips_and_keys_stickiness(data_plane):
-    _, balancer, _, _ = data_plane
+    _, balancer, *_ = data_plane
     proxied = BalancerServer(balancer, "127.0.0.1")
-    proxied.bind_service("web", 0)
+    port = proxied.bind_service("web", 0)
     try:
-        port = proxied.ports()["web"]
         seen = {}
         for ip in ("198.51.100.7", "198.51.100.8", "198.51.100.7"):
             with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
@@ -653,11 +647,10 @@ def test_proxy_header_strips_and_keys_stickiness(data_plane):
 
 
 def test_missing_or_malformed_proxy_header_rejected(data_plane):
-    _, balancer, _, _ = data_plane
+    _, balancer, *_ = data_plane
     proxied = BalancerServer(balancer, "127.0.0.1")
-    proxied.bind_service("web", 0)
+    port = proxied.bind_service("web", 0)
     try:
-        port = proxied.ports()["web"]
         for garbage in (b"GET / HTTP/1.1\n", b"PROXY4 999.1.1.300\n",
                         b"PROXY4 10.0.0.1"):  # last one: no newline, then EOF
             with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
@@ -670,11 +663,10 @@ def test_missing_or_malformed_proxy_header_rejected(data_plane):
 
 def test_proxy_header_read_has_a_deadline(data_plane, monkeypatch):
     monkeypatch.setattr(balancer_module, "PROXY_HEADER_TIMEOUT", 0.2)
-    _, balancer, _, _ = data_plane
+    _, balancer, *_ = data_plane
     proxied = BalancerServer(balancer, "127.0.0.1")
-    proxied.bind_service("web", 0)
+    port = proxied.bind_service("web", 0)
     try:
-        port = proxied.ports()["web"]
         with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
             started = time.monotonic()
             assert sock.recv(64) == b""  # a silent client is closed
@@ -692,11 +684,10 @@ def test_proxy_header_read_has_a_deadline(data_plane, monkeypatch):
 
 def test_proxy_header_deadline_covers_the_whole_line(data_plane, monkeypatch):
     monkeypatch.setattr(balancer_module, "PROXY_HEADER_TIMEOUT", 0.5)
-    _, balancer, _, _ = data_plane
+    _, balancer, *_ = data_plane
     proxied = BalancerServer(balancer, "127.0.0.1")
-    proxied.bind_service("web", 0)
+    port = proxied.bind_service("web", 0)
     try:
-        port = proxied.ports()["web"]
         with socket.create_connection(("127.0.0.1", port), timeout=3) as sock:
             sock.settimeout(0.2)  # one byte every 0.2 s, each within the timeout
             started = time.monotonic()

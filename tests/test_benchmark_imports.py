@@ -1,5 +1,6 @@
 """Every flagforge name the benchmark under ``perfbench/`` uses still resolves,
-and every call it makes into flagforge still binds to the callee's signature.
+and every call it makes into flagforge still binds to the callee's signature;
+and every public name in ``src/flagforge`` has a user outside the tests.
 
 The benchmark is kept unchanged between program changes, so a rename or
 removal in ``src/`` would otherwise show only when the benchmark runs. This
@@ -14,6 +15,13 @@ import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src" / "flagforge"
+
+# public names only the tests use, each with the reason it stays
+TEST_ONLY_API = {
+    # ACCEPTANCE 8 compares the table with the reference model through it
+    "balancer.StickTable.entries",
+}
 
 
 def _is_flagforge(module: str | None) -> bool:
@@ -193,3 +201,60 @@ def test_every_call_the_benchmark_makes_still_binds():
         except TypeError as exc:
             broken.append(f"{where}({', '.join(keywords)}): {exc}")
     assert broken == []
+
+
+def public_api() -> list[str]:
+    """``module.name`` of each public module-level function and class in
+    ``src/flagforge``, and ``module.Class.name`` of each public method."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                found.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found.extend(f"{path.stem}.{node.name}.{item.name}"
+                             for item in node.body
+                             if isinstance(item, ast.FunctionDef)
+                             and not item.name.startswith("_"))
+    return found
+
+
+def names_read(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """(names read bare or imported, names read as attributes) in ``tree``,
+    the flagforge uses ``names_used`` finds and code in strings included."""
+    bare = {name for _, name in names_used(tree)}
+    attributes: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            bare.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            bare.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "flagforge" in node.value:
+            try:
+                more_bare, more_attributes = names_read(ast.parse(node.value))
+            except SyntaxError:
+                continue  # prose, not code
+            bare |= more_bare
+            attributes |= more_attributes
+    return bare, attributes
+
+
+def test_every_public_name_in_src_has_a_user_outside_the_tests():
+    bare, attributes = set(), set()
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        more_bare, more_attributes = names_read(
+            ast.parse(path.read_text(), str(path)))
+        bare |= more_bare
+        attributes |= more_attributes
+    unused = []
+    for dotted in public_api():
+        module, *owner, name = dotted.split(".")
+        used = name in attributes if owner else name in bare | attributes
+        if not used and dotted not in TEST_ONLY_API:
+            unused.append(dotted)
+    assert unused == []

@@ -12,8 +12,8 @@ from flagforge._net import Loop, Session, parse_proxy_header
 from flagforge.balancer import Balancer, BalancerServer
 from flagforge.errors import IngressError
 from flagforge.ingress import (
+    BACKEND_CONNECT_TIMEOUT,
     FrontendNode,
-    IngressServer,
     PortMapping,
     generate_mappings,
     load_mappings,
@@ -87,6 +87,15 @@ def edge_topology(external: int):
         "node worker role=backend bind=127.0.0.1 ports=20000-20999\n"
         "challenge alpha version=v1 replicas=1 internal_port=1"
         f' external_port={external} backend=worker run="a {{PORT}}" probe=tcp\n')
+
+
+def frontend(tmp_path, connect_timeout: float = BACKEND_CONNECT_TIMEOUT
+             ) -> FrontendNode:
+    """A frontend ``edge`` with real listeners and nothing mapped yet."""
+    node = FrontendNode(edge_topology(9001), "edge",
+                        StateStore(tmp_path / "state"), bind_listeners=True)
+    node.connect_timeout = connect_timeout
+    return node
 
 
 # --- generation ----------------------------------------------------------------
@@ -164,8 +173,8 @@ def test_save_load_round_trip(tmp_path):
 
 
 @pytest.fixture
-def server():
-    ingress = IngressServer("127.0.0.1", connect_timeout=2.0)
+def server(tmp_path):
+    ingress = frontend(tmp_path, connect_timeout=2.0)
     yield ingress
     ingress.close()
 
@@ -183,8 +192,8 @@ def test_forward_end_to_end(server, free_port):
         stub.close()
 
 
-def test_relay_outlives_connect_timeout_of_a_quiet_backend(free_port):
-    ingress = IngressServer("127.0.0.1", connect_timeout=0.2)
+def test_relay_outlives_connect_timeout_of_a_quiet_backend(tmp_path, free_port):
+    ingress = frontend(tmp_path, connect_timeout=0.2)
     stub = balancer_stub("A", reply_delay=0.6)
     external = free_port()
     try:
@@ -210,8 +219,8 @@ def test_backend_unreachable_closes_inbound(server, free_port):
 
 
 def test_a_backend_stuck_in_the_dial_closes_the_client_after_the_timeout(
-        free_port, stuck_port):
-    ingress = IngressServer("127.0.0.1", connect_timeout=0.3)
+        tmp_path, free_port, stuck_port):
+    ingress = frontend(tmp_path, connect_timeout=0.3)
     external = free_port()
     try:
         ingress.bind(mapping_for(external, stuck_port))
@@ -223,7 +232,8 @@ def test_a_backend_stuck_in_the_dial_closes_the_client_after_the_timeout(
         ingress.close()
 
 
-def test_loopback_dials_relay_without_a_wait_or_a_timer(free_port, monkeypatch):
+def test_loopback_dials_relay_without_a_wait_or_a_timer(tmp_path, free_port,
+                                                       monkeypatch):
     dials_done, timers = [], []
     dial_done, call_later = Session._dial_done, Loop.call_later
 
@@ -245,11 +255,11 @@ def test_loopback_dials_relay_without_a_wait_or_a_timer(free_port, monkeypatch):
         "r1", "127.0.0.1", replica.port, "v1", HEALTH_HEALTHY))
     balancer = BalancerServer(
         Balancer(registry, stick_ttl=100, stick_capacity=100), "127.0.0.1")
-    balancer.bind_service("alpha", 0)
-    ingress = IngressServer("127.0.0.1")
+    balancer_port = balancer.bind_service("alpha", 0)
+    ingress = frontend(tmp_path)
     external = free_port()
     try:
-        ingress.bind(mapping_for(external, balancer.ports()["alpha"]))
+        ingress.bind(mapping_for(external, balancer_port))
         for _ in range(50):
             with socket.create_connection(("127.0.0.1", external),
                                           timeout=5) as sock:
@@ -287,6 +297,20 @@ def test_restart_reproduces_listeners(tmp_path, free_port):
     finally:
         second.close()
         stub.close()
+
+
+def test_an_adopted_mapping_whose_port_is_taken_stays_mapped(tmp_path,
+                                                            free_port):
+    external = free_port()
+    store = StateStore(tmp_path / "state")
+    store.save_mappings([mapping_for(external, 20000)])
+    with socket.create_server(("127.0.0.1", external)):
+        node = FrontendNode(edge_topology(external), "edge", store,
+                            bind_listeners=True)
+        node.close()
+    assert node.mappings == {external: mapping_for(external, 20000)}
+    assert node.bind_failures() == [
+        f"external port {external} could not be bound"]
 
 
 def test_swap_lets_inflight_connections_drain(server, free_port):
@@ -335,8 +359,11 @@ def test_foreign_bind_failure_is_isolated(server, free_port):
     squatter.listen(1)
     try:
         server.bind(mapping_for(ok_port, stub.port))
-        with pytest.raises(OSError):
+        with pytest.raises(IngressError):
             server.bind(mapping_for(stolen_port, stub.port, challenge="beta"))
+        assert server.bind_failures() == [
+            f"external port {stolen_port} could not be bound"]
+        assert stolen_port not in server.mappings  # planned again next time
         with socket.create_connection(("127.0.0.1", ok_port), timeout=5) as sock:
             assert read_line_from(sock) == "A 127.0.0.1"
     finally:
@@ -362,9 +389,9 @@ def test_ports_stay_isolated(server, free_port):
         stub_b.close()
 
 
-def test_bind_and_unbind_finish_while_connections_are_routed(free_port):
+def test_bind_and_unbind_finish_while_connections_are_routed(tmp_path, free_port):
     # an accept reads its route under the lock that bind and unbind hold
-    ingress = IngressServer("127.0.0.1", connect_timeout=2.0)
+    ingress = frontend(tmp_path, connect_timeout=2.0)
     stub = balancer_stub("A")
     external = free_port()
     others = [free_port() for _ in range(4)]

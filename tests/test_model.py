@@ -114,8 +114,18 @@ def test_challenge_fields_echoed():
     assert spec.external_port == 9001
     assert spec.backend == "worker"
     assert spec.run_command == "python3 server.py --port {PORT}"
-    assert spec.probe == ProbeSpec(kind="tcp", banner="hello")
+    assert spec.probe == ProbeSpec(banner="hello")
     assert network_id(spec.name) == "net-web-pwn"
+
+
+def test_spec_fingerprints_are_pinned():
+    # a fingerprint that changed would roll every adopted replica on upgrade
+    topo = parse_topology(TWO_CHALLENGES.replace(
+        'run-b {PORT}" probe=tcp', 'run-b {PORT}" probe=tcp:FLAGD'))
+    alpha, beta = topo.challenges["alpha"], topo.challenges["beta"]
+    assert (alpha.probe.render(), alpha.fingerprint) == ("tcp", "a29d7f3e4cb9")
+    assert (beta.probe.render(), beta.fingerprint) == (
+        "tcp:FLAGD", "657ac0b0a7c1")
 
 
 def test_round_trip_example_field_by_field():
@@ -250,7 +260,7 @@ def topologies(draw) -> Topology:
             external_port=port,
             backend=draw(st.sampled_from(backend_ids)),
             run_command=draw(run_commands),
-            probe=ProbeSpec(kind="tcp", banner=draw(banners)),
+            probe=ProbeSpec(banner=draw(banners)),
         )
     topology = Topology(
         nodes=nodes,
