@@ -282,13 +282,17 @@ class Balancer:
 
 
 class BalancerServer:
-    """Listener-per-service data plane in front of a Balancer."""
+    """Listener-per-service data plane in front of a Balancer.
+
+    The node's control thread binds, unbinds and closes, and owns the
+    listener table; the loop thread runs only the accept callbacks, which
+    never read it.
+    """
 
     def __init__(self, balancer: Balancer, bind_address: str):
         self.balancer = balancer
         self.bind_address = bind_address
         self._listeners: dict[str, Listener] = {}
-        self._lock = threading.Lock()
 
     def bind_service(self, service: str, port: int) -> int:
         """Serve ``service`` on ``port``, moving it there if bound elsewhere,
@@ -297,28 +301,24 @@ class BalancerServer:
         The new port is opened before the old one closes, so a refused port
         raises ``OSError`` and leaves the service where it was.
         """
-        with self._lock:
-            existing = self._listeners.get(service)
-            if existing is not None and existing.port == port:
-                return port
-            listener = self._listeners[service] = Listener(
-                self.bind_address, port, partial(self._accept, service))
-            if existing is not None:
-                existing.close()
-            return listener.port
+        existing = self._listeners.get(service)
+        if existing is not None and existing.port == port:
+            return port
+        listener = self._listeners[service] = Listener(
+            self.bind_address, port, partial(self._accept, service))
+        if existing is not None:
+            existing.close()
+        return listener.port
 
     def unbind_service(self, service: str) -> None:
-        with self._lock:
-            listener = self._listeners.pop(service, None)
+        listener = self._listeners.pop(service, None)
         if listener is not None:
             listener.close()
 
     def close(self) -> None:
-        with self._lock:
-            listeners = list(self._listeners.values())
-            self._listeners.clear()
-        for listener in listeners:
+        for listener in self._listeners.values():
             listener.close()
+        self._listeners.clear()
 
     # --- on the event loop ----------------------------------------------------
 

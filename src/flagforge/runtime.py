@@ -329,10 +329,7 @@ class _ClusterExecutor:
         if spec.name not in backend.supervisor.services():
             # adopted replicas of a service this node held no spec for
             backend.ensure_service(spec)
-        report = backend.supervisor.rolling_update(spec.name, spec)
-        if not report.completed:
-            raise FlagforgeError(
-                f"rolling update aborted: {report.steps[-1].detail}")
+        backend.supervisor.rolling_update(spec.name, spec)
 
     def _update_balancer_config(self, action: Action) -> None:
         backend = self.cluster.backends[action.node]

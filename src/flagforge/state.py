@@ -12,12 +12,15 @@
     ingress.map         frontend port mappings, written once per converge by
                         the frontend's host (when they changed)
     latest-build.txt    deployment status records
-    serve-<node>.lock   pid of the serve process hosting a node
+    serve-<node>.lock   pid of the serve process hosting a node, which
+                        holds an flock on it while it runs; a file nobody
+                        has locked names no owner
     logs/, bundles/     replica logs and materialized artifact payloads
 """
 
 from __future__ import annotations
 
+import fcntl
 import ipaddress
 import json
 import os
@@ -44,6 +47,13 @@ def _pid_running(pid: int) -> bool:
         return state not in (b"Z", b"X")
     except OSError:
         return True
+
+
+def _read_pid(fd: int) -> int | None:
+    try:
+        return int(os.pread(fd, 32, 0).split()[0])
+    except (IndexError, ValueError):
+        return None  # not written yet
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,7 @@ class StateStore:
         self.status_path = self.root / "latest-build.txt"
         self.logs_dir = self.root / "logs"
         self.bundles_dir = self.root / "bundles"
+        self._locks: dict[str, int] = {}  # node -> descriptor holding its lock
 
     def replicas_path(self, node_id: str) -> Path:
         return self.root / f"replicas-{node_id}.json"
@@ -167,29 +178,54 @@ class StateStore:
             sorted(mappings, key=lambda m: m.external_port)))
 
     def lock_owner(self, node_id: str) -> int | None:
-        """Pid holding the serve lock for a node, if that pid is alive."""
-        path = self.lock_path(node_id)
-        if not path.exists():
+        """Pid of the process holding a node's serve lock, if one holds it."""
+        try:
+            fd = os.open(self.lock_path(node_id), os.O_RDONLY)
+        except FileNotFoundError:
             return None
         try:
-            pid = int(path.read_text().strip())
-        except ValueError:
-            return None
-        return pid if _pid_running(pid) else None
+            fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return _read_pid(fd)
+        finally:
+            os.close(fd)
+        return None  # left behind by a process that is gone
 
     def acquire_lock(self, node_id: str, pid: int) -> None:
-        owner = self.lock_owner(node_id)
-        if owner is not None and owner != pid:
-            raise FlagforgeError(
-                f"node {node_id} is already served by pid {owner}")
+        """Lock a node for this store until ``release_lock`` or exit."""
+        path = self.lock_path(node_id)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.lock_path(node_id).write_text(f"{pid}\n")
+        while True:
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                owner = _read_pid(fd)
+                os.close(fd)
+                raise FlagforgeError(
+                    f"node {node_id} is already served by pid {owner}") from None
+            try:
+                if os.path.samestat(os.fstat(fd), os.stat(path)):
+                    break
+            except FileNotFoundError:
+                pass
+            os.close(fd)  # released and unlinked since the open: retry
+        try:
+            os.ftruncate(fd, 0)
+            os.write(fd, f"{pid}\n".encode())
+        except OSError:
+            os.close(fd)
+            raise
+        self._locks[node_id] = fd
 
     def release_lock(self, node_id: str) -> None:
-        try:
-            self.lock_path(node_id).unlink()
-        except FileNotFoundError:
-            pass
+        fd = self._locks.pop(node_id, None)
+        if fd is None:
+            return
+        # unlinked before the unlock: a process that opened the file in the
+        # meantime finds, once it locks it, that the path no longer names it
+        self.lock_path(node_id).unlink(missing_ok=True)
+        os.close(fd)
 
 
 def status_rows(store: StateStore,

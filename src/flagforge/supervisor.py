@@ -2,24 +2,24 @@
 
 Keeps every service at its desired replica count, probes health, replaces
 failed replicas, applies scale changes, and performs one-at-a-time rolling
-updates. All mutating entry points serialize on one lock, so the supervisor
-behaves as a single control actor per node; only the prober and runner do
-real I/O. Probes run outside the lock: a replica whose banner stalls delays
-only the probe pass, and a verdict lands only on a replica that is still
-registered in the health it was probed in.
+updates. The node's control thread owns it, so it takes no lock: only the
+registry and the balancer, which the data plane's loop thread also reads,
+keep theirs. A probe pass probes each replica and judges it in turn, and
+blocks that thread while it does: a replica whose banner stalls holds the
+pass for up to ``PROBE_TIMEOUT``. A rolling update blocks it until the last
+replacement is healthy or the roll is aborted.
 """
 
 from __future__ import annotations
 
 import os
 import socket
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .errors import (PortExhaustedError, SpawnError, UnknownReplicaError,
-                     UnknownServiceError)
+from .errors import (PortExhaustedError, SpawnError, SupervisorError,
+                     UnknownReplicaError, UnknownServiceError)
 from .model import ChallengeSpec, ProbeSpec
 from .registry import (
     HEALTH_HEALTHY,
@@ -48,23 +48,19 @@ class PortAllocator:
     def __init__(self, port_range: tuple[int, int]):
         self._lo, self._hi = port_range
         self._in_use: set[int] = set()
-        self._lock = threading.Lock()
 
     def allocate(self) -> int:
-        with self._lock:
-            for port in range(self._lo, self._hi + 1):
-                if port not in self._in_use:
-                    self._in_use.add(port)
-                    return port
+        for port in range(self._lo, self._hi + 1):
+            if port not in self._in_use:
+                self._in_use.add(port)
+                return port
         raise PortExhaustedError(f"no free port in {self._lo}-{self._hi}")
 
     def reserve(self, port: int) -> None:
-        with self._lock:
-            self._in_use.add(port)
+        self._in_use.add(port)
 
     def release(self, port: int) -> None:
-        with self._lock:
-            self._in_use.discard(port)
+        self._in_use.discard(port)
 
 
 class Prober(Protocol):
@@ -115,21 +111,6 @@ class ReplicaInstance:
         return self.endpoint.port
 
 
-@dataclass
-class UpdateStep:
-    stopped: str
-    started: str | None
-    outcome: str  # ok | failed
-    detail: str = ""
-
-
-@dataclass
-class UpdateReport:
-    service: str
-    steps: list[UpdateStep] = field(default_factory=list)
-    completed: bool = True
-
-
 class Supervisor:
     def __init__(self, node_id: str, bind_address: str, registry: Registry,
                  runner: RunnerBackend, allocator: PortAllocator,
@@ -151,136 +132,110 @@ class Supervisor:
         self.sessions: Callable[[str], int] = lambda replica_id: 0
         self._desired: dict[str, ChallengeSpec] = {}
         self._instances: dict[str, ReplicaInstance] = {}
-        self._lock = threading.RLock()
 
     # --- desired state ----------------------------------------------------
 
     def set_desired(self, spec: ChallengeSpec) -> None:
-        with self._lock:
-            self._desired[spec.name] = spec
+        self._desired[spec.name] = spec
 
     def drop_desired(self, service: str) -> None:
-        with self._lock:
-            self._desired.pop(service, None)
+        self._desired.pop(service, None)
 
     def desired_spec(self, service: str) -> ChallengeSpec:
-        with self._lock:
-            spec = self._desired.get(service)
-            if spec is None:
-                raise UnknownServiceError(f"unknown service {service!r}")
-            return spec
+        spec = self._desired.get(service)
+        if spec is None:
+            raise UnknownServiceError(f"unknown service {service!r}")
+        return spec
 
     def desired_count(self, service: str) -> int:
         return self.desired_spec(service).replica_count
 
     def services(self) -> list[str]:
-        with self._lock:
-            return sorted(self._desired)
+        return sorted(self._desired)
 
     def instances_of(self, service: str) -> list[ReplicaInstance]:
-        with self._lock:
-            out = [i for i in self._instances.values() if i.spec_name == service]
-            out.sort(key=lambda i: (i.started_at, i.replica_id))
-            return out
+        out = [i for i in self._instances.values() if i.spec_name == service]
+        out.sort(key=lambda i: (i.started_at, i.replica_id))
+        return out
 
     def adopt(self, service: str, records: list[dict]) -> None:
         """Rebuild instances recorded by a previous process (pid-based handles)."""
-        with self._lock:
-            for record in records:
-                self.allocator.reserve(record["port"])
-                endpoint = ReplicaEndpoint(
-                    replica_id=record["replica_id"], address=self.bind_address,
-                    port=record["port"], version=record["version"],
-                    health=HEALTH_STARTING)
-                self.registry.register_replica(service, endpoint)
-                self._instances[endpoint.replica_id] = ReplicaInstance(
-                    endpoint=endpoint, spec_name=service,
-                    handle=self.runner.adopt(record["pid"]),
-                    started_at=record.get("started_at", self.clock()),
-                    restarts=record.get("restarts", 0),
-                    spec_id=record.get("spec", ""))
+        for record in records:
+            self.allocator.reserve(record["port"])
+            self._register(service, record["replica_id"], record["port"],
+                           record["version"], self.runner.adopt(record["pid"]),
+                           started_at=record.get("started_at", self.clock()),
+                           restarts=record.get("restarts", 0),
+                           spec_id=record.get("spec", ""))
 
     def snapshot(self) -> list[dict]:
         """Persistable view of running instances."""
-        with self._lock:
-            out = []
-            for instance in self._instances.values():
-                pid = getattr(instance.handle, "pid", 0)
-                out.append({
-                    "replica_id": instance.replica_id,
-                    "service": instance.spec_name,
-                    "pid": pid,
-                    "port": instance.port,
-                    "version": instance.endpoint.version,
-                    "started_at": instance.started_at,
-                    "restarts": instance.restarts,
-                    "spec": instance.spec_id,
-                })
-            out.sort(key=lambda r: r["replica_id"])
-            return out
+        out = []
+        for instance in self._instances.values():
+            pid = getattr(instance.handle, "pid", 0)
+            out.append({
+                "replica_id": instance.replica_id,
+                "service": instance.spec_name,
+                "pid": pid,
+                "port": instance.port,
+                "version": instance.endpoint.version,
+                "started_at": instance.started_at,
+                "restarts": instance.restarts,
+                "spec": instance.spec_id,
+            })
+        out.sort(key=lambda r: r["replica_id"])
+        return out
 
     # --- reconciliation -----------------------------------------------------
 
     def reconcile(self, service: str) -> list[str]:
         """Converge one service to its desired count; returns actions taken."""
-        with self._lock:
-            spec = self.desired_spec(service)
-            want = spec.replica_count
-            actions: list[str] = []
-            restarts = 0
-            for instance in self.instances_of(service):
-                dead = not self.runner.alive(instance.handle)
-                failed = instance.endpoint.health == HEALTH_UNHEALTHY
-                if dead or failed:
-                    reason = "dead" if dead else "unhealthy"
-                    restarts = max(restarts, instance.restarts + 1)
-                    self._stop_instance(instance)
-                    actions.append(f"stop {instance.replica_id} ({reason})")
-            alive = self.instances_of(service)
-            excess = len(alive) - want
-            if excess > 0:
-                # victims: newest first, replica_id ascending as the tie-break
-                victims = sorted(alive, key=lambda i: (-i.started_at, i.replica_id))
-                for instance in victims[:excess]:
-                    self._stop_instance(instance)
-                    actions.append(f"stop {instance.replica_id} (scale-down)")
-            missing = want - len(self.instances_of(service))
-            for _ in range(max(0, missing)):
-                try:
-                    instance = self._spawn(service, spec, restarts)
-                except (SpawnError, PortExhaustedError) as exc:
-                    actions.append(f"degraded: {exc}")
-                    break
-                actions.append(f"spawn {instance.replica_id}")
+        spec = self.desired_spec(service)
+        want = spec.replica_count
+        actions: list[str] = []
+        restarts = 0
+        for instance in self.instances_of(service):
+            dead = not self.runner.alive(instance.handle)
+            failed = instance.endpoint.health == HEALTH_UNHEALTHY
+            if dead or failed:
+                reason = "dead" if dead else "unhealthy"
+                restarts = max(restarts, instance.restarts + 1)
+                self._stop_instance(instance)
+                actions.append(f"stop {instance.replica_id} ({reason})")
+        excess = len(self.instances_of(service)) - want
+        for instance in self._newest_first(service)[:max(0, excess)]:
+            self._stop_instance(instance)
+            actions.append(f"stop {instance.replica_id} (scale-down)")
+        missing = want - len(self.instances_of(service))
+        for _ in range(max(0, missing)):
+            try:
+                instance = self._spawn(service, spec, restarts)
+            except (SpawnError, PortExhaustedError) as exc:
+                actions.append(f"degraded: {exc}")
+                break
+            actions.append(f"spawn {instance.replica_id}")
         if actions:
             self._changed()
         return actions
 
     def start_one(self, service: str) -> ReplicaInstance:
         """Spawn a single replica of a desired service (one converge step)."""
-        with self._lock:
-            spec = self.desired_spec(service)
-            instance = self._spawn(service, spec, 0)
+        instance = self._spawn(service, self.desired_spec(service), 0)
         self._changed()
         return instance
 
     def stop_one(self, service: str) -> str:
         """Stop the newest instance of a service (one converge step)."""
-        with self._lock:
-            instances = self.instances_of(service)
-            if not instances:
-                raise UnknownReplicaError(f"no running replicas of {service!r}")
-            victim = sorted(instances,
-                            key=lambda i: (-i.started_at, i.replica_id))[0]
-            self._stop_instance(victim)
+        victims = self._newest_first(service)
+        if not victims:
+            raise UnknownReplicaError(f"no running replicas of {service!r}")
+        self._stop_instance(victims[0])
         self._changed()
-        return victim.replica_id
+        return victims[0].replica_id
 
     def reconcile_all(self) -> dict[str, list[str]]:
-        with self._lock:
-            services = self.services()
         report = {}
-        for service in services:
+        for service in self.services():
             actions = self.reconcile(service)
             if actions:
                 report[service] = actions
@@ -300,54 +255,42 @@ class Supervisor:
     def booting(self) -> bool:
         """Whether a replica is in its startup grace and has not answered."""
         now = self.clock()
-        with self._lock:
-            return any(self._booting(i, now) for i in self._instances.values())
+        return any(self._booting(i, now) for i in self._instances.values())
 
     # --- rolling update ------------------------------------------------------
 
     def rolling_update(self, service: str, new_spec: ChallengeSpec,
-                       timeout: float = 30.0) -> UpdateReport:
+                       timeout: float = 30.0) -> None:
         """Replace, oldest first, each replica started from another spec.
 
         One replica at a time leaves the rotation, is drained of its open
         sessions (up to ``DRAIN_TIMEOUT``), stopped, respawned from
         ``new_spec`` and waited on until healthy. The first failed
-        replacement aborts: the old spec is desired again and the lost slot
-        is refilled from it before this returns.
+        replacement aborts: the old spec is desired again, the lost slot is
+        refilled from it, and ``SupervisorError`` says what failed.
         """
-        with self._lock:
-            old_spec = self.desired_spec(service)
-            self._desired[service] = new_spec
-            stale = [i for i in self.instances_of(service)  # oldest first
-                     if i.spec_id != new_spec.fingerprint]
-            report = UpdateReport(service=service)
-            for old in stale:
-                old_id = old.replica_id
-                self._stop_instance(old, drain=True)
-                try:
-                    fresh = self._spawn(service, new_spec, old.restarts + 1)
-                except (SpawnError, PortExhaustedError) as exc:
-                    report.steps.append(UpdateStep(old_id, None, "failed", str(exc)))
-                    return self._abort_update(service, old_spec, report)
-                if not self._wait_healthy(fresh, new_spec, timeout):
-                    self._stop_instance(fresh)
-                    report.steps.append(UpdateStep(
-                        old_id, fresh.replica_id, "failed",
-                        f"not healthy within {timeout:g}s"))
-                    return self._abort_update(service, old_spec, report)
-                report.steps.append(UpdateStep(old_id, fresh.replica_id, "ok"))
+        old_spec = self.desired_spec(service)
+        self._desired[service] = new_spec
+        stale = [i for i in self.instances_of(service)  # oldest first
+                 if i.spec_id != new_spec.fingerprint]
+        for old in stale:
+            self._stop_instance(old, drain=True)
+            try:
+                fresh = self._spawn(service, new_spec, old.restarts + 1)
+            except (SpawnError, PortExhaustedError) as exc:
+                detail = str(exc)
+            else:
+                if self._wait_healthy(fresh, new_spec, timeout):
+                    continue
+                self._stop_instance(fresh)
+                detail = f"not healthy within {timeout:g}s"
+            # the remaining old replicas stay untouched
+            self._desired[service] = old_spec
+            if not self.reconcile(service):  # a reconcile that acted persisted
+                self._changed()
+            raise SupervisorError(f"rolling update aborted: {detail}")
         if stale:
             self._changed()
-        return report
-
-    def _abort_update(self, service: str, old_spec: ChallengeSpec,
-                      report: UpdateReport) -> UpdateReport:
-        # the remaining old replicas stay untouched
-        self._desired[service] = old_spec
-        if not self.reconcile(service):  # a reconcile that acted persisted
-            self._changed()
-        report.completed = False
-        return report
 
     def _wait_healthy(self, instance: ReplicaInstance, spec: ChallengeSpec,
                       timeout: float) -> bool:
@@ -366,9 +309,8 @@ class Supervisor:
     # --- shutdown ------------------------------------------------------------
 
     def stop_all(self) -> None:
-        with self._lock:
-            for instance in list(self._instances.values()):
-                self._stop_instance(instance)
+        for instance in list(self._instances.values()):
+            self._stop_instance(instance)
         self._changed()
 
     # --- internals ------------------------------------------------------------
@@ -387,18 +329,29 @@ class Supervisor:
                 self.allocator.release(port)
                 last_error = exc
                 continue
-            endpoint = ReplicaEndpoint(
-                replica_id=replica_id, address=self.bind_address, port=port,
-                version=spec.version, health=HEALTH_STARTING)
-            self.registry.register_replica(service, endpoint)
-            instance = ReplicaInstance(endpoint=endpoint, spec_name=service,
-                                       handle=handle, started_at=self.clock(),
-                                       restarts=restarts,
-                                       spec_id=spec.fingerprint)
-            self._instances[replica_id] = instance
-            return instance
+            return self._register(service, replica_id, port, spec.version,
+                                  handle, started_at=self.clock(),
+                                  restarts=restarts, spec_id=spec.fingerprint)
         raise SpawnError(f"spawn of {service} failed after {SPAWN_RETRIES}"
                          f" attempts: {last_error}")
+
+    def _register(self, service: str, replica_id: str, port: int,
+                  version: str, handle: object, *, started_at: float,
+                  restarts: int, spec_id: str) -> ReplicaInstance:
+        endpoint = ReplicaEndpoint(
+            replica_id=replica_id, address=self.bind_address, port=port,
+            version=version, health=HEALTH_STARTING)
+        self.registry.register_replica(service, endpoint)
+        instance = self._instances[replica_id] = ReplicaInstance(
+            endpoint=endpoint, spec_name=service, handle=handle,
+            started_at=started_at, restarts=restarts, spec_id=spec_id)
+        return instance
+
+    def _newest_first(self, service: str) -> list[ReplicaInstance]:
+        # the order replicas leave a shrinking service in: newest first,
+        # replica_id ascending as the tie-break
+        return sorted(self.instances_of(service),
+                      key=lambda i: (-i.started_at, i.replica_id))
 
     def _stop_instance(self, instance: ReplicaInstance,
                        drain: bool = False) -> None:
@@ -422,30 +375,19 @@ class Supervisor:
                 and now - instance.started_at < self.startup_grace)
 
     def _probe(self, now: float, starting_only: bool) -> None:
-        """Probe without the lock, then judge each replica that is still
-        registered in the health it was probed in."""
-        with self._lock:
-            targets = []
-            for instance in self._instances.values():
-                if not starting_only or self._booting(instance, now):
-                    spec = self._desired.get(instance.spec_name)
-                    probe = spec.probe if spec is not None else ProbeSpec()
-                    targets.append((instance, instance.endpoint.health, probe))
-        results = [(instance, health,
-                    self.prober.probe(instance.endpoint.address, instance.port,
-                                      probe))
-                   for instance, health, probe in targets]
-        with self._lock:
-            for instance, health, up in results:
-                if (self._instances.get(instance.replica_id) is not instance
-                        or instance.endpoint.health != health):
-                    continue  # stopped or re-marked while it was probed
-                if up:
-                    self.registry.mark_health(instance.replica_id, HEALTH_HEALTHY)
-                elif not starting_only and not self._booting(instance, now):
-                    # one still booting keeps its grace period
-                    self.registry.mark_health(instance.replica_id,
-                                              HEALTH_UNHEALTHY)
+        """Probe each replica (each booting one, if ``starting_only``) and
+        judge it before the next is probed."""
+        for instance in self._instances.values():
+            if starting_only and not self._booting(instance, now):
+                continue
+            spec = self._desired.get(instance.spec_name)
+            if self.prober.probe(instance.endpoint.address, instance.port,
+                                 spec.probe if spec is not None else ProbeSpec()):
+                self.registry.mark_health(instance.replica_id, HEALTH_HEALTHY)
+            elif not starting_only and not self._booting(instance, now):
+                # one still booting keeps its grace period
+                self.registry.mark_health(instance.replica_id,
+                                          HEALTH_UNHEALTHY)
 
     def _changed(self) -> None:
         if self.on_change is not None:

@@ -23,7 +23,7 @@ from flagforge.cli import main
 from flagforge.model import parse_topology
 from flagforge.registry import HEALTH_HEALTHY
 from flagforge.runner import _pid_running
-from flagforge.runtime import NodeService, StateStore
+from flagforge.runtime import Cluster, NodeService, StateStore
 from flagforge.state import PortMapping
 
 FIXTURE = Path(__file__).with_name("fixture_server.py")
@@ -721,6 +721,60 @@ def test_backend_serve_runs_its_ticks_on_the_main_thread(workspace):
     # the data plane's loop, and the main thread ticking: nothing else
     assert sorted(threads) == sorted(["MainThread", LOOP_THREAD_NAME])
     assert process.returncode == 0
+
+
+def record_calling_threads(obj, calls: list[tuple[str, str]]) -> None:
+    """Wrap each public method of ``obj`` to note which thread called it."""
+    for name in dir(type(obj)):
+        method = getattr(obj, name)
+        if name.startswith("_") or not callable(method):
+            continue
+
+        def wrapper(*args, _method=method,
+                    _name=f"{type(obj).__name__}.{name}", **kwargs):
+            calls.append((_name, threading.current_thread().name))
+            return _method(*args, **kwargs)
+
+        setattr(obj, name, wrapper)
+
+
+def test_control_plane_objects_are_only_called_on_the_main_thread(workspace):
+    # the supervisor, the port allocator and the balancer's listener table
+    # take no lock: only the thread that converges and ticks may touch them
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    text = topology_text(external, backend_base, replicas=2)
+    cluster = Cluster(parse_topology(text), StateStore(state))
+    backend = cluster.backends["worker"]
+    calls: list[tuple[str, str]] = []
+    for obj in (backend.supervisor, backend.allocator, backend.server):
+        record_calling_threads(obj, calls)
+    try:
+        assert cluster.converge().all_ok
+        deadline = time.monotonic() + 10
+        while backend.supervisor.booting():
+            assert time.monotonic() < deadline, "replicas still booting"
+            backend.supervisor.probe_starting()
+            time.sleep(0.05)
+        greetings = {greeting_on(external) for _ in range(6)}
+        assert {g.split()[1] for g in greetings} == {"v1"}
+        backend.tick()
+        report = cluster.converge(parse_topology(
+            text.replace("version=v1", "version=v2")))
+        assert [r.action.kind for r in report.results] == ["roll_service"]
+        assert report.all_ok and greeting_on(external).endswith(" v2")
+        report = cluster.converge(parse_topology(
+            text[:text.index("challenge ")]))
+        assert "remove_network" in [r.action.kind for r in report.results]
+        assert report.all_ok
+    finally:
+        cluster.shutdown(stop_replicas=True)
+    called = {name for name, _ in calls}
+    assert {"Supervisor.rolling_update", "Supervisor.probe_all",
+            "PortAllocator.allocate", "PortAllocator.release",
+            "BalancerServer.bind_service", "BalancerServer.unbind_service",
+            "BalancerServer.close"} <= called
+    assert {thread for _, thread in calls} == {"MainThread"}
 
 
 # --- module entry point -------------------------------------------------------

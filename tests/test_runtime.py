@@ -844,6 +844,72 @@ def test_stale_lock_from_dead_pid_is_replaceable(tmp_path):
     assert store.lock_owner("worker") == os.getpid()
 
 
+def test_a_lock_file_naming_a_live_pid_that_holds_no_lock_is_replaceable(
+        tmp_path):
+    import subprocess
+
+    # the pid a SIGKILLed serve wrote, since reused by an unrelated process
+    child = subprocess.Popen(["sleep", "30"])
+    try:
+        store = StateStore(tmp_path / "state")
+        store.root.mkdir(parents=True)
+        store.lock_path("worker").write_text(f"{child.pid}\n")
+        assert store.lock_owner("worker") is None
+        store.acquire_lock("worker", os.getpid())
+        assert store.lock_owner("worker") == os.getpid()
+        store.release_lock("worker")
+    finally:
+        child.kill()
+        child.wait()
+
+
+# each racer says "ready" once imported, tries the lock when the test says
+# "go", reports the outcome, and holds what it won until its stdin closes
+LOCK_RACER = """
+import os, sys
+from flagforge.errors import FlagforgeError
+from flagforge.state import StateStore
+store = StateStore(sys.argv[1])
+print("ready", flush=True)
+sys.stdin.readline()
+try:
+    store.acquire_lock("worker", os.getpid())
+except FlagforgeError:
+    print("lost", flush=True)
+else:
+    print("won", flush=True)
+sys.stdin.read()
+"""
+
+
+def test_processes_racing_for_a_node_lock_leave_exactly_one_owner(tmp_path):
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    state_root = tmp_path / "state"
+    racers = [subprocess.Popen([sys.executable, "-c", LOCK_RACER,
+                                str(state_root)], env=env, text=True,
+                               stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+              for _ in range(8)]
+    try:
+        assert [r.stdout.readline() for r in racers] == ["ready\n"] * 8
+        for racer in racers:
+            racer.stdin.write("go\n")
+            racer.stdin.flush()
+        verdicts = [r.stdout.readline().strip() for r in racers]
+        owner = StateStore(state_root).lock_owner("worker")
+    finally:
+        for racer in racers:
+            racer.communicate(timeout=30)  # closes its stdin: it lets go
+    assert sorted(verdicts) == ["lost"] * 7 + ["won"]
+    assert owner == racers[verdicts.index("won")].pid
+    # the winner exited without releasing: its lock went with it
+    assert StateStore(state_root).lock_owner("worker") is None
+
+
 # --- the serve loop ------------------------------------------------------------
 
 
