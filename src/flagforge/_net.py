@@ -6,17 +6,22 @@ so a refused port raises there, and then hands its socket to the loop. The
 loop accepts, dials upstream and relays both ways with non-blocking calls; no
 thread is started per connection. A dial that is up when ``connect`` returns,
 as on loopback and between hosts of one network, relays at once; otherwise it
-waits for writability within its timeout. Callbacks run on the loop thread
-and must not block. An exception that escapes one is reported through
-``threading.excepthook`` and closes the session whose callback it was.
+waits for writability within its timeout. A ``defer_accept`` listener (a
+balancer port) accepts a connection once its first bytes are in, or after
+about a second; the loop reads its timers only when one is pending. Callbacks
+run on the loop thread and must not block. An exception that escapes one is
+reported through ``threading.excepthook`` and closes the session whose
+callback it was.
 
 Only the loop thread watches, reads, writes or closes a socket it was handed,
 and it closes them after dispatching a whole batch of events, so a descriptor
-number is never reused while an event for it is pending.
+number is never reused while an event for it is pending. A closed session
+is in no reference cycle, so refcounting frees it.
 """
 
 from __future__ import annotations
 
+import _socket
 import errno
 import heapq
 import itertools
@@ -49,6 +54,9 @@ PROXY_HEADER_RE = re.compile(
 PROXY_HEADER_LIMIT = 64
 
 IN, OUT = select.EPOLLIN, select.EPOLLOUT
+
+# socket.socket.close without its two wrapper frames; a second call is a no-op
+_close = _socket.socket.close
 
 
 def render_proxy_header(source_ip: str) -> bytes:
@@ -163,9 +171,10 @@ class Loop:
         return max(0.0, timers[0][0] - time.monotonic())
 
     def _run(self) -> None:
-        watched, run = self._watched, self.run
+        watched, run, poll = self._watched, self.run, self._epoll.poll
+        timers, calls, closing = self._timers, self._calls, self._closing
         while True:
-            for fd, _ in self._epoll.poll(self._timeout()):
+            for fd, _ in poll(self._timeout() if timers else -1):
                 entry = watched.get(fd)
                 if entry is not None:  # else unwatched earlier in this batch
                     owner = entry[0]
@@ -175,16 +184,21 @@ class Loop:
                         self._failed(owner)
                 elif fd == self._wake:
                     os.eventfd_read(self._wake)
-            while self._calls:
-                fn, args, owner = self._calls.popleft()
+            entry = owner = None  # hold no session past its batch
+            while calls:
+                fn, args, owner = calls.popleft()
                 run(fn, args, owner)
-            now = time.monotonic()
-            while self._timers and self._timers[0][0] <= now:
-                timer = heapq.heappop(self._timers)[2]
-                if timer.fn is not None:
-                    run(timer.fn, (), timer.owner)
-            while self._closing:
-                run(self._closing.pop().close, (), None)
+            if timers:
+                now = time.monotonic()
+                while timers and timers[0][0] <= now:
+                    timer = heapq.heappop(timers)[2]
+                    if timer.fn is not None:
+                        run(timer.fn, (), timer.owner)
+            while closing:
+                try:
+                    _close(closing.pop())
+                except Exception:
+                    self._failed(None)
 
 
 _loop: Loop | None = None
@@ -293,6 +307,8 @@ class Session:
         for side in (self._client, self._upstream):
             if side.sock is not None:
                 self._loop.close(side.sock)
+            side.peer = None  # no cycle: refcounting frees the session
+        self._line = self._refused = None
         release, self._release = self._release, None
         if release is not None:
             release()
@@ -372,16 +388,24 @@ class Session:
         peer = side.peer
         try:
             settled = not side.pending
-            self._send(side)
+            if not settled:
+                try:
+                    side.pending = side.pending[side.sock.send(side.pending):]
+                except BlockingIOError:
+                    pass
             if read and not side.eof and not peer.pending:
                 try:
                     data = side.sock.recv(RELAY_CHUNK)
                 except BlockingIOError:
                     data = None
                 if data:
-                    peer.pending = data
-                    self._send(peer)
-                    if settled and not peer.pending:
+                    try:
+                        sent = 0 if peer.connecting else peer.sock.send(data)
+                    except BlockingIOError:
+                        sent = 0
+                    if sent < len(data):
+                        peer.pending = data[sent:]
+                    elif settled:
                         # nothing waits on either side before or after, and
                         # neither side saw an EOF: the watched events stand
                         return
@@ -399,15 +423,6 @@ class Session:
             self.close()
             return
         self._update()
-
-    @staticmethod
-    def _send(side: _Side) -> None:
-        if side.pending and side.sock is not None and not side.connecting:
-            try:
-                sent = side.sock.send(side.pending)
-            except BlockingIOError:
-                return
-            side.pending = side.pending[sent:]
 
     def _update(self) -> None:
         """Watch each socket for what can move on it."""
@@ -429,14 +444,18 @@ class Listener:
     ``on_accept(session, peer)`` runs on the loop thread for each accepted
     connection and owns the session. Running out of descriptors or memory
     pauses accepting for ``ACCEPT_RETRY_DELAY``; only ``close`` ends it.
+    ``defer_accept`` is for a port whose clients always talk first.
     """
 
     def __init__(self, address: str, port: int,
-                 on_accept: Callable[[Session, tuple], None]):
+                 on_accept: Callable[[Session, tuple], None], *,
+                 defer_accept: bool = False):
         self._loop = event_loop()
         sock = socket.socket(socket.AF_INET,
                              socket.SOCK_STREAM | socket.SOCK_NONBLOCK)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        if defer_accept:  # 1 s: the first SYN-ACK retransmit hands it over
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, 1)
         try:
             sock.bind((address, port))
             sock.listen(128)
@@ -452,7 +471,7 @@ class Listener:
 
     def ready(self, sock: socket.socket) -> None:
         try:
-            conn, peer = self._sock.accept()
+            fd, peer = self._sock._accept()
         except BlockingIOError:
             return
         except OSError as exc:
@@ -463,9 +482,13 @@ class Listener:
             self._loop.watch(self._sock, 0, self)
             self._loop.call_later(ACCEPT_RETRY_DELAY, self._listen, self)
             return
+        conn = socket.socket(socket.AF_INET, socket.SOCK_STREAM, 0, fd)
         conn.setblocking(False)
         session = Session(self._loop, conn)
-        self._loop.run(self._on_accept, (session, peer), session)
+        try:
+            self._on_accept(session, peer)
+        except Exception:
+            self._loop._failed(session)
 
     def close(self) -> None:
         """Stop accepting. On return the port refuses connections and can

@@ -7,7 +7,7 @@ from typing import Callable
 
 from .balancer import Balancer, BalancerServer
 from .errors import FlagforgeError
-from .model import ChallengeSpec, Topology, network_id
+from .model import ChallengeSpec, Topology
 from .registry import Registry
 from .runner import SubprocessRunner
 from .state import StateStore, _pid_running
@@ -69,7 +69,7 @@ class BackendNode:
 
         for name in sorted(set(records) | set(specs) | set(self._balancer_ports)):
             if not self.registry.has_service(name):
-                self.registry.create_service(name, network_id(name))
+                self.registry.create_service(name)
             if name in specs:
                 self.supervisor.set_desired(specs[name])
             if name in records:
@@ -87,7 +87,7 @@ class BackendNode:
 
     def ensure_service(self, spec: ChallengeSpec) -> None:
         if not self.registry.has_service(spec.name):
-            self.registry.create_service(spec.name, network_id(spec.name))
+            self.registry.create_service(spec.name)
         self.supervisor.set_desired(spec)
 
     def open_listener(self, service: str) -> int:

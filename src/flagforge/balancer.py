@@ -7,8 +7,10 @@ connection are marked suspect and skipped until a health probe clears them;
 the registry's probe-driven health stays untouched by the balancer.
 
 The data plane (``BalancerServer``) is one ``_net.Listener`` per service on
-the process's event loop. Each accepted connection reads and strips the
-``PROXY4`` header the frontend sends first, so stickiness keys on the
+the process's event loop. A port accepts a connection once its first bytes
+are in, so the ``PROXY4`` header the frontend sends first comes with it; a
+silent client is accepted after about a second, and ``PROXY_HEADER_TIMEOUT``
+then applies. The header is stripped, so stickiness keys on the
 participant's real address rather than on the frontend's; then the loop
 dials the picked replica, retrying once on a refusal, and relays. No step
 blocks and no thread is started per connection.
@@ -37,7 +39,7 @@ from .registry import (
 
 CONNECT_TIMEOUT = 3.0
 # a frontend sends its PROXY4 line at once; a client that has not sent the
-# whole line within this many seconds is cut off
+# whole line within this many seconds of its accept is cut off
 PROXY_HEADER_TIMEOUT = 5.0
 # the stick-table heap is rebuilt once it holds this many keys per entry
 HEAP_REBUILD_FACTOR = 2
@@ -175,11 +177,14 @@ class Balancer:
             now = self.clock() if now is None else now
             table = self._table(service)
             ring = self.registry.replicas_of(service)
-            healthy_ids = {r.replica_id for r in ring if r.health == HEALTH_HEALTHY}
             pinned = table.lookup(source_ip, now)
-            if pinned is not None and pinned in healthy_ids:
-                table.refresh(source_ip, now)
-                return next(r for r in ring if r.replica_id == pinned)
+            if pinned is not None:
+                for endpoint in ring:
+                    if endpoint.replica_id == pinned:
+                        if endpoint.health == HEALTH_HEALTHY:
+                            table.refresh(source_ip, now)
+                            return endpoint
+                        break
             start = self._rr.get(service, 0)
             for step in range(len(ring)):
                 endpoint = ring[(start + step) % len(ring)]
@@ -305,7 +310,8 @@ class BalancerServer:
         if existing is not None and existing.port == port:
             return port
         listener = self._listeners[service] = Listener(
-            self.bind_address, port, partial(self._accept, service))
+            self.bind_address, port, partial(self._accept, service),
+            defer_accept=True)
         if existing is not None:
             existing.close()
         return listener.port

@@ -1,4 +1,4 @@
-"""Runtime record of services, their private networks, and replica endpoints.
+"""Runtime record of services and their replica endpoints.
 
 The registry is the single authority on which replicas exist and how healthy
 they are. ``replicas_of`` lists a service's replicas in registration order;
@@ -49,7 +49,6 @@ class ReplicaEndpoint:
 @dataclass
 class ServiceRecord:
     name: str
-    network_id: str
     replicas: list[ReplicaEndpoint] = field(default_factory=list)
 
 
@@ -61,11 +60,12 @@ class Registry:
 
     # --- service lifecycle ---------------------------------------------
 
-    def create_service(self, name: str, network_id: str) -> ServiceRecord:
+    # a second argument, once the network id, is ignored
+    def create_service(self, name: str, _network: object = None) -> ServiceRecord:
         with self._lock:
             if name in self._services:
                 return self._services[name]
-            record = ServiceRecord(name=name, network_id=network_id)
+            record = ServiceRecord(name=name)
             self._services[name] = record
             return record
 

@@ -13,8 +13,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flagforge import balancer as balancer_module
-from flagforge._net import (RELAY_CHUNK, Session, event_loop, parse_proxy_header,
-                           render_proxy_header)
+from flagforge._net import (RELAY_CHUNK, Loop, Session, event_loop,
+                            parse_proxy_header, render_proxy_header)
 from flagforge.balancer import (
     HEAP_REBUILD_FACTOR,
     Balancer,
@@ -657,6 +657,38 @@ def test_missing_or_malformed_proxy_header_rejected(data_plane):
                 sock.sendall(garbage)
                 sock.shutdown(socket.SHUT_WR)
                 assert sock.recv(64) == b""
+    finally:
+        proxied.close()
+
+
+def test_a_balancer_connection_is_handed_over_with_its_first_bytes(
+        data_plane, monkeypatch):
+    accepted, timer_owners = [], []
+    accept, call_later = BalancerServer._accept, Loop.call_later
+
+    def counting_accept(self, service, session, peer):
+        accepted.append(session)
+        accept(self, service, session, peer)
+
+    def counting_call_later(self, delay, fn, owner):
+        timer_owners.append(owner)
+        return call_later(self, delay, fn, owner)
+
+    monkeypatch.setattr(BalancerServer, "_accept", counting_accept)
+    monkeypatch.setattr(Loop, "call_later", counting_call_later)
+    _, balancer, *_ = data_plane
+    proxied = BalancerServer(balancer, "127.0.0.1")
+    port = proxied.bind_service("web", 0)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            time.sleep(0.2)
+            # the kernel holds the connection back until its first bytes
+            assert accepted == []
+            sock.sendall(render_proxy_header("198.51.100.10"))
+            assert read_greeting(sock) == "r1 v1"
+        assert len(accepted) == 1
+        # the line came with the connection: no header timer was armed
+        assert accepted[0] not in timer_owners
     finally:
         proxied.close()
 

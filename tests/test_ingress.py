@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import socket
 import threading
 import time
 
 import pytest
 
-from flagforge._net import Loop, Session, parse_proxy_header
+from flagforge._net import Loop, Session, _Side, parse_proxy_header
 from flagforge.balancer import Balancer, BalancerServer
 from flagforge.errors import IngressError
 from flagforge.ingress import (
@@ -273,6 +274,43 @@ def test_loopback_dials_relay_without_a_wait_or_a_timer(tmp_path, free_port,
     # no dial waited for writability, none armed a connect timer, and the
     # balancer's PROXY4 line came with its connection, so no header timer
     assert dials_done == [] and timers == []
+
+
+def test_a_closed_session_is_freed_without_the_cyclic_collector(
+        tmp_path, free_port):
+    def relay_objects() -> list:
+        return [o for o in gc.get_objects() if isinstance(o, (Session, _Side))]
+
+    replica = TcpListener("127.0.0.1", 0,
+                          lambda conn, peer: greet_and_echo(conn, b"r1 v1\n"))
+    registry = Registry()
+    registry.create_service("alpha", "net-alpha")
+    registry.register_replica("alpha", ReplicaEndpoint(
+        "r1", "127.0.0.1", replica.port, "v1", HEALTH_HEALTHY))
+    balancer = BalancerServer(
+        Balancer(registry, stick_ttl=100, stick_capacity=100), "127.0.0.1")
+    balancer_port = balancer.bind_service("alpha", 0)
+    ingress = frontend(tmp_path)
+    external = free_port()
+    gc.collect()
+    before = relay_objects()  # held, so none is freed and its address reused
+    gc.disable()
+    try:
+        ingress.bind(mapping_for(external, balancer_port))
+        for _ in range(50):
+            with socket.create_connection(("127.0.0.1", external),
+                                          timeout=5) as sock:
+                assert read_line_from(sock) == "r1 v1"
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(64) == b""
+        # both hops closed their sessions before the client saw EOF
+        assert [o for o in relay_objects()
+                if not any(o is old for old in before)] == []
+    finally:
+        gc.enable()
+        ingress.close()
+        balancer.close()
+        replica.close()
 
 
 def test_restart_reproduces_listeners(tmp_path, free_port):
