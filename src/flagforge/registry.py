@@ -1,8 +1,10 @@
-"""Runtime record of services and their replica endpoints.
+"""Runtime record of services and their replicas.
 
-The registry is the single authority on which replicas exist and how healthy
-they are. ``replicas_of`` lists a service's replicas in registration order;
-picking among them (round robin, stickiness) is the balancer's job.
+The registry holds the one record of each replica: where the balancer reaches
+it, how healthy it is, and the process the supervisor runs it as. So it is
+the single authority on which replicas exist. ``replicas_of`` lists a
+service's replicas in registration order; picking among them (round robin,
+stickiness) is the balancer's job.
 
 Health values are written by the supervisor's prober only; everything else
 (balancer, ingress, status) reads. Listeners hear each change of health and
@@ -14,7 +16,7 @@ deadlocking.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
@@ -44,38 +46,36 @@ class ReplicaEndpoint:
     port: int
     version: str
     health: str = HEALTH_STARTING
-
-
-@dataclass
-class ServiceRecord:
-    name: str
-    replicas: list[ReplicaEndpoint] = field(default_factory=list)
+    service: str = ""  # set by register_replica
+    handle: object = None  # the runner's handle on the replica's process
+    started_at: float = 0.0
+    spec_id: str = ""  # fingerprint of the spec the replica was started from
+    restarts: int = 0
 
 
 class Registry:
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._services: dict[str, ServiceRecord] = {}
+        self._services: dict[str, list[ReplicaEndpoint]] = {}
+        # every registered replica by id, and by endpoint (stopped ones too)
+        self._by_id: dict[str, ReplicaEndpoint] = {}
+        self._by_endpoint: dict[tuple[str, int], list[ReplicaEndpoint]] = {}
         self._listeners: list[Listener] = []
 
     # --- service lifecycle ---------------------------------------------
 
     # a second argument, once the network id, is ignored
-    def create_service(self, name: str, _network: object = None) -> ServiceRecord:
+    def create_service(self, name: str, _network: object = None) -> None:
         with self._lock:
-            if name in self._services:
-                return self._services[name]
-            record = ServiceRecord(name=name)
-            self._services[name] = record
-            return record
+            self._services.setdefault(name, [])
 
     def remove_service(self, name: str) -> None:
         with self._lock:
-            record = self._require_service(name)
-            events = [(name, r.replica_id, EVENT_DEREGISTERED)
-                      for r in record.replicas]
+            replicas = self._require_service(name)
+            for endpoint in replicas:
+                self._unindex(endpoint)
             del self._services[name]
-        self._notify(events)
+        self._notify([(name, r.replica_id, EVENT_DEREGISTERED) for r in replicas])
 
     def has_service(self, name: str) -> bool:
         with self._lock:
@@ -85,43 +85,51 @@ class Registry:
 
     def register_replica(self, service: str, endpoint: ReplicaEndpoint) -> None:
         with self._lock:
-            record = self._require_service(service)
-            for other_record in self._services.values():
-                for other in other_record.replicas:
-                    if other.replica_id == endpoint.replica_id:
-                        raise DuplicateReplicaError(
-                            f"duplicate replica_id {endpoint.replica_id}")
-                    if (other.health != HEALTH_STOPPED
-                            and (other.address, other.port) == (endpoint.address,
-                                                                endpoint.port)):
-                        raise EndpointInUseError(
-                            f"{endpoint.address}:{endpoint.port} already used"
-                            f" by {other.replica_id}")
-            record.replicas.append(endpoint)
+            replicas = self._require_service(service)
+            if endpoint.replica_id in self._by_id:
+                raise DuplicateReplicaError(
+                    f"duplicate replica_id {endpoint.replica_id}")
+            key = (endpoint.address, endpoint.port)
+            sharing = self._by_endpoint.setdefault(key, [])
+            for other in sharing:
+                if other.health != HEALTH_STOPPED:
+                    raise EndpointInUseError(
+                        f"{endpoint.address}:{endpoint.port} already used"
+                        f" by {other.replica_id}")
+            endpoint.service = service
+            replicas.append(endpoint)
+            self._by_id[endpoint.replica_id] = endpoint
+            sharing.append(endpoint)
 
     def deregister_replica(self, replica_id: str) -> None:
         with self._lock:
-            service, record, endpoint = self._find(replica_id)
-            record.replicas.remove(endpoint)
-        self._notify([(service, replica_id, EVENT_DEREGISTERED)])
+            endpoint = self._find(replica_id)
+            self._services[endpoint.service].remove(endpoint)
+            self._unindex(endpoint)
+        self._notify([(endpoint.service, replica_id, EVENT_DEREGISTERED)])
 
     def mark_health(self, replica_id: str, health: str) -> None:
         if health not in HEALTH_STATES:
             raise ValueError(f"unknown health state {health!r}")
         events = []
         with self._lock:
-            service, _, endpoint = self._find(replica_id)
+            endpoint = self._find(replica_id)
             # every healthy verdict is announced: it also clears a suspect
             # mark the balancer set on a replica that stayed healthy
             if endpoint.health != health or health == HEALTH_HEALTHY:
                 endpoint.health = health
-                events.append((service, replica_id, health))
+                events.append((endpoint.service, replica_id, health))
         self._notify(events)
 
     def replicas_of(self, service: str) -> list[ReplicaEndpoint]:
         """All replicas in registration order, whatever their health."""
         with self._lock:
-            return list(self._require_service(service).replicas)
+            return list(self._require_service(service))
+
+    def replicas(self) -> list[ReplicaEndpoint]:
+        """Every service's replicas, in registration order."""
+        with self._lock:
+            return list(self._by_id.values())
 
     # --- listeners ---------------------------------------------------------
 
@@ -140,15 +148,22 @@ class Registry:
 
     # --- internals -----------------------------------------------------------
 
-    def _require_service(self, name: str) -> ServiceRecord:
-        record = self._services.get(name)
-        if record is None:
+    def _require_service(self, name: str) -> list[ReplicaEndpoint]:
+        replicas = self._services.get(name)
+        if replicas is None:
             raise UnknownServiceError(f"unknown service {name!r}")
-        return record
+        return replicas
 
-    def _find(self, replica_id: str) -> tuple[str, ServiceRecord, ReplicaEndpoint]:
-        for name, record in self._services.items():
-            for endpoint in record.replicas:
-                if endpoint.replica_id == replica_id:
-                    return name, record, endpoint
-        raise UnknownReplicaError(f"unknown replica {replica_id!r}")
+    def _find(self, replica_id: str) -> ReplicaEndpoint:
+        endpoint = self._by_id.get(replica_id)
+        if endpoint is None:
+            raise UnknownReplicaError(f"unknown replica {replica_id!r}")
+        return endpoint
+
+    def _unindex(self, endpoint: ReplicaEndpoint) -> None:
+        del self._by_id[endpoint.replica_id]
+        key = (endpoint.address, endpoint.port)
+        sharing = self._by_endpoint[key]
+        sharing.remove(endpoint)
+        if not sharing:
+            del self._by_endpoint[key]

@@ -9,7 +9,8 @@ A replica is its pid from spawn to stop: a pid-tracked process group, whether
 this process spawned it or adopted it from a previous process's records, with
 one liveness check and one stop path for both. So a serve restart changes
 nothing about how its replicas are watched and stopped, and a backend never
-loads ``subprocess``.
+loads ``subprocess``. A handle also carries the pid's start time, which the
+replica's record keeps, so a pid reused by another process is not adopted.
 
 Spawned children also receive their identity in the environment
 (FLAGFORGE_REPLICA_ID, FLAGFORGE_VERSION, FLAGFORGE_PORT, FLAGFORGE_BIND),
@@ -28,7 +29,7 @@ from typing import Protocol
 
 from .errors import SpawnError
 from .model import ChallengeSpec
-from .state import _pid_running
+from .state import _pid_running, _pid_start
 
 STOP_GRACE = 5.0
 STOP_POLL = 0.01  # how often a stop checks whether the replica is gone
@@ -49,6 +50,7 @@ class RunnerBackend(Protocol):
 @dataclass
 class ProcessHandle:
     pid: int
+    start: int | None = None  # the pid's start time, recorded with it
     reaped: bool = False  # its exit was collected; the pid may be reused
 
 
@@ -103,7 +105,7 @@ class SubprocessRunner:
                                   setsid=True, setsigdef=_RESTORED_SIGNALS)
         except OSError as exc:
             raise SpawnError(f"cannot spawn {replica_id}: {exc}") from exc
-        return ProcessHandle(pid)
+        return ProcessHandle(pid, _pid_start(pid))
 
     def stop(self, handle: ProcessHandle) -> None:
         """SIGTERM the replica's group, then SIGKILL it after ``STOP_GRACE``."""
@@ -131,7 +133,7 @@ class SubprocessRunner:
         return False
 
     def adopt(self, pid: int) -> ProcessHandle:
-        return ProcessHandle(pid)
+        return ProcessHandle(pid, _pid_start(pid))
 
 
 @dataclass

@@ -267,7 +267,7 @@ class Cluster:
             if record is None:
                 continue
             instances = backend.supervisor.instances_of(service)
-            versions = {i.endpoint.version for i in instances}
+            versions = {i.version for i in instances}
             if (len(instances) == backend.supervisor.desired_count(service)
                     and len(versions) == 1):
                 live = versions.pop()

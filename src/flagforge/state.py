@@ -3,9 +3,13 @@
     desired.json        applied topology text + artifact checksums, written
                         by apply/scale, a promotion and the first process on
                         an empty directory; serve only reads it
-    replicas-<node>.json  running replica records (pid, port, version, spec),
-                        written after each spawn or stop: every pid is on
-                        disk before the next action runs
+    replicas-<node>.json  running replica records (pid, start, port, version,
+                        spec), written after each spawn or stop: every pid
+                        is on disk before the next action runs. ``start`` is
+                        the pid's start time (field 22 of /proc/<pid>/stat):
+                        a record whose pid now has another counts as dead,
+                        and one without it, as older files have, is trusted
+                        by pid alone
     balancer.json       per-node balancer ports, stick settings and counts,
                         written by a backend's host once per converge and
                         tick; a challenge's network lives with its listener
@@ -47,6 +51,16 @@ def _pid_running(pid: int) -> bool:
         return state not in (b"Z", b"X")
     except OSError:
         return True
+
+
+def _pid_start(pid: int) -> int | None:
+    """When the pid started, in clock ticks since boot; a reused pid did not."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            # field 22; fields from 3 on follow the command's closing paren
+            return int(fh.read().rsplit(b")", 1)[1].split()[19])
+    except (OSError, IndexError, ValueError):
+        return None
 
 
 def _read_pid(fd: int) -> int | None:
@@ -160,8 +174,11 @@ class StateStore:
     def live_replicas(self, node_id: str,
                       pid_alive: Callable[[int], bool] = _pid_running
                       ) -> list[dict]:
-        """The node's recorded replicas whose pid still runs."""
-        return [r for r in self.load_replicas(node_id) if pid_alive(r["pid"])]
+        """The node's recorded replicas whose process still runs: the pid is
+        alive and, if the record has its ``start``, started then."""
+        return [r for r in self.load_replicas(node_id) if pid_alive(r["pid"])
+                and (r.get("start") is None
+                     or r["start"] == _pid_start(r["pid"]))]
 
     def replica_nodes(self) -> list[str]:
         return sorted(p.name[len("replicas-"):-len(".json")]

@@ -2,12 +2,14 @@
 
 Keeps every service at its desired replica count, probes health, replaces
 failed replicas, applies scale changes, and performs one-at-a-time rolling
-updates. The node's control thread owns it, so it takes no lock: only the
-registry and the balancer, which the data plane's loop thread also reads,
-keep theirs. A probe pass probes each replica and judges it in turn, and
-blocks that thread while it does: a replica whose banner stalls holds the
-pass for up to ``PROBE_TIMEOUT``. A rolling update blocks it until the last
-replacement is healthy or the roll is aborted.
+updates. It runs the registry's replicas: a replica's one record is its
+``ReplicaEndpoint``, which also carries the runner's handle, so the
+supervisor keeps no table of its own. The node's control thread owns it, so
+it takes no lock: only the registry and the balancer, which the data plane's
+loop thread also reads, keep theirs. A probe pass probes each replica and
+judges it in turn, and blocks that thread while it does: a replica whose
+banner stalls holds the pass for up to ``PROBE_TIMEOUT``. A rolling update
+blocks it until the last replacement is healthy or the roll is aborted.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import os
 import socket
 import time
-from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .errors import (PortExhaustedError, SpawnError, SupervisorError,
@@ -93,24 +94,6 @@ class TcpProber:
             return False
 
 
-@dataclass
-class ReplicaInstance:
-    endpoint: ReplicaEndpoint
-    spec_name: str
-    handle: object
-    started_at: float
-    spec_id: str  # fingerprint of the spec the replica was started from
-    restarts: int = 0
-
-    @property
-    def replica_id(self) -> str:
-        return self.endpoint.replica_id
-
-    @property
-    def port(self) -> int:
-        return self.endpoint.port
-
-
 class Supervisor:
     def __init__(self, node_id: str, bind_address: str, registry: Registry,
                  runner: RunnerBackend, allocator: PortAllocator,
@@ -131,7 +114,6 @@ class Supervisor:
         # replica id -> sessions still open through the balancer, for draining
         self.sessions: Callable[[str], int] = lambda replica_id: 0
         self._desired: dict[str, ChallengeSpec] = {}
-        self._instances: dict[str, ReplicaInstance] = {}
 
     # --- desired state ----------------------------------------------------
 
@@ -153,10 +135,13 @@ class Supervisor:
     def services(self) -> list[str]:
         return sorted(self._desired)
 
-    def instances_of(self, service: str) -> list[ReplicaInstance]:
-        out = [i for i in self._instances.values() if i.spec_name == service]
-        out.sort(key=lambda i: (i.started_at, i.replica_id))
-        return out
+    def instances_of(self, service: str) -> list[ReplicaEndpoint]:
+        """The registry's records of a service's replicas, oldest first."""
+        try:
+            replicas = self.registry.replicas_of(service)
+        except UnknownServiceError:
+            return []
+        return sorted(replicas, key=lambda i: (i.started_at, i.replica_id))
 
     def adopt(self, service: str, records: list[dict]) -> None:
         """Rebuild instances recorded by a previous process (pid-based handles)."""
@@ -171,14 +156,14 @@ class Supervisor:
     def snapshot(self) -> list[dict]:
         """Persistable view of running instances."""
         out = []
-        for instance in self._instances.values():
-            pid = getattr(instance.handle, "pid", 0)
+        for instance in self.registry.replicas():
             out.append({
                 "replica_id": instance.replica_id,
-                "service": instance.spec_name,
-                "pid": pid,
+                "service": instance.service,
+                "pid": getattr(instance.handle, "pid", 0),
+                "start": getattr(instance.handle, "start", None),
                 "port": instance.port,
-                "version": instance.endpoint.version,
+                "version": instance.version,
                 "started_at": instance.started_at,
                 "restarts": instance.restarts,
                 "spec": instance.spec_id,
@@ -196,7 +181,7 @@ class Supervisor:
         restarts = 0
         for instance in self.instances_of(service):
             dead = not self.runner.alive(instance.handle)
-            failed = instance.endpoint.health == HEALTH_UNHEALTHY
+            failed = instance.health == HEALTH_UNHEALTHY
             if dead or failed:
                 reason = "dead" if dead else "unhealthy"
                 restarts = max(restarts, instance.restarts + 1)
@@ -218,7 +203,7 @@ class Supervisor:
             self._changed()
         return actions
 
-    def start_one(self, service: str) -> ReplicaInstance:
+    def start_one(self, service: str) -> ReplicaEndpoint:
         """Spawn a single replica of a desired service (one converge step)."""
         instance = self._spawn(service, self.desired_spec(service), 0)
         self._changed()
@@ -255,7 +240,7 @@ class Supervisor:
     def booting(self) -> bool:
         """Whether a replica is in its startup grace and has not answered."""
         now = self.clock()
-        return any(self._booting(i, now) for i in self._instances.values())
+        return any(self._booting(i, now) for i in self.registry.replicas())
 
     # --- rolling update ------------------------------------------------------
 
@@ -292,14 +277,13 @@ class Supervisor:
         if stale:
             self._changed()
 
-    def _wait_healthy(self, instance: ReplicaInstance, spec: ChallengeSpec,
+    def _wait_healthy(self, instance: ReplicaEndpoint, spec: ChallengeSpec,
                       timeout: float) -> bool:
         deadline = self.clock() + timeout
         while True:
             if not self.runner.alive(instance.handle):
                 return False
-            if self.prober.probe(instance.endpoint.address, instance.port,
-                                 spec.probe):
+            if self.prober.probe(instance.address, instance.port, spec.probe):
                 self.registry.mark_health(instance.replica_id, HEALTH_HEALTHY)
                 return True
             if self.clock() >= deadline:
@@ -309,14 +293,14 @@ class Supervisor:
     # --- shutdown ------------------------------------------------------------
 
     def stop_all(self) -> None:
-        for instance in list(self._instances.values()):
+        for instance in self.registry.replicas():
             self._stop_instance(instance)
         self._changed()
 
     # --- internals ------------------------------------------------------------
 
     def _spawn(self, service: str, spec: ChallengeSpec,
-               restarts: int) -> ReplicaInstance:
+               restarts: int) -> ReplicaEndpoint:
         last_error: Exception | None = None
         for attempt in range(SPAWN_RETRIES):
             if attempt:
@@ -337,30 +321,27 @@ class Supervisor:
 
     def _register(self, service: str, replica_id: str, port: int,
                   version: str, handle: object, *, started_at: float,
-                  restarts: int, spec_id: str) -> ReplicaInstance:
-        endpoint = ReplicaEndpoint(
+                  restarts: int, spec_id: str) -> ReplicaEndpoint:
+        instance = ReplicaEndpoint(
             replica_id=replica_id, address=self.bind_address, port=port,
-            version=version, health=HEALTH_STARTING)
-        self.registry.register_replica(service, endpoint)
-        instance = self._instances[replica_id] = ReplicaInstance(
-            endpoint=endpoint, spec_name=service, handle=handle,
-            started_at=started_at, restarts=restarts, spec_id=spec_id)
+            version=version, health=HEALTH_STARTING, handle=handle,
+            started_at=started_at, spec_id=spec_id, restarts=restarts)
+        self.registry.register_replica(service, instance)
         return instance
 
-    def _newest_first(self, service: str) -> list[ReplicaInstance]:
+    def _newest_first(self, service: str) -> list[ReplicaEndpoint]:
         # the order replicas leave a shrinking service in: newest first,
         # replica_id ascending as the tie-break
         return sorted(self.instances_of(service),
                       key=lambda i: (-i.started_at, i.replica_id))
 
-    def _stop_instance(self, instance: ReplicaInstance,
+    def _stop_instance(self, instance: ReplicaEndpoint,
                        drain: bool = False) -> None:
         # out of rotation before the signal, so no new player reaches a
         # replica that is shutting down; the port is freed only once the
         # process is gone, so no successor can collide with it
         self.registry.mark_health(instance.replica_id, HEALTH_STOPPED)
         self.registry.deregister_replica(instance.replica_id)
-        self._instances.pop(instance.replica_id, None)
         if drain:  # sessions routed before the deregistration finish first
             deadline = self.clock() + DRAIN_TIMEOUT
             while (self.sessions(instance.replica_id)
@@ -370,18 +351,18 @@ class Supervisor:
         self.runner.stop(instance.handle)
         self.allocator.release(instance.port)
 
-    def _booting(self, instance: ReplicaInstance, now: float) -> bool:
-        return (instance.endpoint.health == HEALTH_STARTING
+    def _booting(self, instance: ReplicaEndpoint, now: float) -> bool:
+        return (instance.health == HEALTH_STARTING
                 and now - instance.started_at < self.startup_grace)
 
     def _probe(self, now: float, starting_only: bool) -> None:
         """Probe each replica (each booting one, if ``starting_only``) and
         judge it before the next is probed."""
-        for instance in self._instances.values():
+        for instance in self.registry.replicas():
             if starting_only and not self._booting(instance, now):
                 continue
-            spec = self._desired.get(instance.spec_name)
-            if self.prober.probe(instance.endpoint.address, instance.port,
+            spec = self._desired.get(instance.service)
+            if self.prober.probe(instance.address, instance.port,
                                  spec.probe if spec is not None else ProbeSpec()):
                 self.registry.mark_health(instance.replica_id, HEALTH_HEALTHY)
             elif not starting_only and not self._booting(instance, now):

@@ -1,6 +1,6 @@
 """Shared fixtures: bindable loopback ports, a port whose dials never finish,
 a log of state writes, and a check that no event-loop callback raised during
-a test."""
+a test; and ``line_events``, a deterministic operation count."""
 
 from __future__ import annotations
 
@@ -14,6 +14,33 @@ from flagforge._net import LOOP_THREAD_NAME
 
 # 24000-25899: below the fixed blocks the CLI and acceptance tests carve out
 _counter = [24000]
+
+
+def line_events(fn) -> int:
+    """The Python lines ``fn()`` runs in flagforge's own frames.
+
+    A count of work that does not depend on the host's speed, for bounds on
+    how a cost grows where a wall-clock bound would be flaky.
+    """
+    count = 0
+
+    def in_flagforge(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return in_flagforge
+
+    def on_call(frame, event, arg):
+        name = frame.f_globals.get("__name__", "")
+        return in_flagforge if name.split(".")[0] == "flagforge" else None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 @pytest.fixture

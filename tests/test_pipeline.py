@@ -380,8 +380,8 @@ def test_pipeline_failure_is_isolated(tmp_path):
     assert {r.challenge: (r.version, r.state) for r in records} == \
         {"alpha": ("2", "deployed"), "beta": ("2", "failed")}
     supervisor = cluster.backends["worker"].supervisor
-    assert {i.endpoint.version for i in supervisor.instances_of("alpha")} == {"2"}
-    assert [i.endpoint.version for i in supervisor.instances_of("beta")] == ["1"]
+    assert {i.version for i in supervisor.instances_of("alpha")} == {"2"}
+    assert [i.version for i in supervisor.instances_of("beta")] == ["1"]
     topology, _ = cluster.store.load_desired()
     assert topology.challenges["beta"].version == "1"
     cluster.shutdown()

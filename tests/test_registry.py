@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagforge.errors import (
@@ -135,37 +137,84 @@ def test_remove_service_notifies_about_replicas():
 
 # --- reference-loop equivalence ----------------------------------------------
 
-ops = st.lists(
+SERVICES = ("web", "api")
+
+# one service, each id on a port of its own
+one_service = st.lists(
     st.one_of(
         st.tuples(st.just("list")),
-        st.tuples(st.just("register"), st.integers(0, 9)),
+        st.integers(0, 9).map(lambda n: ("register", "web", n, 20000 + n)),
         st.tuples(st.just("health"), st.integers(0, 9),
                   st.sampled_from(["healthy", "unhealthy", "starting"])),
         st.tuples(st.just("deregister"), st.integers(0, 9)),
     ),
     max_size=60)
+# two services sharing a pool of three ports, so ids and endpoints collide,
+# and a stopped replica's endpoint can be taken by another
+colliding = st.lists(
+    st.one_of(
+        st.tuples(st.just("list")),
+        st.tuples(st.just("register"), st.sampled_from(SERVICES),
+                  st.integers(0, 5), st.sampled_from([20000, 20001, 20002])),
+        st.tuples(st.just("health"), st.integers(0, 5),
+                  st.sampled_from(["healthy", "unhealthy", "starting",
+                                   "stopped"])),
+        st.tuples(st.just("deregister"), st.integers(0, 5)),
+    ),
+    max_size=60)
 
 
-@given(ops)
-@settings(max_examples=150)
+@given(st.one_of(one_service, colliding))
+# r1 stops, r2 takes its endpoint, r1 turns healthy again beside it: the
+# endpoint stays taken after r2 stops
+@example([("register", "web", 1, 20000), ("health", 1, "stopped"),
+          ("register", "api", 2, 20000), ("health", 1, "healthy"),
+          ("health", 2, "stopped"), ("register", "web", 3, 20000),
+          ("register", "api", 1, 20001), ("list",)])
+@settings(max_examples=300)
 def test_resolution_matches_reference_loop(sequence):
     registry = Registry()
-    registry.create_service("web", "net-web")
-    # reference model: (id, health) pairs in registration order
-    model: list[list] = []
-    registered: set[int] = set()
+    # reference model: per service, [id, health, port] in registration order,
+    # checked for conflicts by scanning every service
+    model: dict[str, list[list]] = {}
+    for service in SERVICES:
+        registry.create_service(service)
+        model[service] = []
+
+    def held(n: int) -> tuple[str, list] | None:
+        return next(((service, m) for service, replicas in model.items()
+                     for m in replicas if m[0] == f"r{n}"), None)
+
     for op in sequence:
-        if op[0] == "register" and op[1] not in registered:
-            registered.add(op[1])
-            registry.register_replica("web", endpoint(op[1]))
-            model.append([f"r{op[1]}", "healthy"])
-        elif op[0] == "health" and op[1] in registered:
-            registry.mark_health(f"r{op[1]}", op[2])
-            next(m for m in model if m[0] == f"r{op[1]}")[1] = op[2]
-        elif op[0] == "deregister" and op[1] in registered:
-            registered.discard(op[1])
-            registry.deregister_replica(f"r{op[1]}")
-            model[:] = [m for m in model if m[0] != f"r{op[1]}"]
-        elif op[0] == "list":
-            assert [[r.replica_id, r.health]
-                    for r in registry.replicas_of("web")] == model
+        if op[0] == "register":
+            _, service, n, port = op
+            refused: tuple[type, ...] = ()
+            if held(n) is not None:
+                refused += (DuplicateReplicaError,)
+            if any(m[2] == port and m[1] != HEALTH_STOPPED
+                   for replicas in model.values() for m in replicas):
+                refused += (EndpointInUseError,)
+            replica = ReplicaEndpoint(f"r{n}", "127.0.0.1", port, "v1",
+                                      HEALTH_HEALTHY)
+            # where both apply, the scan's order picks one
+            with pytest.raises(refused) if refused else nullcontext():
+                registry.register_replica(service, replica)
+            if not refused:
+                model[service].append([f"r{n}", HEALTH_HEALTHY, port])
+        elif op[0] in ("health", "deregister"):
+            found = held(op[1])
+            with (pytest.raises(UnknownReplicaError) if found is None
+                  else nullcontext()):
+                if op[0] == "health":
+                    registry.mark_health(f"r{op[1]}", op[2])
+                else:
+                    registry.deregister_replica(f"r{op[1]}")
+            if found is not None and op[0] == "health":
+                found[1][1] = op[2]
+            elif found is not None:
+                model[found[0]].remove(found[1])
+        else:
+            for service in SERVICES:
+                assert [[r.replica_id, r.health]
+                        for r in registry.replicas_of(service)] == \
+                    [m[:2] for m in model[service]]

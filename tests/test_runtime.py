@@ -9,8 +9,10 @@ import socket
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from conftest import line_events
 
 from flagforge import ingress, runtime, state
 from flagforge.errors import FlagforgeError
@@ -225,6 +227,45 @@ def test_dead_replicas_are_not_adopted(tmp_path):
     assert report.all_ok
     replaced = {r["replica_id"] for r in store.load_replicas("worker")}
     assert len(replaced) == 3 and not (replaced & old)
+
+
+SLEEPER = """
+node edge role=frontend bind=127.0.0.1 ports=9000-9099
+node worker role=backend bind=127.0.0.1 ports=20000-20099
+challenge alpha version=v1 replicas=1 internal_port=4000 external_port=9001 backend=worker run="sleep 30" probe=tcp
+"""
+
+
+def test_a_record_whose_pid_was_reused_is_neither_adopted_nor_signalled(tmp_path):
+    import subprocess
+    topology = parse_topology(SLEEPER)
+    store = StateStore(tmp_path / "state")
+    # an unrelated process that leads a process group, as a replica does,
+    # under a pid the record names with another start time
+    stranger = subprocess.Popen(["sleep", "60"], start_new_session=True)
+    try:
+        stat = Path(f"/proc/{stranger.pid}/stat").read_bytes()
+        started = int(stat.rsplit(b")", 1)[1].split()[19])  # field 22
+        store.save_replicas("worker", [{
+            "replica_id": "alpha-0badc0de", "service": "alpha",
+            "pid": stranger.pid, "start": started + 1, "port": 20005,
+            "version": "v1", "started_at": 0.0, "restarts": 0,
+            "spec": topology.challenges["alpha"].fingerprint}])
+        assert store.live_replicas("worker") == []
+
+        cluster = Cluster(topology, store, hosted=["worker"],
+                          bind_listeners=False, prober=OkProber())
+        try:
+            assert cluster.converge().all_ok
+            replicas = cluster.backends["worker"].supervisor.instances_of("alpha")
+            assert len(replicas) == 1
+            assert replicas[0].handle.pid != stranger.pid
+        finally:
+            cluster.shutdown(stop_replicas=True)
+        assert stranger.poll() is None
+    finally:
+        stranger.kill()
+        stranger.wait()
 
 
 def test_networks_file_of_earlier_releases_is_ignored(tmp_path):
@@ -467,6 +508,31 @@ def test_ingress_bind_without_balancer_port_fails_cleanly(tmp_path):
     assert not store.ingress_path.exists()
 
 
+# --- the supervision tick -------------------------------------------------------
+
+
+def fleet(challenges: int) -> str:
+    """A frontend and one backend holding ``challenges`` 2-replica challenges."""
+    return "".join([
+        "node edge role=frontend bind=127.0.0.1 ports=9000-9999\n",
+        "node worker role=backend bind=127.0.0.1 ports=20000-23999\n",
+    ] + [f"challenge c{i} version=v1 replicas=2 internal_port=4000"
+         f" external_port={9000 + i} backend=worker run=\"run {{PORT}}\""
+         f" probe=tcp\n" for i in range(challenges)])
+
+
+def test_a_tick_costs_in_proportion_to_the_challenges(tmp_path):
+    lines = {}
+    for challenges in (50, 200):
+        cluster, _, _ = make_cluster(tmp_path / str(challenges),
+                                     text=fleet(challenges), hosted=["worker"])
+        assert cluster.converge().all_ok
+        backend = cluster.backends["worker"]
+        backend.tick()  # the first finds every replica healthy
+        lines[challenges] = line_events(backend.tick)
+    assert lines[200] <= 6 * lines[50], lines
+
+
 # --- artifact pipeline against a live cluster -----------------------------------
 
 
@@ -499,7 +565,7 @@ def test_dev_pipeline_updates_deployed_challenge(tmp_path):
     assert report.render().splitlines()[0] == "1 updates"
 
     supervisor = cluster.backends["worker"].supervisor
-    versions = {i.endpoint.version for i in supervisor.instances_of("alpha")}
+    versions = {i.version for i in supervisor.instances_of("alpha")}
     assert versions == {"v2"}
     spec = supervisor.desired_spec("alpha")
     assert "{DIR}" not in spec.run_command
@@ -565,7 +631,7 @@ def test_dev_pipeline_failed_update_is_recorded_and_retried(tmp_path):
     retry = cluster.pipeline_once("dev", store_dir)
     assert [o.state for o in retry.outcomes] == ["deployed"]
     supervisor = cluster.backends["worker"].supervisor
-    versions = [i.endpoint.version for i in supervisor.instances_of("alpha")]
+    versions = [i.version for i in supervisor.instances_of("alpha")]
     assert versions == ["v2", "v2"]
 
 
@@ -603,7 +669,7 @@ def test_deploy_pipeline_rolls_a_running_challenge(tmp_path):
     assert [(o.challenge, o.version, o.state) for o in report.outcomes] == \
         [("alpha", "v2", "deployed")]
     supervisor = cluster.backends["worker"].supervisor
-    assert [i.endpoint.version for i in supervisor.instances_of("alpha")] == \
+    assert [i.version for i in supervisor.instances_of("alpha")] == \
         ["v2", "v2"]
     row = {r["challenge"]: r
            for r in status_rows(store, pid_alive=lambda pid: True)}["alpha"]

@@ -88,6 +88,23 @@ def test_reconcile_from_zero():
     assert len(registry.replicas_of("web")) == 3
 
 
+def test_instances_are_the_registry_records_oldest_first():
+    supervisor, _, registry, clock = build(replicas=1)
+    supervisor.reconcile("web")
+    clock.advance(1)
+    scale(supervisor, 3)
+    supervisor.reconcile("web")
+    instances = supervisor.instances_of("web")
+    records = registry.replicas_of("web")
+    assert len(instances) == len(records) == 3
+    assert all(any(i is r for r in records) for i in instances)
+    assert [i.started_at for i in instances] == sorted(
+        i.started_at for i in instances)
+    assert instances[0].started_at < instances[1].started_at
+    assert {i.service for i in instances} == {"web"}
+    assert supervisor.instances_of("ghost") == []
+
+
 def test_reconcile_fixed_point():
     supervisor, _, _, _ = build()
     supervisor.reconcile("web")
@@ -163,10 +180,10 @@ def test_readiness_pass_leaves_a_refusing_replica_starting():
     instance = supervisor.instances_of("web")[0]
     supervisor.prober.port_overrides[instance.port] = False
     supervisor.probe_starting()
-    assert instance.endpoint.health == HEALTH_STARTING
+    assert instance.health == HEALTH_STARTING
     clock.advance(60)  # past the startup grace: failing it is probe_all's call
     supervisor.probe_starting()
-    assert instance.endpoint.health == HEALTH_STARTING
+    assert instance.health == HEALTH_STARTING
     assert not supervisor.booting()
     assert supervisor.reconcile("web") == []
 
@@ -179,8 +196,7 @@ def test_readiness_pass_leaves_healthy_and_unhealthy_replicas_alone():
     overrides[down.port] = False
     clock.advance(60)
     supervisor.probe_all()
-    assert (up.endpoint.health, down.endpoint.health) == (HEALTH_HEALTHY,
-                                                          HEALTH_UNHEALTHY)
+    assert (up.health, down.health) == (HEALTH_HEALTHY, HEALTH_UNHEALTHY)
     overrides.update({up.port: False, down.port: True})  # both would flip
     probed: list[int] = []
     probe = supervisor.prober.probe
@@ -189,8 +205,7 @@ def test_readiness_pass_leaves_healthy_and_unhealthy_replicas_alone():
                                                                  spec)
     supervisor.probe_starting()
     assert probed == []
-    assert (up.endpoint.health, down.endpoint.health) == (HEALTH_HEALTHY,
-                                                          HEALTH_UNHEALTHY)
+    assert (up.health, down.health) == (HEALTH_HEALTHY, HEALTH_UNHEALTHY)
 
 
 class UpProber:
@@ -293,7 +308,7 @@ def test_rolling_update_replaces_all_one_at_a_time():
     supervisor.rolling_update("web", make_spec(version="v2"))
     # one at a time: each old replica stops before its successor spawns
     assert [event[0] for event in runner.events] == ["stop", "spawn"] * 3
-    versions = {i.endpoint.version for i in supervisor.instances_of("web")}
+    versions = {i.version for i in supervisor.instances_of("web")}
     assert versions == {"v2"}
     assert set(replica_ids(supervisor)).isdisjoint(old_ids)
     # every stopped replica's stick pins were invalidated at its stop
@@ -376,7 +391,7 @@ def test_rolling_update_aborts_on_broken_version():
     # abort raises, so no reconcile tick is needed
     survivors = supervisor.instances_of("web")
     assert len(survivors) == 3
-    assert all(i.endpoint.version == "v1" for i in survivors)
+    assert all(i.version == "v1" for i in survivors)
     assert supervisor.desired_spec("web").version == "v1"  # reverted
     assert supervisor.reconcile("web") == []
 
