@@ -11,12 +11,10 @@ modules it runs only when it runs them.
 
 from __future__ import annotations
 
-import _thread
 import argparse
 import os
 import signal
 import sys
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -76,39 +74,43 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return _converge(store, topology, store.load_desired())
 
 
-def _stop_on_signals() -> threading.Event:
-    """An event that SIGINT and SIGTERM set.
-
-    A handler runs on the main thread, which may be inside the event's own
-    ``wait`` and hold its lock there, so the handler sets it from a new
-    thread rather than wait on that lock forever.
-    """
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: _thread.start_new_thread(stop.set, ()))
-    return stop
+@contextmanager
+def _stop_on_signals():
+    """A pipe that ``signal.set_wakeup_fd`` writes each caught signal's
+    number to, so the SIGINT and SIGTERM handlers do nothing."""
+    from .runtime import STOP_SIGNALS
+    read_end, write_end = os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC)
+    previous = signal.set_wakeup_fd(write_end)
+    for signum in STOP_SIGNALS:
+        signal.signal(signum, lambda *_: None)
+    try:
+        yield read_end
+    finally:
+        signal.set_wakeup_fd(previous)
+        os.close(read_end)
+        os.close(write_end)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .runtime import NodeService
     # a signal that arrives while the node starts up stops it once it is up,
     # and one that arrives during a tick once that tick ends
-    stop = _stop_on_signals()
-    root = os.environ.get("FLAGFORGE_STATE") or args.state
-    service = NodeService(
-        topology_path=Path(args.topology) if args.topology else None,
-        node_id=args.node, state_root=Path(root),
-        store_dir=Path(args.store) if args.store else None)
-    try:
-        failures = service.start()
-        if failures:
-            for failure in failures:
-                print(f"error: {failure}", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"serving {args.node} from {root}", flush=True)
-        service.run(stop)
-    finally:
-        service.stop()
+    with _stop_on_signals() as stop:
+        root = os.environ.get("FLAGFORGE_STATE") or args.state
+        service = NodeService(
+            topology_path=Path(args.topology) if args.topology else None,
+            node_id=args.node, state_root=Path(root),
+            store_dir=Path(args.store) if args.store else None)
+        try:
+            failures = service.start()
+            if failures:
+                for failure in failures:
+                    print(f"error: {failure}", file=sys.stderr)
+                return EXIT_ERROR
+            print(f"serving {args.node} from {root}", flush=True)
+            service.run(stop)
+        finally:
+            service.stop()
     return EXIT_OK
 
 

@@ -5,11 +5,11 @@ process-based runner can be swapped for anything that can start a listener.
 ``SubprocessRunner`` executes the challenge's run command with ``{PORT}``
 substituted; ``MockRunner`` fakes it all in memory for tests.
 
-A replica is its pid from spawn to stop: a pid-tracked process group, whether
-this process spawned it or adopted it from a previous process's records, with
-one liveness check and one stop path for both. So a serve restart changes
-nothing about how its replicas are watched and stopped, and a backend never
-loads ``subprocess``. A handle also carries the pid's start time, which the
+A replica is its pidfd from spawn to stop: one descriptor per live replica,
+whether this process spawned it or adopted it, which its liveness check, its
+stop and a serve's wait all poll. A pidfd names its process even after the
+exit, so a reused pid never reads as the replica, and a backend never loads
+``subprocess``. A handle also carries the pid's start time, which the
 replica's record keeps, so a pid reused by another process is not adopted.
 
 Spawned children also receive their identity in the environment
@@ -22,17 +22,17 @@ from __future__ import annotations
 import os
 import shlex
 import signal
-import time
+import weakref
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
 from .errors import SpawnError
 from .model import ChallengeSpec
-from .state import _pid_running, _pid_start
+from .state import _pid_start, _wait_readable
 
 STOP_GRACE = 5.0
-STOP_POLL = 0.01  # how often a stop checks whether the replica is gone
 # the child default of two signals Python ignores; ignored survives exec
 _RESTORED_SIGNALS = (signal.SIGPIPE, signal.SIGXFSZ)
 
@@ -50,8 +50,8 @@ class RunnerBackend(Protocol):
 @dataclass
 class ProcessHandle:
     pid: int
+    pidfd: int | None  # None: the pid was gone when adopted; reads as dead
     start: int | None = None  # the pid's start time, recorded with it
-    reaped: bool = False  # its exit was collected; the pid may be reused
 
 
 def _inheritable_fds() -> list[int]:
@@ -105,10 +105,10 @@ class SubprocessRunner:
                                   setsid=True, setsigdef=_RESTORED_SIGNALS)
         except OSError as exc:
             raise SpawnError(f"cannot spawn {replica_id}: {exc}") from exc
-        return ProcessHandle(pid, _pid_start(pid))
+        return self.adopt(pid)  # an unreaped child's pid cannot be reused
 
     def stop(self, handle: ProcessHandle) -> None:
-        """SIGTERM the replica's group, then SIGKILL it after ``STOP_GRACE``."""
+        """SIGTERM the group, then SIGKILL it if not gone in ``STOP_GRACE``."""
         for signum in (signal.SIGTERM, signal.SIGKILL):
             if not self.alive(handle):
                 return
@@ -116,24 +116,27 @@ class SubprocessRunner:
                 os.killpg(handle.pid, signum)
             except (ProcessLookupError, PermissionError):
                 return
-            deadline = time.monotonic() + STOP_GRACE
-            while self.alive(handle) and time.monotonic() < deadline:
-                time.sleep(STOP_POLL)
+            _wait_readable([handle.pidfd], STOP_GRACE)
+        self.alive(handle)
 
     def alive(self, handle: ProcessHandle) -> bool:
-        if handle.reaped:
+        if handle.pidfd is None:
             return False
-        try:
-            pid, _ = os.waitpid(handle.pid, os.WNOHANG)
-        except ChildProcessError:  # not this process's child: adopted
-            return _pid_running(handle.pid)
-        if pid == 0:
+        if not _wait_readable([handle.pidfd], 0):
             return True
-        handle.reaped = True
+        with suppress(ChildProcessError):  # an adopted replica is not reaped
+            os.waitid(os.P_PIDFD, handle.pidfd, os.WEXITED | os.WNOHANG)
         return False
 
     def adopt(self, pid: int) -> ProcessHandle:
-        return ProcessHandle(pid, _pid_start(pid))
+        try:
+            pidfd = os.pidfd_open(pid)  # O_CLOEXEC: no replica inherits it
+        except ProcessLookupError:
+            return ProcessHandle(pid, None)
+        # read after the open: the start of the process the pidfd names
+        handle = ProcessHandle(pid, pidfd, _pid_start(pid))
+        weakref.finalize(handle, os.close, pidfd)  # closed once dropped
+        return handle
 
 
 @dataclass

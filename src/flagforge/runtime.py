@@ -25,8 +25,8 @@ had a failed action.
 from __future__ import annotations
 
 import os
+import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -36,7 +36,8 @@ from .errors import FlagforgeError, IngressError, PipelineError, TopologyError
 from .model import (MODE_DEV, ROLE_BACKEND, Action, ApplyReport,
                     ObservedState, Topology, apply_changeset, diff,
                     parse_topology, validate_topology)
-from .state import PortMapping, StateStore, _pid_running, load_mappings
+from .state import (PortMapping, StateStore, _pid_running, _wait_readable,
+                    load_mappings)
 
 if TYPE_CHECKING:
     from .backend import BackendNode
@@ -359,13 +360,14 @@ class _ClusterExecutor:
 
 
 TICK = 0.5  # seconds between a serve's ticks once its replicas are up
+STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 class NodeService:
     """What ``serve`` runs: host one node and keep it converged until stopped.
 
-    ``start`` converges once, ``run`` ticks on the calling thread until its
-    event is set, and ``stop`` shuts the node down; no thread of its own.
+    ``start`` converges once, ``run`` ticks on the calling thread until a
+    stop signal, and ``stop`` shuts the node down; no thread of its own.
     """
 
     def __init__(self, topology_path: Path | None, node_id: str,
@@ -421,15 +423,42 @@ class NodeService:
             return READY_POLL
         return TICK
 
-    def run(self, stop: threading.Event) -> None:
-        """Tick on the calling thread until ``stop`` is set."""
-        while not stop.wait(self._wait()):
+    def run(self, stop: int) -> None:
+        """Tick on the calling thread until ``stop``, a descriptor that
+        ``signal.set_wakeup_fd`` writes to, yields one of ``STOP_SIGNALS``.
+
+        The wait between ticks also ends when a replica of a desired service
+        exits: the node is reconciled at once, so its replacement spawns
+        without waiting for a probe pass. Each exit ends one wait.
+        """
+        woke: set[str] = set()  # replicas whose exit has ended a wait
+        while True:
+            exits = self._replica_exits()
+            woke &= set(exits.values())
+            ready = _wait_readable(
+                [stop, *(fd for fd, r in exits.items() if r not in woke)],
+                self._wait())
+            if stop in ready and STOP_SIGNALS & set(os.read(stop, 512)):
+                return
+            exited = {exits[fd] for fd in ready if fd in exits}
+            woke |= exited
             try:
+                if exited:
+                    self.backend.supervisor.reconcile_all()
                 self.tick_once()
             except Exception:
                 import traceback  # logging's last-resort output, unimported
                 print(f"serve tick for {self.node_id} failed", file=sys.stderr)
                 traceback.print_exc()
+
+    def _replica_exits(self) -> dict[int, str]:
+        """Replica ids of the desired services' replicas, by pidfd."""
+        if self.backend is None:
+            return {}
+        desired = set(self.backend.supervisor.services())
+        return {r.handle.pidfd: r.replica_id
+                for r in self.backend.registry.replicas()
+                if r.service in desired and r.handle.pidfd is not None}
 
     def tick_once(self) -> None:
         now = self.clock()

@@ -28,6 +28,7 @@ import fcntl
 import ipaddress
 import json
 import os
+import select
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -37,20 +38,25 @@ from .errors import FlagforgeError, IngressError
 from .model import Topology, parse_topology, serialize_topology
 
 
+def _wait_readable(fds: Iterable[int], timeout: float) -> set[int]:
+    """Those of ``fds`` readable within ``timeout`` seconds: ``poll``, not
+    ``select``, since a node's pidfds may lie above FD_SETSIZE."""
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    return {fd for fd, _ in poller.poll(timeout * 1000)}
+
+
 def _pid_running(pid: int) -> bool:
+    """Whether ``pid`` runs, by a pidfd's poll: a zombie reads as exited."""
     try:
-        os.kill(pid, 0)
+        pidfd = os.pidfd_open(pid)
     except ProcessLookupError:
         return False
-    except PermissionError:
-        return True
     try:
-        with open(f"/proc/{pid}/stat", "rb") as fh:
-            # field 3 is the state; Z/X means the pid only exists as a zombie
-            state = fh.read().rsplit(b")", 1)[1].split()[0]
-        return state not in (b"Z", b"X")
-    except OSError:
-        return True
+        return not _wait_readable([pidfd], 0)
+    finally:
+        os.close(pidfd)
 
 
 def _pid_start(pid: int) -> int | None:

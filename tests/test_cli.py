@@ -18,13 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from flagforge._net import LOOP_THREAD_NAME
-from flagforge.cli import main
+from flagforge._net import (LOOP_THREAD_NAME, event_loop,
+                            render_proxy_header)
+from flagforge.cli import _stop_on_signals, main
 from flagforge.model import parse_topology
 from flagforge.registry import HEALTH_HEALTHY
-from flagforge.runner import _pid_running
 from flagforge.runtime import Cluster, NodeService, StateStore
-from flagforge.state import PortMapping
+from flagforge.state import PortMapping, _pid_running
 
 FIXTURE = Path(__file__).with_name("fixture_server.py")
 
@@ -489,11 +489,18 @@ def restore_signals():
     return restore
 
 
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
 def test_serve_backend_runs_until_signal(workspace, capsys):
     root, state = workspace
     external, backend_base = fresh_ports()
     topo = write_topology(root, topology_text(external, backend_base))
     restore = restore_signals()
+    event_loop()  # the data plane's loop keeps its descriptors once started
+    gc.collect()
+    fds = open_fds()
     timer = threading.Timer(2.0, lambda: os.kill(os.getpid(), signal.SIGINT))
     timer.start()
     try:
@@ -503,6 +510,10 @@ def test_serve_backend_runs_until_signal(workspace, capsys):
         timer.cancel()
         restore()
     assert code == 0
+    # the serve left signal delivery and the descriptor table as it found them
+    assert signal.set_wakeup_fd(-1) == -1
+    gc.collect()
+    assert open_fds() <= fds
 
     store = StateStore(state)
     assert store.lock_owner("worker") is None
@@ -540,7 +551,7 @@ def test_served_replicas_take_players_without_waiting_for_a_tick(workspace):
     topo = write_topology(root, topology_text(external, backend_base,
                                               replicas=3))
     service = NodeService(topo, "worker", state)
-    stop = threading.Event()
+    stop, stopping = os.pipe()
     ticking = threading.Thread(target=service.run, args=(stop,))
     try:
         service.start()
@@ -554,13 +565,35 @@ def test_served_replicas_take_players_without_waiting_for_a_tick(workspace):
             time.sleep(0.01)
         pids = [r["pid"] for r in StateStore(state).load_replicas("worker")]
     finally:
-        stop.set()
+        os.write(stopping, bytes([signal.SIGTERM]))
         if ticking.is_alive():
             ticking.join(timeout=10)
         service.stop()
+        os.close(stop)
+        os.close(stopping)
     assert not ticking.is_alive()
     assert len(pids) == 3
     assert not any(_pid_running(pid) for pid in pids)
+
+
+def test_commands_that_leave_replicas_running_leak_no_pidfd(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topology = parse_topology(topology_text(external, backend_base))
+    store = StateStore(state)
+    cluster = Cluster(topology, store, hosted=["worker"], bind_listeners=False)
+    assert cluster.converge().all_ok
+    cluster.shutdown()
+    del cluster
+    gc.collect()
+    fds = open_fds()
+    for _ in range(20):  # each adopts the replica, as a one-shot command does
+        Cluster(topology, store, hosted=["worker"],
+                bind_listeners=False).shutdown()
+    gc.collect()
+    assert open_fds() == fds
+    pids = [r["pid"] for r in store.load_replicas("worker")]
+    assert len(pids) == 1 and all(_pid_running(pid) for pid in pids)
 
 
 def test_serve_unknown_node_leaves_the_state_directory_empty(workspace,
@@ -653,22 +686,85 @@ def test_serve_signalled_while_starting_still_stops_cleanly(workspace):
     assert not StateStore(state).lock_path("worker").exists()
 
 
-# the SIGTERM arrives while the main thread holds the stop event's lock, as
-# it does inside the event's wait between two ticks
-STOP_WHILE_WAITING = (
-    "import signal\n"
-    "from flagforge.cli import _stop_on_signals\n"
-    "stop = _stop_on_signals()\n"
-    "with stop._cond:\n"
-    "    signal.raise_signal(signal.SIGTERM)\n"
-    "print(stop.wait(5), flush=True)\n")
+def test_a_stop_signal_before_the_serve_runs_stops_it_once_up(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    service = NodeService(topo, "edge", state)
+    restore = restore_signals()
+    try:
+        with _stop_on_signals() as stop:
+            signal.raise_signal(signal.SIGTERM)  # the handler does nothing
+            started = time.monotonic()
+            service.run(stop)
+            elapsed = time.monotonic() - started
+    finally:
+        restore()
+        service.stop()
+    assert elapsed < 1.0
 
 
-def test_a_stop_signal_lands_while_the_main_thread_holds_the_event():
-    done = subprocess.run([sys.executable, "-c", STOP_WHILE_WAITING],
-                          capture_output=True, text=True, env=src_env(),
-                          timeout=30)
-    assert (done.returncode, done.stdout) == (0, "True\n")
+def test_a_signal_that_is_not_a_stop_signal_does_not_stop_a_serve(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    service = NodeService(topo, "edge", state)
+    stop, stopping = os.pipe()
+    os.write(stopping, bytes([signal.SIGUSR1]))  # as a SIGUSR1 handler would
+    ticking = threading.Thread(target=service.run, args=(stop,))
+    try:
+        ticking.start()
+        ticking.join(timeout=0.3)
+        assert ticking.is_alive()
+    finally:
+        os.write(stopping, bytes([signal.SIGTERM]))
+        ticking.join(timeout=10)
+        service.stop()
+        os.close(stop)
+        os.close(stopping)
+    assert not ticking.is_alive()
+
+
+def greet_balancer(port: int) -> str:
+    with socket.create_connection(("127.0.0.1", port), timeout=1) as conn:
+        conn.sendall(render_proxy_header("10.9.0.1"))
+        return conn.makefile().readline()
+
+
+def test_a_replica_exit_wakes_its_serve_to_replace_it(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    # no probe pass within the test: only the exit can bring the replacement
+    topo = write_topology(root, "set probe_interval=30\n" + topology_text(
+        external, backend_base))
+    process = serve_process("worker", topo, state)
+    try:
+        assert process.stdout.readline().startswith("serving worker")
+        store = StateStore(state)
+        port = store.load_balancer()["worker"]["ports"]["alpha"]
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                victim = greet_balancer(port)
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "no replica ever greeted"
+                time.sleep(0.01)
+        time.sleep(1.0)  # past the first tick, which runs a probe pass
+        [record] = store.load_replicas("worker")
+        os.killpg(record["pid"], signal.SIGKILL)
+        killed = time.monotonic()
+        greeting = ""
+        while not greeting.startswith("alpha-") or greeting == victim:
+            assert time.monotonic() - killed < 2.0, "no replacement greeted"
+            try:
+                greeting = greet_balancer(port)
+            except OSError:
+                time.sleep(0.01)
+    finally:
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=30)
+    assert process.returncode == 0
 
 
 # a frontend runs none of the backend, pipeline or process-spawning code

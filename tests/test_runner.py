@@ -5,6 +5,7 @@ collected."""
 from __future__ import annotations
 
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from flagforge import runner as runner_module
+from flagforge import state
 from flagforge.errors import SpawnError
 from flagforge.model import ChallengeSpec, ProbeSpec
 from flagforge.runner import ProcessHandle, SubprocessRunner
@@ -160,7 +162,7 @@ def test_an_adopted_replica_that_ignores_sigterm_is_killed(runner, tmp_path,
         elapsed = timed_stop(runner, handle)
         assert 0.3 <= elapsed < 3.0
         assert not runner.alive(handle)
-        assert not runner_module._pid_running(pid)
+        assert not state._pid_running(pid)
     finally:
         try:
             os.killpg(pid, signal.SIGKILL)
@@ -183,6 +185,27 @@ def test_a_replica_that_exits_is_reaped_and_stays_dead(runner, monkeypatch):
     wait_until(lambda: not runner.alive(handle))
     with pytest.raises(ChildProcessError):  # no zombie left behind
         os.waitpid(handle.pid, os.WNOHANG)
-    # a reused pid would read as running; the reaped handle still says dead
-    monkeypatch.setattr(runner_module, "_pid_running", lambda pid: True)
+    # a reused pid could carry the recorded start; the pidfd still says dead
+    monkeypatch.setattr(runner_module, "_pid_start", lambda pid: handle.start)
     assert not runner.alive(handle)
+
+
+# --- pidfds ---------------------------------------------------------------------
+
+
+def test_a_pidfd_above_fd_setsize_is_waited_on(runner):
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    if soft < 1300:
+        pytest.skip(f"RLIMIT_NOFILE is {soft}, below 1300")
+    held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+    try:
+        handle = runner.spawn(spec_running("sleep 30"), 0, "alpha-1")
+        assert handle.pidfd > 1023
+        assert runner.alive(handle)
+        runner.stop(handle)
+        assert not runner.alive(handle)
+        with pytest.raises(ChildProcessError):  # reaped, no zombie left
+            os.waitpid(handle.pid, os.WNOHANG)
+    finally:
+        for fd in held:
+            os.close(fd)
