@@ -76,17 +76,16 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 @contextmanager
 def _stop_on_signals():
-    """A pipe that ``signal.set_wakeup_fd`` writes each caught signal's
-    number to, so the SIGINT and SIGTERM handlers do nothing."""
-    from .runtime import STOP_SIGNALS
+    """The read end of a pipe that SIGINT and SIGTERM each write a byte to.
+    On exit the previous handlers come back before the pipe closes."""
     read_end, write_end = os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC)
-    previous = signal.set_wakeup_fd(write_end)
-    for signum in STOP_SIGNALS:
-        signal.signal(signum, lambda *_: None)
+    previous = {signum: signal.signal(signum, lambda *_: os.write(write_end, b"x"))
+                for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
         yield read_end
     finally:
-        signal.set_wakeup_fd(previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         os.close(read_end)
         os.close(write_end)
 

@@ -30,7 +30,7 @@ from typing import Protocol
 
 from .errors import SpawnError
 from .model import ChallengeSpec
-from .state import _pid_start, _wait_readable
+from .state import _pid_start, _pidfd_open, _wait_readable
 
 STOP_GRACE = 5.0
 # the child default of two signals Python ignores; ignored survives exec
@@ -50,7 +50,7 @@ class RunnerBackend(Protocol):
 @dataclass
 class ProcessHandle:
     pid: int
-    pidfd: int | None  # None: the pid was gone when adopted; reads as dead
+    pidfd: int | None  # None: no process had the pid when adopted; dead
     start: int | None = None  # the pid's start time, recorded with it
 
 
@@ -105,7 +105,12 @@ class SubprocessRunner:
                                   setsid=True, setsigdef=_RESTORED_SIGNALS)
         except OSError as exc:
             raise SpawnError(f"cannot spawn {replica_id}: {exc}") from exc
-        return self.adopt(pid)  # an unreaped child's pid cannot be reused
+        try:
+            return self.adopt(pid)  # a child not yet waited for keeps its pid
+        except OSError as exc:  # no descriptor left for its pidfd
+            os.killpg(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise SpawnError(f"cannot hold {replica_id}: {exc}") from exc
 
     def stop(self, handle: ProcessHandle) -> None:
         """SIGTERM the group, then SIGKILL it if not gone in ``STOP_GRACE``."""
@@ -124,14 +129,13 @@ class SubprocessRunner:
             return False
         if not _wait_readable([handle.pidfd], 0):
             return True
-        with suppress(ChildProcessError):  # an adopted replica is not reaped
+        with suppress(ChildProcessError):  # an adopted replica is not our child
             os.waitid(os.P_PIDFD, handle.pidfd, os.WEXITED | os.WNOHANG)
         return False
 
     def adopt(self, pid: int) -> ProcessHandle:
-        try:
-            pidfd = os.pidfd_open(pid)  # O_CLOEXEC: no replica inherits it
-        except ProcessLookupError:
+        pidfd = _pidfd_open(pid)  # O_CLOEXEC: no replica inherits it
+        if pidfd is None:
             return ProcessHandle(pid, None)
         # read after the open: the start of the process the pidfd names
         handle = ProcessHandle(pid, pidfd, _pid_start(pid))

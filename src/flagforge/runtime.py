@@ -25,7 +25,6 @@ had a failed action.
 from __future__ import annotations
 
 import os
-import signal
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -360,7 +359,6 @@ class _ClusterExecutor:
 
 
 TICK = 0.5  # seconds between a serve's ticks once its replicas are up
-STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 class NodeService:
@@ -424,8 +422,8 @@ class NodeService:
         return TICK
 
     def run(self, stop: int) -> None:
-        """Tick on the calling thread until ``stop``, a descriptor that
-        ``signal.set_wakeup_fd`` writes to, yields one of ``STOP_SIGNALS``.
+        """Tick on the calling thread until ``stop``, a descriptor that the
+        stop signals' handlers write to, is readable.
 
         The wait between ticks also ends when a replica of a desired service
         exits: the node is reconciled at once, so its replacement spawns
@@ -438,7 +436,7 @@ class NodeService:
             ready = _wait_readable(
                 [stop, *(fd for fd, r in exits.items() if r not in woke)],
                 self._wait())
-            if stop in ready and STOP_SIGNALS & set(os.read(stop, 512)):
+            if stop in ready:
                 return
             exited = {exits[fd] for fd in ready if fd in exits}
             woke |= exited

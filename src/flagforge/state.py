@@ -24,6 +24,7 @@
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import ipaddress
 import json
@@ -47,11 +48,21 @@ def _wait_readable(fds: Iterable[int], timeout: float) -> set[int]:
     return {fd for fd, _ in poller.poll(timeout * 1000)}
 
 
+def _pidfd_open(pid: int) -> int | None:
+    """A pidfd (``O_CLOEXEC``) for ``pid``, or None if no process has it:
+    gone, or a thread's id (ENOENT, EINVAL on older kernels)."""
+    try:
+        return os.pidfd_open(pid)
+    except OSError as exc:
+        if exc.errno in (errno.ESRCH, errno.ENOENT, errno.EINVAL):
+            return None
+        raise  # out of descriptors: whether it runs is not known
+
+
 def _pid_running(pid: int) -> bool:
     """Whether ``pid`` runs, by a pidfd's poll: a zombie reads as exited."""
-    try:
-        pidfd = os.pidfd_open(pid)
-    except ProcessLookupError:
+    pidfd = _pidfd_open(pid)
+    if pidfd is None:
         return False
     try:
         return not _wait_readable([pidfd], 0)

@@ -4,6 +4,7 @@ collected."""
 
 from __future__ import annotations
 
+import errno
 import os
 import resource
 import signal
@@ -180,14 +181,42 @@ def test_stopping_a_dead_replica_returns_at_once(runner):
 # --- reaping --------------------------------------------------------------------
 
 
-def test_a_replica_that_exits_is_reaped_and_stays_dead(runner, monkeypatch):
+def test_a_replica_that_exits_is_reaped_and_stays_dead(runner):
     handle = runner.spawn(spec_running("true"), 0, "alpha-1")
     wait_until(lambda: not runner.alive(handle))
     with pytest.raises(ChildProcessError):  # no zombie left behind
         os.waitpid(handle.pid, os.WNOHANG)
-    # a reused pid could carry the recorded start; the pidfd still says dead
-    monkeypatch.setattr(runner_module, "_pid_start", lambda pid: handle.start)
-    assert not runner.alive(handle)
+    # the pid reused by a process group leader: the pidfd still names the
+    # replica, so the handle reads dead and its stop signals nobody
+    stranger = subprocess.Popen(["sleep", "30"], start_new_session=True)
+    try:
+        handle.pid = stranger.pid
+        assert not runner.alive(handle)
+        runner.stop(handle)
+        assert stranger.poll() is None
+    finally:
+        stranger.kill()
+        stranger.wait()
+
+
+def test_a_spawn_whose_pidfd_cannot_open_kills_its_child(runner, monkeypatch):
+    spawned = []
+    spawn = os.posix_spawnp
+
+    def recording(*args, **kwargs):
+        spawned.append(spawn(*args, **kwargs))
+        return spawned[-1]
+
+    def exhausted(pid):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "posix_spawnp", recording)
+    monkeypatch.setattr(os, "pidfd_open", exhausted)
+    with pytest.raises(SpawnError, match="alpha-1"):
+        runner.spawn(spec_running("sleep 30"), 0, "alpha-1")
+    assert len(spawned) == 1
+    with pytest.raises(ChildProcessError):  # killed and reaped
+        os.waitpid(spawned[0], os.WNOHANG)
 
 
 # --- pidfds ---------------------------------------------------------------------

@@ -268,6 +268,39 @@ def test_a_record_whose_pid_was_reused_is_neither_adopted_nor_signalled(tmp_path
         stranger.wait()
 
 
+def test_a_record_whose_pid_is_now_a_thread_reads_dead(tmp_path):
+    from flagforge.runner import SubprocessRunner
+    topology = parse_topology(SLEEPER)
+    store = StateStore(tmp_path / "state")
+    # a thread that leads no process, under the pid and start time a record
+    # names: no pidfd opens for it, so it reads as no process at all
+    done = threading.Event()
+    helper = threading.Thread(target=done.wait)
+    helper.start()
+    try:
+        tid = helper.native_id
+        store.save_replicas("worker", [{
+            "replica_id": "alpha-0badc0de", "service": "alpha",
+            "pid": tid, "start": state._pid_start(tid), "port": 20005,
+            "version": "v1", "started_at": 0.0, "restarts": 0,
+            "spec": topology.challenges["alpha"].fingerprint}])
+        assert store.live_replicas("worker") == []
+        runner = SubprocessRunner(tmp_path / "logs", "127.0.0.1")
+        assert runner.adopt(tid).pidfd is None
+
+        cluster = Cluster(topology, store, hosted=["worker"],
+                          bind_listeners=False, prober=OkProber())
+        try:
+            assert cluster.converge().all_ok
+            assert [row["challenge"] for row in status_rows(store)] == ["alpha"]
+        finally:
+            cluster.shutdown(stop_replicas=True)
+        assert helper.is_alive()
+    finally:
+        done.set()
+        helper.join()
+
+
 def test_networks_file_of_earlier_releases_is_ignored(tmp_path):
     cluster, store, _ = make_cluster(tmp_path)
     cluster.converge()
