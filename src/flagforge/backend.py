@@ -10,7 +10,7 @@ from .errors import FlagforgeError
 from .model import ChallengeSpec, Topology
 from .registry import Registry
 from .runner import SubprocessRunner
-from .state import StateStore, _pid_running
+from .state import StateStore
 from .supervisor import PortAllocator, Supervisor
 
 # ports found occupied by foreign processes before giving up on a service
@@ -22,12 +22,10 @@ class BackendNode:
 
     def __init__(self, topology: Topology, node_id: str, store: StateStore, *,
                  bind_listeners: bool, clock: Callable[[], float] = time.time,
-                 runner=None, prober=None,
-                 pid_alive: Callable[[int], bool] = _pid_running):
+                 runner=None, prober=None):
         self.node_id = node_id
         self.node = topology.nodes[node_id]
         self.store = store
-        self.pid_alive = pid_alive
         self.registry = Registry()
         self.allocator = PortAllocator(self.node.port_range)
         self.runner = runner or SubprocessRunner(store.logs_dir,
@@ -62,13 +60,13 @@ class BackendNode:
             self.balancer.configure(stick[0], stick[1])
 
         records: dict[str, list[dict]] = {}
-        for record in self.store.live_replicas(self.node_id, self.pid_alive):
+        for record in self.store.load_replicas(self.node_id):
             records.setdefault(record["service"], []).append(record)
         specs = {c.name: c for c in desired.challenges_on(self.node_id)} \
             if desired else {}
 
         for name in sorted(set(records) | set(specs) | set(self._balancer_ports)):
-            if not self.registry.has_service(name):
+            if name in specs or name in self._balancer_ports:
                 self.registry.create_service(name)
             if name in specs:
                 self.supervisor.set_desired(specs[name])

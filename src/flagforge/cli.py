@@ -69,7 +69,6 @@ def _converge(store: StateStore, topology, applied) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     topology = parse_topology(Path(args.topology).read_text())
-    validate_topology(topology)
     store = _state_store(args)
     return _converge(store, topology, store.load_desired())
 
@@ -146,10 +145,10 @@ def cmd_scale(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     spec = replace(topology.challenges[args.challenge],
                    replica_count=args.count)
-    challenges = dict(topology.challenges)
-    challenges[args.challenge] = spec
-    return _converge(store, replace(topology, challenges=challenges),
-                     persisted)
+    scaled = replace(topology, challenges={**topology.challenges,
+                                           args.challenge: spec})
+    validate_topology(scaled)  # before anything is written or spawned
+    return _converge(store, scaled, persisted)
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:

@@ -10,7 +10,8 @@ whether this process spawned it or adopted it, which its liveness check, its
 stop and a serve's wait all poll. A pidfd names its process even after the
 exit, so a reused pid never reads as the replica, and a backend never loads
 ``subprocess``. A handle also carries the pid's start time, which the
-replica's record keeps, so a pid reused by another process is not adopted.
+record keeps: ``state._pidfd_open``, the one judge of a record, opens no
+pidfd for a pid reused since, so its handle is dead and never signalled.
 
 Spawned children also receive their identity in the environment
 (FLAGFORGE_REPLICA_ID, FLAGFORGE_VERSION, FLAGFORGE_PORT, FLAGFORGE_BIND),
@@ -44,7 +45,7 @@ class RunnerBackend(Protocol):
 
     def alive(self, handle) -> bool: ...
 
-    def adopt(self, pid: int): ...
+    def adopt(self, pid: int, start: int | None): ...
 
 
 @dataclass
@@ -133,12 +134,13 @@ class SubprocessRunner:
             os.waitid(os.P_PIDFD, handle.pidfd, os.WEXITED | os.WNOHANG)
         return False
 
-    def adopt(self, pid: int) -> ProcessHandle:
-        pidfd = _pidfd_open(pid)  # O_CLOEXEC: no replica inherits it
+    def adopt(self, pid: int, start: int | None = None) -> ProcessHandle:
+        pidfd = _pidfd_open(pid, start)  # O_CLOEXEC: no replica inherits it
         if pidfd is None:
             return ProcessHandle(pid, None)
-        # read after the open: the start of the process the pidfd names
-        handle = ProcessHandle(pid, pidfd, _pid_start(pid))
+        if start is None:  # read after the open: that of the pidfd's process
+            start = _pid_start(pid)
+        handle = ProcessHandle(pid, pidfd, start)
         weakref.finalize(handle, os.close, pidfd)  # closed once dropped
         return handle
 
@@ -151,6 +153,7 @@ class MockHandle:
     version: str
     running: bool = True
     adopted: bool = False
+    start: int | None = None
 
 
 @dataclass
@@ -187,7 +190,7 @@ class MockRunner:
             return handle.pid in self.adoptable_pids
         return handle.running
 
-    def adopt(self, pid: int) -> MockHandle:
+    def adopt(self, pid: int, start: int | None = None) -> MockHandle:
         return MockHandle(replica_id="", pid=pid, port=0, version="",
                           adopted=True)
 

@@ -35,8 +35,7 @@ from .errors import FlagforgeError, IngressError, PipelineError, TopologyError
 from .model import (MODE_DEV, ROLE_BACKEND, Action, ApplyReport,
                     ObservedState, Topology, apply_changeset, diff,
                     parse_topology, validate_topology)
-from .state import (PortMapping, StateStore, _pid_running, _wait_readable,
-                    load_mappings)
+from .state import PortMapping, StateStore, _wait_readable, load_mappings
 
 if TYPE_CHECKING:
     from .backend import BackendNode
@@ -56,12 +55,10 @@ class Cluster:
     def __init__(self, topology: Topology, store: StateStore, *,
                  hosted: list[str] | None = None, bind_listeners: bool = True,
                  clock: Callable[[], float] = time.time, runner_factory=None,
-                 prober=None, pid_alive: Callable[[int], bool] = _pid_running,
-                 applied: tuple[Topology, dict] | None = None):
+                 prober=None, applied: tuple[Topology, dict] | None = None):
         self.topology = topology
         self.store = store
         self.clock = clock
-        self.pid_alive = pid_alive
         self.recorded_ports: dict[str, dict[str, int]] = {}  # see observe
         persisted = applied or store.load_desired()  # unless the caller read it
         if persisted is None:  # the first process on an empty directory
@@ -79,8 +76,7 @@ class Cluster:
                 runner = runner_factory(node, store) if runner_factory else None
                 backend = BackendNode(home, node_id, store,
                                       bind_listeners=bind_listeners,
-                                      clock=clock, runner=runner, prober=prober,
-                                      pid_alive=pid_alive)
+                                      clock=clock, runner=runner, prober=prober)
                 backend.adopt(adopted)
                 self.backends[node_id] = backend
             else:
@@ -123,8 +119,7 @@ class Cluster:
             if node_id in self.backends:
                 live[node_id] = self.backends[node_id].supervisor.snapshot()
             else:
-                live[node_id] = self.store.live_replicas(node_id,
-                                                         self.pid_alive)
+                live[node_id] = self.store.live_replicas(node_id)
         return live
 
     # --- convergence ----------------------------------------------------------
@@ -404,7 +399,9 @@ class NodeService:
         self._report = self.cluster.converge()
         if self.backend is None:
             return self.cluster.frontend.bind_failures()
-        self.backend.supervisor.probe_all()
+        # a probe pass like a tick's: the next one is a probe_interval away
+        self._last_probe = self.clock()
+        self.backend.supervisor.probe_all(self._last_probe)
         return []
 
     def _mtime(self) -> float:

@@ -6,8 +6,9 @@
     replicas-<node>.json  running replica records (pid, start, port, version,
                         spec), written after each spawn or stop: every pid
                         is on disk before the next action runs. ``start`` is
-                        the pid's start time (field 22 of /proc/<pid>/stat):
-                        a record whose pid now has another counts as dead,
+                        the pid's start time (field 22 of /proc/<pid>/stat).
+                        ``_pidfd_open`` is the one judge of a record: a pid
+                        whose process now has another start counts as dead,
                         and one without it, as older files have, is trusted
                         by pid alone
     balancer.json       per-node balancer ports, stick settings and counts,
@@ -32,7 +33,7 @@ import os
 import select
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from ._files import replacing
 from .errors import FlagforgeError, IngressError
@@ -48,20 +49,25 @@ def _wait_readable(fds: Iterable[int], timeout: float) -> set[int]:
     return {fd for fd, _ in poller.poll(timeout * 1000)}
 
 
-def _pidfd_open(pid: int) -> int | None:
+def _pidfd_open(pid: int, start: int | None = None) -> int | None:
     """A pidfd (``O_CLOEXEC``) for ``pid``, or None if no process has it:
-    gone, or a thread's id (ENOENT, EINVAL on older kernels)."""
+    gone, a thread's id (ENOENT, EINVAL on older kernels), or, read after
+    the open, one whose start is not the ``start`` a record kept."""
     try:
-        return os.pidfd_open(pid)
+        pidfd = os.pidfd_open(pid)
     except OSError as exc:
         if exc.errno in (errno.ESRCH, errno.ENOENT, errno.EINVAL):
             return None
         raise  # out of descriptors: whether it runs is not known
+    if start is not None and _pid_start(pid) != start:
+        os.close(pidfd)
+        return None
+    return pidfd
 
 
-def _pid_running(pid: int) -> bool:
+def _pid_running(pid: int, start: int | None = None) -> bool:
     """Whether ``pid`` runs, by a pidfd's poll: a zombie reads as exited."""
-    pidfd = _pidfd_open(pid)
+    pidfd = _pidfd_open(pid, start)
     if pidfd is None:
         return False
     try:
@@ -188,14 +194,10 @@ class StateStore:
     def load_replicas(self, node_id: str) -> list[dict]:
         return self._read_json(self.replicas_path(node_id), [])
 
-    def live_replicas(self, node_id: str,
-                      pid_alive: Callable[[int], bool] = _pid_running
-                      ) -> list[dict]:
-        """The node's recorded replicas whose process still runs: the pid is
-        alive and, if the record has its ``start``, started then."""
-        return [r for r in self.load_replicas(node_id) if pid_alive(r["pid"])
-                and (r.get("start") is None
-                     or r["start"] == _pid_start(r["pid"]))]
+    def live_replicas(self, node_id: str) -> list[dict]:
+        """The node's recorded replicas whose process still runs."""
+        return [r for r in self.load_replicas(node_id)
+                if _pid_running(r["pid"], r.get("start"))]
 
     def replica_nodes(self) -> list[str]:
         return sorted(p.name[len("replicas-"):-len(".json")]
@@ -262,8 +264,7 @@ class StateStore:
         os.close(fd)
 
 
-def status_rows(store: StateStore,
-                pid_alive: Callable[[int], bool] = _pid_running) -> list[dict]:
+def status_rows(store: StateStore) -> list[dict]:
     """One row per desired challenge: live counts joined with status records."""
     persisted = store.load_desired()
     if persisted is None:
@@ -278,8 +279,7 @@ def status_rows(store: StateStore,
     for name in sorted(topology.challenges):
         spec = topology.challenges[name]
         if spec.backend not in replica_cache:
-            replica_cache[spec.backend] = store.live_replicas(spec.backend,
-                                                              pid_alive)
+            replica_cache[spec.backend] = store.live_replicas(spec.backend)
         live = [r for r in replica_cache[spec.backend] if r["service"] == name]
         versions = {r["version"] for r in live}
         version = versions.pop() if len(versions) == 1 else spec.version

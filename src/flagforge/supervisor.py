@@ -144,11 +144,15 @@ class Supervisor:
         return sorted(replicas, key=lambda i: (i.started_at, i.replica_id))
 
     def adopt(self, service: str, records: list[dict]) -> None:
-        """Rebuild instances recorded by a previous process (pid-based handles)."""
+        """Register the recorded replicas whose adopted handle reads alive."""
         for record in records:
+            handle = self.runner.adopt(record["pid"], record.get("start"))
+            if not self.runner.alive(handle):
+                continue
+            self.registry.create_service(service)
             self.allocator.reserve(record["port"])
             self._register(service, record["replica_id"], record["port"],
-                           record["version"], self.runner.adopt(record["pid"]),
+                           record["version"], handle,
                            started_at=record.get("started_at", self.clock()),
                            restarts=record.get("restarts", 0),
                            spec_id=record.get("spec", ""))
@@ -160,8 +164,8 @@ class Supervisor:
             out.append({
                 "replica_id": instance.replica_id,
                 "service": instance.service,
-                "pid": getattr(instance.handle, "pid", 0),
-                "start": getattr(instance.handle, "start", None),
+                "pid": instance.handle.pid,
+                "start": instance.handle.start,
                 "port": instance.port,
                 "version": instance.version,
                 "started_at": instance.started_at,

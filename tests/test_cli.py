@@ -326,6 +326,27 @@ def test_scale_validates_input(workspace, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_scale_past_the_port_range_changes_nothing(workspace, capsys):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    text = topology_text(external, backend_base).replace(
+        f"ports={backend_base}-{backend_base + 99}",
+        f"ports={backend_base}-{backend_base + 9}")
+    topo = write_topology(root, text)
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+    store = StateStore(state)
+    desired = store.desired_path.read_bytes()
+    records = store.load_replicas("worker")
+    capsys.readouterr()
+
+    assert main(["scale", "alpha", "50", "--state", str(state)]) == 1
+    assert "port_range of worker too small" in capsys.readouterr().err
+    assert store.desired_path.read_bytes() == desired
+    assert store.load_replicas("worker") == records
+    assert main(["status", "--state", str(state)]) == 0
+    assert capsys.readouterr().out.startswith("alpha worker v1 1/1 ")
+
+
 def test_scale_parses_the_applied_topology_once(workspace, capsys,
                                                 monkeypatch):
     import flagforge.state as state_module

@@ -43,22 +43,25 @@ class OkProber:
         return True
 
 
-def make_cluster(root, text=TOPOLOGY, hosted=None, adoptable=(), alive=None,
+# the kernel's PID_MAX_LIMIT: no process holds a fake pid from here up, so
+# an unhosted node's records read as dead wherever the tests run
+FAKE_PIDS = 1 << 22
+
+
+def make_cluster(root, text=TOPOLOGY, hosted=None, adoptable=(),
                  clock=time.time):
     store = StateStore(root / "state")
     runners = {}
 
     def factory(node, _store):
         runner = MockRunner(adoptable_pids=set(adoptable))
-        runner._next_pid = 50000 + 1000 * len(runners)  # per-node pid space
+        runner._next_pid = FAKE_PIDS + 1000 * len(runners)  # per-node pid space
         runners[node.node_id] = runner
         return runner
 
-    alive = set() if alive is None else alive
     cluster = Cluster(parse_topology(text), store, hosted=hosted,
                       bind_listeners=False, runner_factory=factory,
-                      prober=OkProber(), pid_alive=lambda pid: pid in alive,
-                      clock=clock)
+                      prober=OkProber(), clock=clock)
     return cluster, store, runners
 
 
@@ -209,7 +212,7 @@ def test_converge_after_restart_adopts_live_replicas(tmp_path):
     pids = {r["pid"] for r in store.load_replicas("worker")}
     assert len(pids) == 3
 
-    fresh, store2, _ = make_cluster(tmp_path, adoptable=pids, alive=pids)
+    fresh, store2, _ = make_cluster(tmp_path, adoptable=pids)
     report = fresh.converge()
     assert report.results == []
     assert len(fresh.backends["worker"].supervisor.instances_of("alpha")) == 2
@@ -301,6 +304,38 @@ def test_a_record_whose_pid_is_now_a_thread_reads_dead(tmp_path):
         helper.join()
 
 
+def test_adopting_a_recorded_replica_opens_one_pidfd(tmp_path, monkeypatch):
+    import signal
+    topology = parse_topology(SLEEPER.replace("replicas=1", "replicas=3"))
+    store = StateStore(tmp_path / "state")
+    earlier = Cluster(topology, store, hosted=["worker"], bind_listeners=False,
+                      prober=OkProber())
+    assert earlier.converge().all_ok
+    earlier.shutdown()  # its replicas run on, as after a one-shot command
+    pids = sorted(r["pid"] for r in store.load_replicas("worker"))
+    opened = []
+    pidfd_open = os.pidfd_open
+
+    def counting(pid, *args):
+        opened.append(pid)
+        return pidfd_open(pid, *args)
+
+    try:
+        monkeypatch.setattr(os, "pidfd_open", counting)
+        fresh = Cluster(topology, store, hosted=["worker"],
+                        bind_listeners=False, prober=OkProber())
+        monkeypatch.undo()
+        assert len(fresh.backends["worker"].supervisor.instances_of("alpha")) == 3
+        fresh.shutdown(stop_replicas=True)
+        assert sorted(opened) == pids  # one pidfd per record, none to check it
+        assert not any(state._pid_running(pid) for pid in pids)
+    finally:
+        for pid in pids:
+            if state._pid_running(pid):
+                os.killpg(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def test_networks_file_of_earlier_releases_is_ignored(tmp_path):
     cluster, store, _ = make_cluster(tmp_path)
     cluster.converge()
@@ -313,7 +348,7 @@ def test_networks_file_of_earlier_releases_is_ignored(tmp_path):
         for name in ("alpha", "beta", "gone")}))
     before = legacy.read_text()
 
-    upgraded, _, _ = make_cluster(tmp_path, adoptable=pids, alive=pids)
+    upgraded, _, _ = make_cluster(tmp_path, adoptable=pids)
     assert upgraded.converge().results == []
     assert legacy.read_text() == before
     assert not upgraded.backends["worker"].registry.has_service("gone")
@@ -355,8 +390,7 @@ def test_stick_setting_change_is_detected_across_restarts(tmp_path):
     cluster.converge()
     tuned = TOPOLOGY + "set stick_ttl=120\nset stick_capacity=16\n"
     pids = {r["pid"] for r in cluster.store.load_replicas("worker")}
-    fresh, store, _ = make_cluster(tmp_path, text=tuned, adoptable=pids,
-                                   alive=pids)
+    fresh, store, _ = make_cluster(tmp_path, text=tuned, adoptable=pids)
     report = fresh.converge()
     assert kinds(report) == [("update_balancer_config", "ok")]
     assert store.load_balancer()["worker"]["stick"] == [120, 16]
@@ -369,7 +403,7 @@ def test_challenge_move_between_backends(tmp_path):
     pids = {r["pid"] for r in store.load_replicas("w1")}
 
     moved, store2, _ = make_cluster(tmp_path, text=two_backend_topology("w2"),
-                                    adoptable=pids, alive=pids)
+                                    adoptable=pids)
     report = moved.converge()
     assert report.all_ok
     # the new listener opens first; the old one closes after ingress left it
@@ -398,7 +432,7 @@ def test_half_finished_move_only_closes_the_old_listener(tmp_path):
     pids = {r["pid"] for r in store.load_replicas("w1")}
 
     moved, store2, _ = make_cluster(tmp_path, text=two_backend_topology("w2"),
-                                    adoptable=pids, alive=pids)
+                                    adoptable=pids)
     # an earlier apply of the move stopped right after the ingress rebind
     executor = _ClusterExecutor(moved)
     for action in (Action("create_network", challenge="alpha", node="w2"),
@@ -458,8 +492,7 @@ def test_apply_rolls_replicas_off_a_changed_spec(tmp_path, drift):
     assert cluster.converge(desired).results == []
 
     pids = {r["pid"] for r in records}
-    restarted, _, _ = make_cluster(tmp_path, text=text, adoptable=pids,
-                                   alive=pids)
+    restarted, _, _ = make_cluster(tmp_path, text=text, adoptable=pids)
     assert restarted.converge().results == []
 
 
@@ -691,7 +724,7 @@ def test_deploy_pipeline_provisions_from_scratch(tmp_path):
     assert records[0].backend == "worker"
 
 
-def test_deploy_pipeline_rolls_a_running_challenge(tmp_path):
+def test_deploy_pipeline_rolls_a_running_challenge(tmp_path, monkeypatch):
     cluster, store, _ = make_cluster(tmp_path)
     cluster.converge()
     store_dir = tmp_path / "artifacts"
@@ -704,8 +737,8 @@ def test_deploy_pipeline_rolls_a_running_challenge(tmp_path):
     supervisor = cluster.backends["worker"].supervisor
     assert [i.version for i in supervisor.instances_of("alpha")] == \
         ["v2", "v2"]
-    row = {r["challenge"]: r
-           for r in status_rows(store, pid_alive=lambda pid: True)}["alpha"]
+    monkeypatch.setattr(state, "_pid_running", lambda pid, start: True)
+    row = {r["challenge"]: r for r in status_rows(store)}["alpha"]
     records, _ = read_status(store.status_path)
     record = {(r.challenge, r.backend): r for r in records}[("alpha", "worker")]
     assert (record.version, record.state) == (row["version"], row["state"]) \
@@ -825,13 +858,14 @@ def test_a_promotion_pass_calls_through_the_traced_module_names(
 # --- status view -----------------------------------------------------------------
 
 
-def test_status_rows_join_desired_live_and_records(tmp_path):
+def test_status_rows_join_desired_live_and_records(tmp_path, monkeypatch):
     cluster, store, _ = make_cluster(tmp_path)
     cluster.converge()
     write_status([StatusRecord("alpha", "worker", "v1", "deployed",
                                "2024-01-01T00:00:00+00:00")],
                  store.status_path)
-    rows = status_rows(store, pid_alive=lambda pid: True)
+    monkeypatch.setattr(state, "_pid_running", lambda pid, start: True)
+    rows = status_rows(store)
     assert [r["challenge"] for r in rows] == ["alpha", "beta"]
     alpha, beta = rows
     assert (alpha["healthy"], alpha["desired"]) == (2, 2)
@@ -839,24 +873,26 @@ def test_status_rows_join_desired_live_and_records(tmp_path):
     assert beta["state"] == "deployed"  # counts match even without a record
 
 
-def test_status_rows_report_degraded_on_missing_replicas(tmp_path):
+def test_status_rows_report_degraded_on_missing_replicas(tmp_path,
+                                                        monkeypatch):
     cluster, store, _ = make_cluster(tmp_path)
     cluster.converge()
-    rows = status_rows(store, pid_alive=lambda pid: False)
+    monkeypatch.setattr(state, "_pid_running", lambda pid, start: False)
+    rows = status_rows(store)
     assert all(r["healthy"] == 0 and r["state"] == "degraded" for r in rows)
 
 
-def test_status_counts_only_pins_within_ttl(tmp_path):
+def test_status_counts_only_pins_within_ttl(tmp_path, monkeypatch):
     now = [1000.0]
     cluster, store, _ = make_cluster(tmp_path, clock=lambda: now[0])
     cluster.converge()
+    monkeypatch.setattr(state, "_pid_running", lambda pid, start: True)
     backend = cluster.backends["worker"]
     backend.tick()  # probes mark the replicas healthy
     backend.balancer.select_replica("alpha", "198.51.100.7")
 
     def stick() -> dict[str, int]:
-        return {r["challenge"]: r["stick"]
-                for r in status_rows(store, pid_alive=lambda pid: True)}
+        return {r["challenge"]: r["stick"] for r in status_rows(store)}
 
     backend.tick()
     assert stick() == {"alpha": 1, "beta": 0}
@@ -1046,6 +1082,26 @@ def test_serve_never_reverts_an_apply(tmp_path, state_writes):
     assert topology.challenges["alpha"].version == "v2"
     assert service.cluster.topology.challenges["alpha"].version == "v2"
     assert state_writes.count(store.desired_path) == 1  # the apply's own
+
+
+def test_a_backend_serve_probes_once_at_start(tmp_path, monkeypatch):
+    store = StateStore(tmp_path / "state")
+    bare = "\n".join(TOPOLOGY.splitlines()[:3]) + "\n"
+    store.save_desired(parse_topology(bare), {})
+    now = [1000.0]
+    service = runtime.NodeService(None, "worker", store.root,
+                                  clock=lambda: now[0])
+    ticks = []
+    monkeypatch.setattr(service.backend, "tick", lambda: ticks.append(now[0]))
+    try:
+        service.start()
+        service.tick_once()  # start's probe pass stands for this tick's
+        assert ticks == []
+        now[0] += service.cluster.topology.probe_interval
+        service.tick_once()
+        assert ticks == [now[0]]
+    finally:
+        service.stop()
 
 
 def serve_state(tmp_path, free_port, *, record_ports: bool) -> StateStore:
