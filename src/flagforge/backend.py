@@ -7,7 +7,7 @@ from typing import Callable
 
 from .balancer import Balancer, BalancerServer
 from .errors import FlagforgeError
-from .model import ChallengeSpec, Topology
+from .model import Topology
 from .registry import Registry
 from .runner import SubprocessRunner
 from .state import StateStore
@@ -50,7 +50,9 @@ class BackendNode:
         return (int(self.balancer.stick_ttl), int(self.balancer.stick_capacity))
 
     def adopt(self, desired: Topology | None) -> None:
-        """Rebuild live state from the files a previous process left behind."""
+        """Rebuild live state from the files a previous process left behind:
+        listener ports, stick settings, desired specs, and each recorded
+        replica whose process still runs, filed under its service."""
         config = self.store.load_balancer().get(self.node_id, {})
         for service, port in sorted((config.get("ports") or {}).items()):
             self.allocator.reserve(port)
@@ -59,19 +61,9 @@ class BackendNode:
         if stick:
             self.balancer.configure(stick[0], stick[1])
 
-        records: dict[str, list[dict]] = {}
-        for record in self.store.load_replicas(self.node_id):
-            records.setdefault(record["service"], []).append(record)
-        specs = {c.name: c for c in desired.challenges_on(self.node_id)} \
-            if desired else {}
-
-        for name in sorted(set(records) | set(specs) | set(self._balancer_ports)):
-            if name in specs or name in self._balancer_ports:
-                self.registry.create_service(name)
-            if name in specs:
-                self.supervisor.set_desired(specs[name])
-            if name in records:
-                self.supervisor.adopt(name, records[name])
+        for spec in desired.challenges_on(self.node_id) if desired else ():
+            self.supervisor.set_desired(spec)
+        self.supervisor.adopt(self.store.load_replicas(self.node_id))
         self._persist_replicas()
 
         if self.server is not None:
@@ -82,11 +74,6 @@ class BackendNode:
                     raise FlagforgeError(
                         f"cannot bind balancer port {port} for {service}:"
                         f" {exc}") from exc
-
-    def ensure_service(self, spec: ChallengeSpec) -> None:
-        if not self.registry.has_service(spec.name):
-            self.registry.create_service(spec.name)
-        self.supervisor.set_desired(spec)
 
     def open_listener(self, service: str) -> int:
         conflicts = 0
@@ -109,8 +96,6 @@ class BackendNode:
         for _ in self.supervisor.instances_of(name):
             self.supervisor.stop_one(name)
         self.supervisor.drop_desired(name)
-        if self.registry.has_service(name):
-            self.registry.remove_service(name)
         port = self._balancer_ports.pop(name, None)
         if port is not None:
             if self.server is not None:

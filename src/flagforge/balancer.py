@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable
 
 from ._net import PROXY_HEADER_LIMIT, Listener, Session, parse_proxy_header
-from .errors import NoHealthyReplicasError, UnknownServiceError
+from .errors import NoHealthyReplicasError
 from .registry import (
     EVENT_DEREGISTERED,
     HEALTH_HEALTHY,
@@ -345,7 +345,7 @@ class BalancerServer:
               attempts: int) -> None:
         try:
             endpoint = self.balancer.pick(service, source_ip)
-        except (NoHealthyReplicasError, UnknownServiceError):
+        except NoHealthyReplicasError:
             # no replica, or the service left the node since this accept
             session.close()
             return

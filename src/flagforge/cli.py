@@ -15,14 +15,13 @@ import argparse
 import os
 import signal
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import FlagforgeError
 from .model import MODE_DEPLOY, MODE_DEV, parse_topology, validate_topology
-from .state import StateStore, status_rows
+from .state import StateStore, _wait_readable, status_rows
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -38,13 +37,14 @@ def _state_store(args: argparse.Namespace) -> StateStore:
 def _hosting(store: StateStore, topology, applied):
     """A Cluster of the nodes no serve process owns.
 
-    A backend that left the topology with live replicas is hosted too, from
-    the applied topology that still names it, so this command stops them.
-    Each served node is named once the command is done.
+    A backend that left the topology is hosted too, from the applied topology
+    that still names it, so this command stops whatever of it still runs: its
+    adoption judges each record once. Each served node is named once the
+    command is done.
     """
     from .runtime import Cluster
-    retired = [n for n in (applied[0].nodes if applied else ())
-               if n not in topology.nodes and store.live_replicas(n)]
+    retired = [n.node_id for n in (applied[0].backends if applied else ())
+               if n.node_id not in topology.nodes]
     owners = {n: store.lock_owner(n) for n in [*topology.nodes, *retired]}
     served = {n: pid for n, pid in owners.items() if pid is not None}
     cluster = Cluster(topology, store, bind_listeners=False, applied=applied,
@@ -158,17 +158,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         print("error: no applied topology (run apply first)", file=sys.stderr)
         return EXIT_ERROR
     select = args.select.split(",") if args.select else None
-    with _hosting(store, persisted[0], persisted) as cluster:
-        try:
-            while True:
-                report = cluster.pipeline_once(args.mode, Path(args.store),
-                                               select=select)
-                print(report.render(), flush=True)
-                if args.action == "run-once":
-                    break
-                time.sleep(cluster.topology.poll_interval)
-        except KeyboardInterrupt:
-            return EXIT_OK
+    # a stop signal ends a watch once the pass it lands in is done
+    with _stop_on_signals() as stop, \
+            _hosting(store, persisted[0], persisted) as cluster:
+        while True:
+            report = cluster.pipeline_once(args.mode, Path(args.store),
+                                           select=select)
+            print(report.render(), flush=True)
+            if args.action == "run-once":
+                break
+            if _wait_readable([stop], cluster.topology.poll_interval):
+                return EXIT_OK
     failed = any(o.state == "failed" for o in report.outcomes)
     return EXIT_PARTIAL if failed else EXIT_OK
 

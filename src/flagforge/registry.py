@@ -2,9 +2,12 @@
 
 The registry holds the one record of each replica: where the balancer reaches
 it, how healthy it is, and the process the supervisor runs it as. So it is
-the single authority on which replicas exist. ``replicas_of`` lists a
-service's replicas in registration order; picking among them (round robin,
-stickiness) is the balancer's job.
+the single authority on which replicas exist, and on which services: a
+service is on record exactly while it has replicas, from its first
+registration to its last deregistration, and has no lifecycle of its own.
+``replicas_of`` lists a service's replicas in registration order, none for a
+service not on record; picking among them (round robin, stickiness) is the
+balancer's job.
 
 Health values are written by the supervisor's prober only; everything else
 (balancer, ingress, status) reads. Listeners hear each change of health and
@@ -23,7 +26,6 @@ from .errors import (
     DuplicateReplicaError,
     EndpointInUseError,
     UnknownReplicaError,
-    UnknownServiceError,
 )
 
 HEALTH_STARTING = "starting"
@@ -62,30 +64,15 @@ class Registry:
         self._by_endpoint: dict[tuple[str, int], list[ReplicaEndpoint]] = {}
         self._listeners: list[Listener] = []
 
-    # --- service lifecycle ---------------------------------------------
-
-    # a second argument, once the network id, is ignored
-    def create_service(self, name: str, _network: object = None) -> None:
-        with self._lock:
-            self._services.setdefault(name, [])
-
-    def remove_service(self, name: str) -> None:
-        with self._lock:
-            replicas = self._require_service(name)
-            for endpoint in replicas:
-                self._unindex(endpoint)
-            del self._services[name]
-        self._notify([(name, r.replica_id, EVENT_DEREGISTERED) for r in replicas])
-
-    def has_service(self, name: str) -> bool:
-        with self._lock:
-            return name in self._services
-
     # --- replica lifecycle ----------------------------------------------
+
+    # a service is on record while it has replicas, so there is nothing to
+    # create; only perfbench/layers.py still calls this, with a network id
+    def create_service(self, name: str, _network: object = None) -> None:
+        pass
 
     def register_replica(self, service: str, endpoint: ReplicaEndpoint) -> None:
         with self._lock:
-            replicas = self._require_service(service)
             if endpoint.replica_id in self._by_id:
                 raise DuplicateReplicaError(
                     f"duplicate replica_id {endpoint.replica_id}")
@@ -97,14 +84,17 @@ class Registry:
                         f"{endpoint.address}:{endpoint.port} already used"
                         f" by {other.replica_id}")
             endpoint.service = service
-            replicas.append(endpoint)
+            self._services.setdefault(service, []).append(endpoint)
             self._by_id[endpoint.replica_id] = endpoint
             sharing.append(endpoint)
 
     def deregister_replica(self, replica_id: str) -> None:
         with self._lock:
             endpoint = self._find(replica_id)
-            self._services[endpoint.service].remove(endpoint)
+            replicas = self._services[endpoint.service]
+            replicas.remove(endpoint)
+            if not replicas:
+                del self._services[endpoint.service]
             self._unindex(endpoint)
         self._notify([(endpoint.service, replica_id, EVENT_DEREGISTERED)])
 
@@ -124,7 +114,7 @@ class Registry:
     def replicas_of(self, service: str) -> list[ReplicaEndpoint]:
         """All replicas in registration order, whatever their health."""
         with self._lock:
-            return list(self._require_service(service))
+            return list(self._services.get(service, ()))
 
     def replicas(self) -> list[ReplicaEndpoint]:
         """Every service's replicas, in registration order."""
@@ -147,12 +137,6 @@ class Registry:
                 listener(service, replica_id, event)
 
     # --- internals -----------------------------------------------------------
-
-    def _require_service(self, name: str) -> list[ReplicaEndpoint]:
-        replicas = self._services.get(name)
-        if replicas is None:
-            raise UnknownServiceError(f"unknown service {name!r}")
-        return replicas
 
     def _find(self, replica_id: str) -> ReplicaEndpoint:
         endpoint = self._by_id.get(replica_id)

@@ -293,14 +293,14 @@ class _ClusterExecutor:
     def _create_network(self, action: Action) -> None:
         backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges[action.challenge]
-        backend.ensure_service(spec)
+        backend.supervisor.set_desired(spec)
         # the network is the service's listener
         backend.open_listener(spec.name)
 
     def _start_replica(self, action: Action) -> None:
         backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges[action.challenge]
-        backend.ensure_service(spec)
+        backend.supervisor.set_desired(spec)
         backend.supervisor.start_one(spec.name)
 
     def _stop_replica(self, action: Action) -> None:
@@ -312,18 +312,13 @@ class _ClusterExecutor:
         backend.supervisor.stop_one(action.challenge)
         if not wanted_here and not backend.supervisor.instances_of(action.challenge):
             backend.supervisor.drop_desired(action.challenge)
-            if (action.challenge not in backend.balancer_ports
-                    and backend.registry.has_service(action.challenge)):
-                # the service leaves this node with its last replica; one
-                # whose listener is still here goes with its remove_network
-                backend.registry.remove_service(action.challenge)
 
     def _roll_service(self, action: Action) -> None:
         backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges[action.challenge]
         if spec.name not in backend.supervisor.services():
             # adopted replicas of a service this node held no spec for
-            backend.ensure_service(spec)
+            backend.supervisor.set_desired(spec)
         backend.supervisor.rolling_update(spec.name, spec)
 
     def _update_balancer_config(self, action: Action) -> None:
@@ -459,11 +454,11 @@ class NodeService:
         now = self.clock()
         mtime = self._mtime()
         if mtime != self._desired_mtime:
-            self._desired_mtime = mtime
             persisted = self.store.load_desired()
             if persisted is not None:
                 self.cluster.topology, self.cluster.checksums = persisted
                 self._report = self.cluster.converge()
+            self._desired_mtime = mtime  # not before: a raise is retried
         if self.backend is not None:
             topology = self.cluster.topology
             if now - self._last_probe >= topology.probe_interval:

@@ -137,22 +137,19 @@ class Supervisor:
 
     def instances_of(self, service: str) -> list[ReplicaEndpoint]:
         """The registry's records of a service's replicas, oldest first."""
-        try:
-            replicas = self.registry.replicas_of(service)
-        except UnknownServiceError:
-            return []
-        return sorted(replicas, key=lambda i: (i.started_at, i.replica_id))
+        return sorted(self.registry.replicas_of(service),
+                      key=lambda i: (i.started_at, i.replica_id))
 
-    def adopt(self, service: str, records: list[dict]) -> None:
-        """Register the recorded replicas whose adopted handle reads alive."""
+    def adopt(self, records: list[dict]) -> None:
+        """Register the recorded replicas whose adopted handle reads alive,
+        each under the service its record names."""
         for record in records:
             handle = self.runner.adopt(record["pid"], record.get("start"))
             if not self.runner.alive(handle):
                 continue
-            self.registry.create_service(service)
             self.allocator.reserve(record["port"])
-            self._register(service, record["replica_id"], record["port"],
-                           record["version"], handle,
+            self._register(record["service"], record["replica_id"],
+                           record["port"], record["version"], handle,
                            started_at=record.get("started_at", self.clock()),
                            restarts=record.get("restarts", 0),
                            spec_id=record.get("spec", ""))
@@ -195,6 +192,8 @@ class Supervisor:
         for instance in self._newest_first(service)[:max(0, excess)]:
             self._stop_instance(instance)
             actions.append(f"stop {instance.replica_id} (scale-down)")
+        if actions:  # the stops; each spawn below records itself
+            self._changed()
         missing = want - len(self.instances_of(service))
         for _ in range(max(0, missing)):
             try:
@@ -203,15 +202,11 @@ class Supervisor:
                 actions.append(f"degraded: {exc}")
                 break
             actions.append(f"spawn {instance.replica_id}")
-        if actions:
-            self._changed()
         return actions
 
     def start_one(self, service: str) -> ReplicaEndpoint:
         """Spawn a single replica of a desired service (one converge step)."""
-        instance = self._spawn(service, self.desired_spec(service), 0)
-        self._changed()
-        return instance
+        return self._spawn(service, self.desired_spec(service), 0)
 
     def stop_one(self, service: str) -> str:
         """Stop the newest instance of a service (one converge step)."""
@@ -275,11 +270,9 @@ class Supervisor:
                 detail = f"not healthy within {timeout:g}s"
             # the remaining old replicas stay untouched
             self._desired[service] = old_spec
-            if not self.reconcile(service):  # a reconcile that acted persisted
-                self._changed()
+            self._changed()  # the stops above; the refill records itself
+            self.reconcile(service)
             raise SupervisorError(f"rolling update aborted: {detail}")
-        if stale:
-            self._changed()
 
     def _wait_healthy(self, instance: ReplicaEndpoint, spec: ChallengeSpec,
                       timeout: float) -> bool:
@@ -317,9 +310,12 @@ class Supervisor:
                 self.allocator.release(port)
                 last_error = exc
                 continue
-            return self._register(service, replica_id, port, spec.version,
-                                  handle, started_at=self.clock(),
-                                  restarts=restarts, spec_id=spec.fingerprint)
+            instance = self._register(
+                service, replica_id, port, spec.version, handle,
+                started_at=self.clock(), restarts=restarts,
+                spec_id=spec.fingerprint)
+            self._changed()  # on record before anything waits on it
+            return instance
         raise SpawnError(f"spawn of {service} failed after {SPAWN_RETRIES}"
                          f" attempts: {last_error}")
 

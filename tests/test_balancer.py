@@ -411,7 +411,6 @@ def test_a_late_header_for_a_removed_service_closes_its_session(data_plane):
         # the service leaves the node between the accept and the header
         for i in (1, 2, 3):
             registry.deregister_replica(f"r{i}")
-        registry.remove_service("web")
         sock.sendall(render_proxy_header("127.0.0.1"))
         assert sock.recv(64) == b""
 

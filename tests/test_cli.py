@@ -251,6 +251,38 @@ def test_apply_stops_the_replicas_of_a_retired_backend(workspace, capsys):
     assert "0 changed, 0 failed, 0 skipped" in capsys.readouterr().out
 
 
+def test_retiring_a_backend_judges_each_of_its_records_once(
+        workspace, monkeypatch):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    nodes = (f"node edge role=frontend bind=127.0.0.1"
+             f" ports={external}-{external + 9}\n"
+             f"node worker role=backend bind=127.0.0.1"
+             f" ports={backend_base}-{backend_base + 49}\n")
+    retiring = (f"node w2 role=backend bind=127.0.0.1"
+                f" ports={backend_base + 50}-{backend_base + 99}\n"
+                f"challenge alpha version=v1 replicas=2 internal_port=4000"
+                f" external_port={external} backend=w2"
+                f' run="sleep 30" probe=tcp\n')
+    assert main(["apply", str(write_topology(root, nodes + retiring)),
+                 "--state", str(state)]) == 0
+    pids = {r["pid"] for r in StateStore(state).load_replicas("w2")}
+    assert len(pids) == 2
+    opened = []
+    pidfd_open = os.pidfd_open
+
+    def counting(pid, *args):
+        opened.append(pid)
+        return pidfd_open(pid, *args)
+
+    monkeypatch.setattr(os, "pidfd_open", counting)
+    assert main(["apply", str(write_topology(root, nodes)),
+                 "--state", str(state)]) == 0
+    monkeypatch.undo()
+    assert sorted(p for p in opened if p in pids) == sorted(pids)
+    assert not any(_pid_running(pid) for pid in pids)
+
+
 # --- status ------------------------------------------------------------------
 
 
@@ -680,6 +712,26 @@ def serve_process(node: str, topo: Path, state: Path) -> subprocess.Popen:
     watchdog.daemon = True
     watchdog.start()
     return process
+
+
+def test_pipeline_watch_stops_on_sigterm_after_its_pass(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, "set poll_interval=1\n" + topology_text(
+        external, backend_base))
+    assert main(["apply", str(topo), "--state", str(state)]) == 0
+    process = subprocess.Popen(
+        [sys.executable, "-c", SERVE_ENTRY, "pipeline", "watch", "--mode",
+         "dev", "--state", str(state), "--store", str(root / "artifacts")],
+        stdout=subprocess.PIPE, text=True, env=src_env())
+    try:
+        assert process.stdout.readline().strip() == "0 updates"
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=5) == 0
+    finally:
+        process.kill()
+        process.wait()
+        process.stdout.close()
 
 
 def test_serve_signalled_while_starting_still_stops_cleanly(workspace):

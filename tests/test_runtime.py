@@ -90,7 +90,7 @@ def test_initial_converge_provisions_everything(tmp_path):
     assert report.ok == 2 + 3 + 2  # networks, replicas, ingress binds
 
     registry = cluster.backends["worker"].registry
-    assert all(registry.has_service(name) for name in ("alpha", "beta"))
+    assert all(registry.replicas_of(name) for name in ("alpha", "beta"))
 
     records = store.load_replicas("worker")
     assert sorted(r["service"] for r in records) == ["alpha", "alpha", "beta"]
@@ -351,7 +351,7 @@ def test_networks_file_of_earlier_releases_is_ignored(tmp_path):
     upgraded, _, _ = make_cluster(tmp_path, adoptable=pids)
     assert upgraded.converge().results == []
     assert legacy.read_text() == before
-    assert not upgraded.backends["worker"].registry.has_service("gone")
+    assert upgraded.backends["worker"].registry.replicas_of("gone") == []
 
 
 # --- topology changes ---------------------------------------------------------
@@ -381,7 +381,7 @@ def test_removed_challenge_is_torn_down(tmp_path):
     assert sorted(store.load_balancer()["worker"]["ports"]) == ["alpha"]
     assert store.ingress_path.read_text().splitlines()[0].startswith("9001 ")
     backend = cluster.backends["worker"]
-    assert not backend.registry.has_service("beta")
+    assert backend.registry.replicas_of("beta") == []
     assert backend.supervisor.services() == ["alpha"]
 
 
@@ -414,9 +414,9 @@ def test_challenge_move_between_backends(tmp_path):
         ("remove_network", "w1")]
     assert report.results[-1].render() == "remove_network net-alpha on w1 ok"
 
-    assert moved.backends["w2"].registry.has_service("alpha")
+    assert moved.backends["w2"].registry.replicas_of("alpha")
     assert moved.backends["w1"].supervisor.services() == []
-    assert not moved.backends["w1"].registry.has_service("alpha")
+    assert moved.backends["w1"].registry.replicas_of("alpha") == []
     assert len(moved.backends["w2"].supervisor.instances_of("alpha")) == 2
     balancer = store2.load_balancer()
     assert balancer["w1"]["ports"] == {}
@@ -1150,6 +1150,33 @@ def test_idle_frontend_serve_does_not_converge(tmp_path, free_port,
     finally:
         service.stop()
     assert (converges, reads) == ([], [])
+
+
+def test_a_serve_retries_a_desire_whose_converge_raised(tmp_path, free_port,
+                                                        monkeypatch):
+    store = serve_state(tmp_path, free_port, record_ports=True)
+    service = runtime.NodeService(None, "edge", store.root,
+                                  clock=lambda: 1000.0)
+    converges = []
+    converge = Cluster.converge
+
+    def raising_once(self, *args, **kwargs):
+        converges.append(args)
+        if len(converges) == 1:
+            raise OSError("disk full")
+        return converge(self, *args, **kwargs)
+
+    try:
+        assert service.start() == []
+        os.utime(store.desired_path, (1, 1))  # an apply's write, since start
+        monkeypatch.setattr(Cluster, "converge", raising_once)
+        with pytest.raises(OSError):
+            service.tick_once()
+        for _ in range(3):
+            service.tick_once()
+    finally:
+        service.stop()
+    assert len(converges) == 2  # the retry, and no converge after it
 
 
 def test_frontend_serve_binds_once_its_backend_port_is_recorded(tmp_path,

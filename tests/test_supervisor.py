@@ -324,6 +324,28 @@ def test_rolling_update_replaces_all_one_at_a_time():
     assert floor == 2
 
 
+def test_a_rolled_replica_is_on_record_before_its_health_wait():
+    supervisor, runner, _, _ = build(replicas=2)
+    supervisor.reconcile("web")
+    supervisor.probe_all()
+    persisted: list[list[dict]] = []
+    supervisor.on_change = lambda: persisted.append(supervisor.snapshot())
+    on_record: list[bool] = []
+    prober = FakeProber(runner)
+
+    class RecordCheckingProber:
+        def probe(self, address: str, port: int, probe: ProbeSpec) -> bool:
+            # a serve killed now leaves a record the next serve adopts
+            on_record.append(bool(persisted) and any(
+                r["port"] == port and r["version"] == "v2"
+                for r in persisted[-1]))
+            return prober.probe(address, port, probe)
+
+    supervisor.prober = RecordCheckingProber()
+    supervisor.rolling_update("web", make_spec(version="v2", replicas=2))
+    assert on_record == [True, True]
+
+
 def test_stopped_replica_leaves_rotation_before_its_signal():
     supervisor, runner, registry, _ = build(replicas=3)
     supervisor.reconcile("web")
@@ -412,7 +434,7 @@ def test_adopt_snapshot_round_trip():
         prober=FakeProber(runner2), clock=clock, sleep=lambda s: None,
         startup_grace=5.0)
     supervisor2.set_desired(make_spec(replicas=2))
-    supervisor2.adopt("web", records)
+    supervisor2.adopt(records)
     assert supervisor2.reconcile("web") == []  # adopted pids count as alive
     assert sorted(replica_ids(supervisor2)) == sorted(r["replica_id"]
                                                       for r in records)
