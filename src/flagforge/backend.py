@@ -49,10 +49,11 @@ class BackendNode:
     def stick_settings(self) -> tuple[int, int]:
         return (int(self.balancer.stick_ttl), int(self.balancer.stick_capacity))
 
-    def adopt(self, desired: Topology | None) -> None:
+    def adopt(self, desired: Topology) -> None:
         """Rebuild live state from the files a previous process left behind:
-        listener ports, stick settings, desired specs, and each recorded
-        replica whose process still runs, filed under its service."""
+        listener ports, stick settings, the specs ``desired`` (the applied
+        topology) holds for the node, and each recorded replica whose
+        process still runs, filed under its service."""
         config = self.store.load_balancer().get(self.node_id, {})
         for service, port in sorted((config.get("ports") or {}).items()):
             self.allocator.reserve(port)
@@ -61,8 +62,7 @@ class BackendNode:
         if stick:
             self.balancer.configure(stick[0], stick[1])
 
-        for spec in desired.challenges_on(self.node_id) if desired else ():
-            self.supervisor.set_desired(spec)
+        self.supervisor.desire(desired.challenges_on(self.node_id))
         self.supervisor.adopt(self.store.load_replicas(self.node_id))
         self._persist_replicas()
 
@@ -95,7 +95,6 @@ class BackendNode:
     def remove_service(self, name: str) -> None:
         for _ in self.supervisor.instances_of(name):
             self.supervisor.stop_one(name)
-        self.supervisor.drop_desired(name)
         port = self._balancer_ports.pop(name, None)
         if port is not None:
             if self.server is not None:

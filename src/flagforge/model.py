@@ -15,7 +15,6 @@ drives an executor and must be called from a single control actor at a time.
 
 from __future__ import annotations
 
-import hashlib
 import ipaddress
 import re
 from dataclasses import dataclass, field
@@ -90,6 +89,7 @@ class ChallengeSpec:
     @property
     def fingerprint(self) -> str:
         """Short digest of what a replica runs: version, run command, probe."""
+        import hashlib  # only where replicas run: a frontend never loads it
         text = "\0".join((self.version, self.run_command, self.probe.render()))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -468,7 +468,7 @@ def diff(desired: Topology, observed: ObservedState) -> tuple[Action, ...]:
     for name in sorted(desired.challenges):
         spec = desired.challenges[name]
         running = observed.specs.get(name, {}).get(spec.backend, set())
-        if running - {spec.fingerprint}:
+        if running and running - {spec.fingerprint}:
             actions.append(Action("roll_service", challenge=name, node=spec.backend))
 
     for name in sorted(desired.challenges):

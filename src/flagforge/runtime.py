@@ -2,24 +2,29 @@
 
 A ``Cluster`` hosts live runtimes for some of the topology's nodes (those no
 serve owns for a one-shot command, a single one inside ``serve``). A converge
-plans the whole cluster and runs the actions of the nodes it hosts; the
-others are left to the process that hosts them. It imports ``backend`` only
-for a backend node it hosts, ``ingress`` only for a hosted frontend, and
-``pipeline`` only for a promotion pass. Replicas run in sessions of their
-own, so they and their state (see ``state``) outlive the hosting process: the
-next command adopts them back by pid, together with the fingerprint of the
-spec each one was started from, so spec drift (a new version, run command or
-probe) is planned as a rolling update.
-A converge reads each shared state file once and, after its last action,
-writes ``balancer.json`` and ``ingress.map`` once; only ``replicas-<node>.json``
-is written per action (see ``state``). It never writes ``desired.json``. A
+plans and runs the actions of the nodes it hosts, from what they alone hold:
+each action ``diff`` plans for a node reads only that node's observation. A
+hosted backend plans from its live listeners, stick settings and registry,
+and reads no state file to do so; a hosted frontend plans from its own
+mappings, and reads ``balancer.json`` once for the ports of the backends it
+binds to. So no converge reads another node's ``replicas-<node>.json`` or
+``ingress.map``. Before the plan runs, each hosted backend is handed its
+specs once. It imports ``backend`` only for a backend node it hosts,
+``ingress`` only for a hosted frontend, and ``pipeline`` only for a
+promotion pass. Replicas run in sessions of their own, so they and their
+state (see ``state``) outlive the hosting process: the next command adopts
+them back by pid, together with the fingerprint of the spec each one was
+started from, so spec drift (a new version, run command or probe) is
+planned as a rolling update. After its last action, a converge writes
+``balancer.json`` and ``ingress.map`` once; only ``replicas-<node>.json`` is
+written per action (see ``state``). It never writes ``desired.json``. A
 promotion pass (``pipeline_once``) takes the path ``apply`` takes: it lets
-``pipeline`` decide the winning bundles, adds them to ``desired.json`` as it
-is on disk, writes that file once, converges once and then writes
-``latest-build.txt`` once. A ``serve`` ticks on its main thread, beside the
-data plane's loop thread. A frontend ``serve`` converges when
-``desired.json`` changes, and each ``probe_interval`` while its last converge
-had a failed action.
+``pipeline`` decide the winning bundles from every node's live replicas,
+adds them to ``desired.json`` as it is on disk, writes that file once,
+converges once and then writes ``latest-build.txt`` once. A ``serve`` ticks
+on its main thread, beside the data plane's loop thread. A frontend
+``serve`` converges when ``desired.json`` changes, and each
+``probe_interval`` while its last converge had a failed action.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import FlagforgeError, IngressError, PipelineError, TopologyError
 from .model import (MODE_DEV, ROLE_BACKEND, Action, ApplyReport,
                     ObservedState, Topology, apply_changeset, diff,
                     parse_topology, validate_topology)
-from .state import PortMapping, StateStore, _wait_readable, load_mappings
+from .state import PortMapping, StateStore, _wait_readable
 
 if TYPE_CHECKING:
     from .backend import BackendNode
@@ -87,29 +92,23 @@ class Cluster:
     # --- observation --------------------------------------------------------
 
     def observe(self) -> ObservedState:
+        """What the hosted nodes act on, each from its own live objects."""
         state = ObservedState()
-        self.recorded_ports = {}  # for this converge's binds to unhosted nodes
-        for node_id, config in self.store.load_balancer().items():
-            self.recorded_ports[node_id] = config.get("ports") or {}
-            state.balancers[node_id] = set(self.recorded_ports[node_id])
-            stick = config.get("stick")
-            if stick:
-                state.stick_settings[node_id] = (stick[0], stick[1])
         for node_id, backend in self.backends.items():
             state.balancers[node_id] = set(backend.balancer_ports)
             state.stick_settings[node_id] = backend.stick_settings
-        for node_id, records in self._live_replicas().items():
-            for record in records:
-                counts = state.replicas.setdefault(record["service"], {})
+            for replica in backend.registry.replicas():
+                counts = state.replicas.setdefault(replica.service, {})
                 counts[node_id] = counts.get(node_id, 0) + 1
-                specs = state.specs.setdefault(record["service"], {})
-                specs.setdefault(node_id, set()).add(record.get("spec", ""))
-        # like a hosted backend's listeners, a hosted frontend's map is live
-        mappings = (self.frontend.mappings.values() if self.frontend is not None
-                    else load_mappings(self.store.ingress_path))
-        for mapping in mappings:
-            state.ingress[mapping.external_port] = (mapping.challenge,
-                                                    mapping.backend_node)
+                specs = state.specs.setdefault(replica.service, {})
+                specs.setdefault(node_id, set()).add(replica.spec_id)
+        if self.frontend is not None:
+            self.recorded_ports = {
+                node_id: config.get("ports") or {}
+                for node_id, config in self.store.load_balancer().items()}
+            for mapping in self.frontend.mappings.values():
+                state.ingress[mapping.external_port] = (mapping.challenge,
+                                                        mapping.backend_node)
         return state
 
     def _live_replicas(self) -> dict[str, list[dict]]:
@@ -134,6 +133,17 @@ class Cluster:
             hosted.add(self.frontend.node_id)
         plan = tuple(a for a in diff(self.topology, self.observe())
                      if a.node in hosted and only_node in (None, a.node))
+        rolled = {(a.node, a.challenge) for a in plan if a.kind == "roll_service"}
+        for node_id, backend in self.backends.items():
+            if only_node not in (None, node_id):
+                continue
+            supervisor = backend.supervisor
+            held = {name: supervisor.desired_spec(name)
+                    for name in supervisor.services()}
+            # a rolled service keeps a spec it has: its roll moves it on, or
+            # back if the roll aborts
+            supervisor.desire([held.get(s.name, s) if (node_id, s.name) in rolled
+                               else s for s in self.topology.challenges_on(node_id)])
         mapped = dict(self.frontend.mappings) if self.frontend else None
         report = apply_changeset(plan, _ClusterExecutor(self))
         # each shared file once per converge, after its node's last action
@@ -291,34 +301,19 @@ class _ClusterExecutor:
         handler(action)
 
     def _create_network(self, action: Action) -> None:
-        backend = self.cluster.backends[action.node]
-        spec = self.cluster.topology.challenges[action.challenge]
-        backend.supervisor.set_desired(spec)
         # the network is the service's listener
-        backend.open_listener(spec.name)
+        self.cluster.backends[action.node].open_listener(action.challenge)
 
     def _start_replica(self, action: Action) -> None:
-        backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges[action.challenge]
-        backend.supervisor.set_desired(spec)
-        backend.supervisor.start_one(spec.name)
+        self.cluster.backends[action.node].supervisor.start_one(spec)
 
     def _stop_replica(self, action: Action) -> None:
-        backend = self.cluster.backends[action.node]
-        spec = self.cluster.topology.challenges.get(action.challenge)
-        wanted_here = spec is not None and spec.backend == action.node
-        if wanted_here:
-            backend.supervisor.set_desired(spec)
-        backend.supervisor.stop_one(action.challenge)
-        if not wanted_here and not backend.supervisor.instances_of(action.challenge):
-            backend.supervisor.drop_desired(action.challenge)
+        self.cluster.backends[action.node].supervisor.stop_one(action.challenge)
 
     def _roll_service(self, action: Action) -> None:
         backend = self.cluster.backends[action.node]
         spec = self.cluster.topology.challenges[action.challenge]
-        if spec.name not in backend.supervisor.services():
-            # adopted replicas of a service this node held no spec for
-            backend.supervisor.set_desired(spec)
         backend.supervisor.rolling_update(spec.name, spec)
 
     def _update_balancer_config(self, action: Action) -> None:

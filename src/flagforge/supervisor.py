@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import socket
 import time
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from .errors import (PortExhaustedError, SpawnError, SupervisorError,
                      UnknownReplicaError, UnknownServiceError)
@@ -95,6 +95,9 @@ class TcpProber:
 
 
 class Supervisor:
+    """Keeps a backend at the specs it is handed whole: the applied
+    topology's on adoption, then once per converge, before its plan runs."""
+
     def __init__(self, node_id: str, bind_address: str, registry: Registry,
                  runner: RunnerBackend, allocator: PortAllocator,
                  prober: Prober | None = None,
@@ -117,11 +120,9 @@ class Supervisor:
 
     # --- desired state ----------------------------------------------------
 
-    def set_desired(self, spec: ChallengeSpec) -> None:
-        self._desired[spec.name] = spec
-
-    def drop_desired(self, service: str) -> None:
-        self._desired.pop(service, None)
+    def desire(self, specs: Iterable[ChallengeSpec]) -> None:
+        """Desire exactly ``specs``, one per service, from now on."""
+        self._desired = {spec.name: spec for spec in specs}
 
     def desired_spec(self, service: str) -> ChallengeSpec:
         spec = self._desired.get(service)
@@ -197,25 +198,24 @@ class Supervisor:
         missing = want - len(self.instances_of(service))
         for _ in range(max(0, missing)):
             try:
-                instance = self._spawn(service, spec, restarts)
+                instance = self._spawn(spec, restarts)
             except (SpawnError, PortExhaustedError) as exc:
                 actions.append(f"degraded: {exc}")
                 break
             actions.append(f"spawn {instance.replica_id}")
         return actions
 
-    def start_one(self, service: str) -> ReplicaEndpoint:
-        """Spawn a single replica of a desired service (one converge step)."""
-        return self._spawn(service, self.desired_spec(service), 0)
+    def start_one(self, spec: ChallengeSpec) -> ReplicaEndpoint:
+        """Spawn a single replica from ``spec`` (one converge step)."""
+        return self._spawn(spec, 0)
 
-    def stop_one(self, service: str) -> str:
+    def stop_one(self, service: str) -> None:
         """Stop the newest instance of a service (one converge step)."""
         victims = self._newest_first(service)
         if not victims:
             raise UnknownReplicaError(f"no running replicas of {service!r}")
         self._stop_instance(victims[0])
         self._changed()
-        return victims[0].replica_id
 
     def reconcile_all(self) -> dict[str, list[str]]:
         report = {}
@@ -260,7 +260,7 @@ class Supervisor:
         for old in stale:
             self._stop_instance(old, drain=True)
             try:
-                fresh = self._spawn(service, new_spec, old.restarts + 1)
+                fresh = self._spawn(new_spec, old.restarts + 1)
             except (SpawnError, PortExhaustedError) as exc:
                 detail = str(exc)
             else:
@@ -296,14 +296,13 @@ class Supervisor:
 
     # --- internals ------------------------------------------------------------
 
-    def _spawn(self, service: str, spec: ChallengeSpec,
-               restarts: int) -> ReplicaEndpoint:
+    def _spawn(self, spec: ChallengeSpec, restarts: int) -> ReplicaEndpoint:
         last_error: Exception | None = None
         for attempt in range(SPAWN_RETRIES):
             if attempt:
                 self.sleep(SPAWN_BACKOFF)
             port = self.allocator.allocate()
-            replica_id = f"{service}-{os.urandom(4).hex()}"
+            replica_id = f"{spec.name}-{os.urandom(4).hex()}"
             try:
                 handle = self.runner.spawn(spec, port, replica_id)
             except SpawnError as exc:
@@ -311,12 +310,12 @@ class Supervisor:
                 last_error = exc
                 continue
             instance = self._register(
-                service, replica_id, port, spec.version, handle,
+                spec.name, replica_id, port, spec.version, handle,
                 started_at=self.clock(), restarts=restarts,
                 spec_id=spec.fingerprint)
             self._changed()  # on record before anything waits on it
             return instance
-        raise SpawnError(f"spawn of {service} failed after {SPAWN_RETRIES}"
+        raise SpawnError(f"spawn of {spec.name} failed after {SPAWN_RETRIES}"
                          f" attempts: {last_error}")
 
     def _register(self, service: str, replica_id: str, port: int,

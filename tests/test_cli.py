@@ -822,11 +822,11 @@ def test_a_replica_exit_wakes_its_serve_to_replace_it(workspace):
     assert process.returncode == 0
 
 
-# a frontend runs none of the backend, pipeline or process-spawning code
+# a frontend runs no backend, pipeline, process-spawning or hashing code
 FRONTEND_NEVER_LOADS = {
     "flagforge.pipeline", "flagforge.supervisor", "flagforge.balancer",
     "flagforge.registry", "flagforge.runner", "subprocess", "tarfile",
-    "logging", "secrets"}
+    "logging", "secrets", "hashlib", "_hashlib"}
 # a backend without --store runs no promotion pass and no frontend code; it
 # spawns replicas without subprocess and probes them without a resolver
 BACKEND_NEVER_LOADS = {"flagforge.pipeline", "flagforge.ingress", "tarfile",

@@ -450,6 +450,65 @@ def test_convergence_through_backend_moves(first, data):
                                    for c in moved.challenges.values()}
 
 
+RETIRED_NODE = "retired_node"  # outside the names strategy: never desired
+RETIRED = "retired_challenge"
+
+
+@st.composite
+def observations(draw, topology: Topology) -> ObservedState:
+    """Any observed state of the topology's nodes and of a retired backend."""
+    backends = [n.node_id for n in topology.backends] + [RETIRED_NODE]
+    names = sorted(topology.challenges) + [RETIRED]
+    state = ObservedState()
+    for name in names:
+        spec = topology.challenges.get(name)
+        ids = ["stale"] + ([spec.fingerprint] if spec else [])
+        for node in draw(st.lists(st.sampled_from(backends), unique=True)):
+            state.replicas.setdefault(name, {})[node] = draw(st.integers(1, 4))
+            state.specs.setdefault(name, {})[node] = draw(
+                st.sets(st.sampled_from(ids), min_size=1))
+    desired_stick = (topology.stick_ttl, topology.stick_capacity)
+    for node in draw(st.lists(st.sampled_from(backends), unique=True)):
+        state.balancers[node] = draw(st.sets(st.sampled_from(names)))
+        state.stick_settings[node] = draw(st.sampled_from([desired_stick,
+                                                           (1, 1)]))
+    ports = [c.external_port for c in topology.challenges.values()] + [9999]
+    for port in draw(st.lists(st.sampled_from(ports), unique=True)):
+        state.ingress[port] = (draw(st.sampled_from(names)),
+                               draw(st.sampled_from(backends)))
+    return state
+
+
+def observed_by(state: ObservedState, hosted: set[str],
+                frontend: str) -> ObservedState:
+    """What a process hosting ``hosted`` observes: each hosted node's own
+    state, and the mappings only where the frontend is hosted."""
+    def own(per_name):
+        kept = {name: {n: v for n, v in per_node.items() if n in hosted}
+                for name, per_node in per_name.items()}
+        return {name: per_node for name, per_node in kept.items() if per_node}
+    return ObservedState(
+        replicas=own(state.replicas), specs=own(state.specs),
+        ingress=dict(state.ingress) if frontend in hosted else {},
+        balancers={n: s for n, s in state.balancers.items() if n in hosted},
+        stick_settings={n: s for n, s in state.stick_settings.items()
+                        if n in hosted})
+
+
+@given(topologies(), st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_a_nodes_plan_reads_only_its_own_observation(topology, data):
+    # what lets each process observe only the nodes it hosts: a cross-node
+    # precondition in diff has to widen observed_by, on purpose
+    state = data.draw(observations(topology))
+    nodes = sorted(topology.nodes) + [RETIRED_NODE]
+    hosted = data.draw(st.sets(st.sampled_from(nodes)))
+    frontend = topology.frontend.node_id
+    whole = [a for a in diff(topology, state) if a.node in hosted]
+    assert [a for a in diff(topology, observed_by(state, hosted, frontend))
+            if a.node in hosted] == whole
+
+
 # --- apply ------------------------------------------------------------------
 
 

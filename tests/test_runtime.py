@@ -188,7 +188,7 @@ def test_frontend_reads_its_map_only_when_built(tmp_path, monkeypatch):
         reads.append(path)
         return read_file(path)
 
-    for module in (state, ingress, runtime):
+    for module in (state, ingress):
         monkeypatch.setattr(module, "load_mappings", counting)
     cluster, store, _ = make_cluster(tmp_path)
     assert reads == [store.ingress_path]  # adopted once, at construction
@@ -512,6 +512,25 @@ def test_failed_roll_of_a_single_replica_leaves_the_old_version_up(tmp_path):
             if r["service"] == "beta"] == ["v1"]
 
 
+def test_failed_roll_in_a_new_process_refills_from_the_applied_spec(tmp_path):
+    cluster, store, _ = make_cluster(tmp_path)
+    cluster.converge()
+    pids = {r["pid"] for r in store.load_replicas("worker")}
+    bumped = TOPOLOGY.replace("beta version=v1", "beta version=v2")
+    fresh, _, runners = make_cluster(tmp_path, text=bumped, adoptable=pids)
+    runners["worker"].dead_versions.add("v2")
+
+    report = fresh.converge()
+    assert not report.all_ok
+    # the lost slot is refilled from the spec the directory had applied
+    assert [e[3] for e in runners["worker"].events
+            if e[0] == "spawn" and e[1].startswith("beta-")] == ["v2", "v1"]
+    assert [r["version"] for r in store.load_replicas("worker")
+            if r["service"] == "beta"] == ["v1"]
+    assert fresh.backends["worker"].supervisor.desired_spec("beta").version \
+        == "v1"
+
+
 GAMMA = ('challenge gamma version=v1 replicas=1 internal_port=4200'
          ' external_port=9003 backend=worker run="run-c {PORT}" probe=tcp\n')
 ACTION_KINDS = ("create_network", "roll_service", "start_replica",
@@ -563,6 +582,76 @@ def test_a_converge_runs_only_the_hosted_nodes_actions(tmp_path):
     report = frontend.converge()
     assert kinds(report) == [("bind_ingress", "ok")] * 2
     assert len(load_mappings(store.ingress_path)) == 2
+
+
+SPLIT = """
+node edge role=frontend bind=127.0.0.1 ports=9000-9099
+node w1 role=backend bind=127.0.0.1 ports=20000-20099
+node w2 role=backend bind=127.0.0.1 ports=21000-21099
+challenge alpha version=v1 replicas=2 internal_port=4000 external_port=9001 backend=w1 run="run-a {PORT}" probe=tcp
+challenge beta version=v1 replicas=1 internal_port=4100 external_port=9002 backend=w2 run="run-b {PORT}" probe=tcp
+"""
+
+
+def recorded_pids(store) -> set[int]:
+    return {r["pid"] for node in store.replica_nodes()
+            for r in store.load_replicas(node)}
+
+
+def whole_plan_for(tmp_path, text, node_id, pids) -> list[Action]:
+    """What a cluster hosting every node over the directory plans for one."""
+    whole, _, _ = make_cluster(tmp_path, text=text, adoptable=pids)
+    try:
+        return [a for a in diff(whole.topology, whole.observe())
+                if a.node == node_id]
+    finally:
+        whole.shutdown()
+
+
+def refuse(*_args, **_kwargs):
+    raise AssertionError("a converge read a state file it does not plan from")
+
+
+def test_a_frontend_converge_reads_no_replica_record(tmp_path, monkeypatch):
+    for node_id in ("w1", "w2"):  # each backend by a process of its own
+        backend, store, _ = make_cluster(tmp_path, text=SPLIT,
+                                         hosted=[node_id])
+        assert backend.converge().all_ok
+    frontend, _, _ = make_cluster(tmp_path, text=SPLIT, hosted=["edge"])
+    expected = whole_plan_for(tmp_path, SPLIT, "edge", recorded_pids(store))
+
+    monkeypatch.setattr(StateStore, "load_replicas", refuse)
+    monkeypatch.setattr(StateStore, "live_replicas", refuse)
+    report = frontend.converge()
+    assert report.all_ok
+    assert [r.action for r in report.results] == expected
+    assert [a.kind for a in expected] == ["bind_ingress"] * 2
+
+
+def test_a_backend_converge_reads_no_shared_file(tmp_path, monkeypatch):
+    seed, store, _ = make_cluster(tmp_path, text=SPLIT)
+    assert seed.converge().all_ok
+    edited = (SPLIT.replace("replicas=2", "replicas=3")
+              .replace("alpha version=v1", "alpha version=v2")
+              + "set stick_ttl=120\n")
+    pids = recorded_pids(store)
+    backend, _, _ = make_cluster(tmp_path, text=edited, hosted=["w1"],
+                                 adoptable=pids)
+    expected = whole_plan_for(tmp_path, edited, "w1", pids)
+
+    monkeypatch.setattr(StateStore, "load_balancer", refuse)
+    for module in (state, ingress, runtime):
+        monkeypatch.setattr(module, "load_mappings", refuse, raising=False)
+    # writing its entry merges into the shared file, after the plan has run
+    persisted = []
+    monkeypatch.setattr(type(backend.backends["w1"]), "persist_balancer",
+                        lambda self: persisted.append(self.node_id))
+    report = backend.converge()
+    assert report.all_ok
+    assert [r.action for r in report.results] == expected
+    assert [a.kind for a in expected] == [
+        "roll_service", "start_replica", "update_balancer_config"]
+    assert persisted == ["w1"]
 
 
 def test_ingress_bind_without_balancer_port_fails_cleanly(tmp_path):

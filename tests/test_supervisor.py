@@ -66,13 +66,13 @@ def build(replicas: int = 3):
         "worker", "127.0.0.1", registry, runner, allocator,
         prober=FakeProber(runner), clock=clock,
         sleep=lambda s: clock.advance(s), startup_grace=5.0)
-    supervisor.set_desired(make_spec(replicas=replicas))
+    supervisor.desire([make_spec(replicas=replicas)])
     return supervisor, runner, registry, clock
 
 
 def scale(supervisor: Supervisor, count: int) -> None:
-    supervisor.set_desired(replace(supervisor.desired_spec("web"),
-                                   replica_count=count))
+    supervisor.desire([replace(supervisor.desired_spec("web"),
+                               replica_count=count)])
 
 
 def replica_ids(supervisor: Supervisor, service: str = "web") -> list[str]:
@@ -433,7 +433,7 @@ def test_adopt_snapshot_round_trip():
         "worker", "127.0.0.1", registry2, runner2, PortAllocator((20000, 20099)),
         prober=FakeProber(runner2), clock=clock, sleep=lambda s: None,
         startup_grace=5.0)
-    supervisor2.set_desired(make_spec(replicas=2))
+    supervisor2.desire([make_spec(replicas=2)])
     supervisor2.adopt(records)
     assert supervisor2.reconcile("web") == []  # adopted pids count as alive
     assert sorted(replica_ids(supervisor2)) == sorted(r["replica_id"]
