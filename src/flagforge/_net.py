@@ -466,7 +466,7 @@ class Listener:
         self._sock = sock
         self._on_accept = on_accept
         self._closed = False
-        # queued, not awaited: a caller may hold a lock an accept takes
+        # queued: only the loop thread changes its epoll set
         self._loop.call_soon(self._listen, owner=self)
 
     def ready(self, sock: socket.socket) -> None:

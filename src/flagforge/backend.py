@@ -30,8 +30,8 @@ class BackendNode:
         self.allocator = PortAllocator(self.node.port_range)
         self.runner = runner or SubprocessRunner(store.logs_dir,
                                                  self.node.bind_address)
-        self.supervisor = Supervisor(node_id, self.node.bind_address,
-                                     self.registry, self.runner, self.allocator,
+        self.supervisor = Supervisor(self.node.bind_address, self.registry,
+                                     self.runner, self.allocator,
                                      prober=prober, clock=clock)
         self.supervisor.on_change = self._persist_replicas
         self.balancer = Balancer(self.registry, topology.stick_ttl,
@@ -93,8 +93,8 @@ class BackendNode:
             return port
 
     def remove_service(self, name: str) -> None:
-        for _ in self.supervisor.instances_of(name):
-            self.supervisor.stop_one(name)
+        # its replicas are gone: diff stops each one first, and a failed stop
+        # skips this removal
         port = self._balancer_ports.pop(name, None)
         if port is not None:
             if self.server is not None:

@@ -9,11 +9,15 @@ connection is dialled to the port's mapping and relayed, prefixed with the
 re-targets) one port and ``unbind`` closes it; the converge that ran them
 rewrites ``state/ingress.map`` from memory once. The file format lives in
 ``state``.
+
+Only the control thread binds and unbinds. The loop thread reads one
+mapping per accept, and takes no lock to do so: ``bind`` records a port's
+mapping before its listener opens, so the first connection it accepts is
+already routed.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import partial
 
 from ._net import Listener, Session, render_proxy_header
@@ -68,8 +72,6 @@ class FrontendNode:
             m.external_port: m for m in load_mappings(store.ingress_path)}
         self.refused: set[int] = set()  # ports whose listener failed to bind
         self._listeners: dict[int, Listener] = {}
-        # held by bind, unbind and close, and by each accept on the loop
-        self._lock = threading.Lock()
         for mapping in list(self.mappings.values()):
             try:
                 self.bind(mapping)
@@ -85,40 +87,40 @@ class FrontendNode:
 
         A re-target keeps the listener: live relays drain, new connections
         follow the new mapping. A port that cannot be bound raises
-        ``IngressError`` and records nothing, so the next converge plans it
-        again; other ports are untouched either way.
+        ``IngressError`` and keeps the mapping it had, so the next converge
+        plans it again; other ports are untouched either way.
         """
         port = mapping.external_port
-        with self._lock:
-            if self.bind_address is not None and port not in self._listeners:
-                try:
-                    self._listeners[port] = Listener(
-                        self.bind_address, port, partial(self._accept, port))
-                except OSError as exc:
-                    self.refused.add(port)
-                    raise IngressError(f"port {port}: failed: {exc}") from exc
-            self.refused.discard(port)
-            self.mappings[port] = mapping
+        previous = self.mappings.get(port)
+        self.mappings[port] = mapping  # before the listener's first accept
+        if self.bind_address is not None and port not in self._listeners:
+            try:
+                self._listeners[port] = Listener(
+                    self.bind_address, port, partial(self._accept, port))
+            except OSError as exc:
+                if previous is None:
+                    del self.mappings[port]
+                else:
+                    self.mappings[port] = previous
+                self.refused.add(port)
+                raise IngressError(f"port {port}: failed: {exc}") from exc
+        self.refused.discard(port)
 
     def unbind(self, external_port: int) -> None:
-        with self._lock:
-            self.mappings.pop(external_port, None)
-            self.refused.discard(external_port)
-            listener = self._listeners.pop(external_port, None)
+        self.mappings.pop(external_port, None)
+        self.refused.discard(external_port)
+        listener = self._listeners.pop(external_port, None)
         if listener is not None:
             listener.close()
 
     def close(self) -> None:
-        with self._lock:
-            listeners = list(self._listeners.values())
-            self._listeners.clear()
-        for listener in listeners:
+        for listener in self._listeners.values():
             listener.close()
+        self._listeners.clear()
 
     def _accept(self, port: int, session: Session, peer: tuple) -> None:
         """On the event loop: dial the port's current mapping."""
-        with self._lock:
-            mapping = self.mappings.get(port)
+        mapping = self.mappings.get(port)
         if mapping is None:  # unbound since the connection was accepted
             session.close()
             return

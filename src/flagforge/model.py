@@ -444,7 +444,8 @@ def diff(desired: Topology, observed: ObservedState) -> tuple[Action, ...]:
     service without replicas; removal stops replicas before dropping their
     ingress and network. A challenge's network is its listener: create_network
     opens it on the challenge's backend, remove_network closes it on any other
-    backend, so a move closes the old listener only after ingress has left it.
+    backend, a retired one too, so a move closes the old listener only after
+    ingress has left it.
     update_balancer_config only retunes a node's stick settings. One
     roll_service per challenge replaces the replicas on its backend that run
     another spec (version, run command or probe). It runs before the scale
@@ -456,12 +457,9 @@ def diff(desired: Topology, observed: ObservedState) -> tuple[Action, ...]:
     actions: list[Action] = []
     frontend = desired.frontend.node_id
     backends = sorted(n.node_id for n in desired.backends)
-    # a listener left on a node the topology no longer has is nobody's to
-    # tear down, so only the desired backends' listeners count
-    listening = {node: observed.balancers.get(node, set()) for node in backends}
     for name in sorted(desired.challenges):
         spec = desired.challenges[name]
-        if name not in listening[spec.backend]:
+        if name not in observed.balancers.get(spec.backend, set()):
             actions.append(Action("create_network", challenge=name,
                                   node=spec.backend))
 
@@ -503,9 +501,9 @@ def diff(desired: Topology, observed: ObservedState) -> tuple[Action, ...]:
                                   challenge=observed.ingress[port][0],
                                   external_port=port))
 
-    for node in backends:
+    for node in sorted(observed.balancers):  # a retired node's too
         want = {c.name for c in desired.challenges_on(node)}
-        for name in sorted(listening[node] - want):
+        for name in sorted(observed.balancers[node] - want):
             actions.append(Action("remove_network", challenge=name, node=node))
     return tuple(actions)
 

@@ -9,16 +9,16 @@ registration to its last deregistration, and has no lifecycle of its own.
 service not on record; picking among them (round robin, stickiness) is the
 balancer's job.
 
-Health values are written by the supervisor's prober only; everything else
-(balancer, ingress, status) reads. Listeners hear each change of health and
-each healthy verdict. They are invoked outside the registry lock, so a
-listener may call back into the registry or into the balancer without
-deadlocking.
+Only the node's control thread writes the registry, and health values only
+through the supervisor's prober. The data plane's loop thread reads, through
+``replicas_of`` alone: each service's replicas are a tuple that a
+registration or deregistration replaces whole, never changes in place, so
+that read takes no lock. Listeners hear each change of health, each healthy
+verdict and each deregistration, called inline once the change is made.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,8 +57,7 @@ class ReplicaEndpoint:
 
 class Registry:
     def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._services: dict[str, list[ReplicaEndpoint]] = {}
+        self._services: dict[str, tuple[ReplicaEndpoint, ...]] = {}
         # every registered replica by id, and by endpoint (stopped ones too)
         self._by_id: dict[str, ReplicaEndpoint] = {}
         self._by_endpoint: dict[tuple[str, int], list[ReplicaEndpoint]] = {}
@@ -72,69 +71,54 @@ class Registry:
         pass
 
     def register_replica(self, service: str, endpoint: ReplicaEndpoint) -> None:
-        with self._lock:
-            if endpoint.replica_id in self._by_id:
-                raise DuplicateReplicaError(
-                    f"duplicate replica_id {endpoint.replica_id}")
-            key = (endpoint.address, endpoint.port)
-            sharing = self._by_endpoint.setdefault(key, [])
-            for other in sharing:
-                if other.health != HEALTH_STOPPED:
-                    raise EndpointInUseError(
-                        f"{endpoint.address}:{endpoint.port} already used"
-                        f" by {other.replica_id}")
-            endpoint.service = service
-            self._services.setdefault(service, []).append(endpoint)
-            self._by_id[endpoint.replica_id] = endpoint
-            sharing.append(endpoint)
+        if endpoint.replica_id in self._by_id:
+            raise DuplicateReplicaError(
+                f"duplicate replica_id {endpoint.replica_id}")
+        key = (endpoint.address, endpoint.port)
+        sharing = self._by_endpoint.setdefault(key, [])
+        for other in sharing:
+            if other.health != HEALTH_STOPPED:
+                raise EndpointInUseError(
+                    f"{endpoint.address}:{endpoint.port} already used"
+                    f" by {other.replica_id}")
+        endpoint.service = service
+        self._services[service] = (*self._services.get(service, ()), endpoint)
+        self._by_id[endpoint.replica_id] = endpoint
+        sharing.append(endpoint)
 
     def deregister_replica(self, replica_id: str) -> None:
-        with self._lock:
-            endpoint = self._find(replica_id)
-            replicas = self._services[endpoint.service]
-            replicas.remove(endpoint)
-            if not replicas:
-                del self._services[endpoint.service]
-            self._unindex(endpoint)
-        self._notify([(endpoint.service, replica_id, EVENT_DEREGISTERED)])
+        endpoint = self._find(replica_id)
+        service = endpoint.service
+        rest = tuple(r for r in self._services[service] if r is not endpoint)
+        if rest:
+            self._services[service] = rest
+        else:
+            del self._services[service]
+        self._unindex(endpoint)
+        for listener in self._listeners:
+            listener(service, replica_id, EVENT_DEREGISTERED)
 
     def mark_health(self, replica_id: str, health: str) -> None:
         if health not in HEALTH_STATES:
             raise ValueError(f"unknown health state {health!r}")
-        events = []
-        with self._lock:
-            endpoint = self._find(replica_id)
-            # every healthy verdict is announced: it also clears a suspect
-            # mark the balancer set on a replica that stayed healthy
-            if endpoint.health != health or health == HEALTH_HEALTHY:
-                endpoint.health = health
-                events.append((endpoint.service, replica_id, health))
-        self._notify(events)
+        endpoint = self._find(replica_id)
+        # every healthy verdict is announced: it also clears a suspect mark
+        # the balancer set on a replica that stayed healthy
+        if endpoint.health != health or health == HEALTH_HEALTHY:
+            endpoint.health = health
+            for listener in self._listeners:
+                listener(endpoint.service, replica_id, health)
 
     def replicas_of(self, service: str) -> list[ReplicaEndpoint]:
         """All replicas in registration order, whatever their health."""
-        with self._lock:
-            return list(self._services.get(service, ()))
+        return list(self._services.get(service, ()))
 
     def replicas(self) -> list[ReplicaEndpoint]:
         """Every service's replicas, in registration order."""
-        with self._lock:
-            return list(self._by_id.values())
-
-    # --- listeners ---------------------------------------------------------
+        return list(self._by_id.values())
 
     def add_listener(self, listener: Listener) -> None:
-        with self._lock:
-            self._listeners.append(listener)
-
-    def _notify(self, events: list[tuple[str, str, str]]) -> None:
-        if not events:
-            return
-        with self._lock:
-            listeners = list(self._listeners)
-        for service, replica_id, event in events:
-            for listener in listeners:
-                listener(service, replica_id, event)
+        self._listeners.append(listener)
 
     # --- internals -----------------------------------------------------------
 

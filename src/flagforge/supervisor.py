@@ -98,13 +98,12 @@ class Supervisor:
     """Keeps a backend at the specs it is handed whole: the applied
     topology's on adoption, then once per converge, before its plan runs."""
 
-    def __init__(self, node_id: str, bind_address: str, registry: Registry,
+    def __init__(self, bind_address: str, registry: Registry,
                  runner: RunnerBackend, allocator: PortAllocator,
                  prober: Prober | None = None,
                  clock: Callable[[], float] = time.time,
                  sleep: Callable[[float], None] = time.sleep,
                  startup_grace: float = STARTUP_GRACE):
-        self.node_id = node_id
         self.bind_address = bind_address
         self.registry = registry
         self.runner = runner

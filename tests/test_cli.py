@@ -246,6 +246,9 @@ def test_apply_stops_the_replicas_of_a_retired_backend(workspace, capsys):
     assert "0 failed, 0 skipped" in out
     assert not any(_pid_running(pid) for pid in pids)
     assert store.load_replicas("w2") == []
+    # its listener leaves with it
+    assert "remove_network net-alpha on w2 ok" in out
+    assert store.load_balancer()["w2"]["ports"] == {}
 
     assert main(["apply", str(topo), "--state", str(state)]) == 0
     assert "0 changed, 0 failed, 0 skipped" in capsys.readouterr().out
@@ -890,15 +893,17 @@ def record_calling_threads(obj, calls: list[tuple[str, str]]) -> None:
 
 
 def test_control_plane_objects_are_only_called_on_the_main_thread(workspace):
-    # the supervisor, the port allocator and the balancer's listener table
-    # take no lock: only the thread that converges and ticks may touch them
+    # the supervisor, the port allocator, the balancer's listener table, the
+    # registry and the frontend take no lock: only the thread that converges
+    # and ticks may touch them, but for the replica lists the loop's picks read
     root, state = workspace
     external, backend_base = fresh_ports()
     text = topology_text(external, backend_base, replicas=2)
     cluster = Cluster(parse_topology(text), StateStore(state))
     backend = cluster.backends["worker"]
     calls: list[tuple[str, str]] = []
-    for obj in (backend.supervisor, backend.allocator, backend.server):
+    for obj in (backend.supervisor, backend.allocator, backend.server,
+                backend.registry, cluster.frontend):
         record_calling_threads(obj, calls)
     try:
         assert cluster.converge().all_ok
@@ -924,8 +929,15 @@ def test_control_plane_objects_are_only_called_on_the_main_thread(workspace):
     assert {"Supervisor.rolling_update", "Supervisor.probe_all",
             "PortAllocator.allocate", "PortAllocator.release",
             "BalancerServer.bind_service", "BalancerServer.unbind_service",
-            "BalancerServer.close"} <= called
-    assert {thread for _, thread in calls} == {"MainThread"}
+            "BalancerServer.close", "Registry.register_replica",
+            "Registry.deregister_replica", "Registry.mark_health",
+            "FrontendNode.bind", "FrontendNode.unbind",
+            "FrontendNode.close"} <= called
+    assert {thread for name, thread in calls
+            if name != "Registry.replicas_of"} == {"MainThread"}
+    assert {thread for name, thread in calls
+            if name == "Registry.replicas_of"} == {"MainThread",
+                                                   LOOP_THREAD_NAME}
 
 
 # --- module entry point -------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from flagforge._net import Loop, Session, _Side, parse_proxy_header
+from flagforge._net import Listener, Loop, Session, _Side, parse_proxy_header
 from flagforge.balancer import Balancer, BalancerServer
 from flagforge.errors import IngressError
 from flagforge.ingress import (
@@ -428,7 +428,8 @@ def test_ports_stay_isolated(server, free_port):
 
 
 def test_bind_and_unbind_finish_while_connections_are_routed(tmp_path, free_port):
-    # an accept reads its route under the lock that bind and unbind hold
+    # an accept reads its route, taking no lock, while another thread
+    # binds and unbinds other ports
     ingress = frontend(tmp_path, connect_timeout=2.0)
     stub = balancer_stub("A")
     external = free_port()
@@ -469,6 +470,49 @@ def test_bind_and_unbind_finish_while_connections_are_routed(tmp_path, free_port
             ingress.close()
     assert not client.is_alive() and errors == []
     assert answers and set(answers) == {"A 127.0.0.1"}
+
+
+def test_bind_records_the_route_before_the_port_opens(server, free_port,
+                                                      monkeypatch):
+    # the loop may accept on a port as soon as its listener is built
+    external = free_port()
+    seen = []
+
+    def listener(address, port, on_accept):
+        seen.append(server.mappings.get(port))
+        return Listener(address, port, on_accept)
+
+    monkeypatch.setattr("flagforge.ingress.Listener", listener)
+    mapping = mapping_for(external, 20000)
+    server.bind(mapping)
+    assert seen == [mapping]
+
+
+def test_an_accept_does_not_wait_for_another_ports_bind(server, free_port,
+                                                        monkeypatch):
+    stub = balancer_stub("A")
+    mapped, binding = free_port(), free_port()
+    server.bind(mapping_for(mapped, stub.port))
+    sleeping = threading.Event()
+
+    def slow_listener(*args, **kwargs):
+        sleeping.set()
+        time.sleep(1.0)
+        return Listener(*args, **kwargs)
+
+    monkeypatch.setattr("flagforge.ingress.Listener", slow_listener)
+    binder = threading.Thread(target=server.bind, args=(
+        mapping_for(binding, stub.port, challenge="beta"),))
+    try:
+        binder.start()
+        assert sleeping.wait(5)
+        started = time.monotonic()
+        with socket.create_connection(("127.0.0.1", mapped), timeout=5) as sock:
+            assert read_line_from(sock) == "A 127.0.0.1"
+        assert time.monotonic() - started < 0.5
+    finally:
+        binder.join(10)
+        stub.close()
 
 
 # --- the frontend node ----------------------------------------------------------

@@ -401,6 +401,16 @@ def test_diff_rolls_only_replicas_on_the_desired_backend():
     assert diff(topo, state)[0].describe() == "roll_service alpha on worker"
 
 
+def test_diff_removes_the_listeners_of_a_retired_backend():
+    topo = parse_topology(TWO_CHALLENGES)
+    state = converge(topo)
+    state.balancers["retired"] = {"alpha"}
+    assert list(diff(topo, state)) == [
+        Action("remove_network", challenge="alpha", node="retired")]
+    converge(topo, state)
+    assert diff(topo, state) == ()
+
+
 def test_diff_deterministic_under_input_ordering():
     topo = parse_topology(TWO_CHALLENGES)
     state = converge(topo)

@@ -63,7 +63,7 @@ def build(replicas: int = 3):
     allocator = PortAllocator((20000, 20099))
     clock = FakeClock()
     supervisor = Supervisor(
-        "worker", "127.0.0.1", registry, runner, allocator,
+        "127.0.0.1", registry, runner, allocator,
         prober=FakeProber(runner), clock=clock,
         sleep=lambda s: clock.advance(s), startup_grace=5.0)
     supervisor.desire([make_spec(replicas=replicas)])
@@ -430,7 +430,7 @@ def test_adopt_snapshot_round_trip():
     runner2 = MockRunner(adoptable_pids={r["pid"] for r in records})
     clock = FakeClock()
     supervisor2 = Supervisor(
-        "worker", "127.0.0.1", registry2, runner2, PortAllocator((20000, 20099)),
+        "127.0.0.1", registry2, runner2, PortAllocator((20000, 20099)),
         prober=FakeProber(runner2), clock=clock, sleep=lambda s: None,
         startup_grace=5.0)
     supervisor2.desire([make_spec(replicas=2)])
