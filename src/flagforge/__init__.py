@@ -3,7 +3,7 @@
 The package is organized around six cooperating parts:
 
 - ``model``      declarative topology document, diff, and idempotent converge
-- ``registry``   runtime record of services, networks, and replica endpoints
+- ``registry``   runtime record of each service's replica endpoints
 - ``supervisor`` keeps services at their desired replica count, probes health,
   and performs one-at-a-time rolling updates
 - ``balancer``   per-backend L4 reverse proxy with source-IP session affinity

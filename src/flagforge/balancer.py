@@ -12,8 +12,9 @@ are in, so the ``PROXY4`` header the frontend sends first comes with it; a
 silent client is accepted after about a second, and ``PROXY_HEADER_TIMEOUT``
 then applies. The header is stripped, so stickiness keys on the
 participant's real address rather than on the frontend's; then the loop
-dials the picked replica, retrying once on a refusal, and relays. No step
-blocks and no thread is started per connection.
+dials the picked replica within ``CONNECT_TIMEOUT``, retrying once on a
+refusal, and relays. No step blocks and no thread is started per
+connection.
 """
 
 from __future__ import annotations
@@ -147,13 +148,11 @@ class StickTable:
 
 class Balancer:
     def __init__(self, registry: Registry, stick_ttl: float, stick_capacity: int,
-                 clock: Callable[[], float] = time.time,
-                 connect_timeout: float = CONNECT_TIMEOUT):
+                 clock: Callable[[], float] = time.time):
         self.registry = registry
         self.stick_ttl = stick_ttl
         self.stick_capacity = stick_capacity
         self.clock = clock
-        self.connect_timeout = connect_timeout
         self._tables: dict[str, StickTable] = {}
         self._rr: dict[str, int] = {}
         self._suspects: set[str] = set()
@@ -163,8 +162,7 @@ class Balancer:
 
     # --- selection --------------------------------------------------------
 
-    def select_replica(self, service: str, source_ip: str,
-                       now: float | None = None) -> ReplicaEndpoint:
+    def select_replica(self, service: str, source_ip: str) -> ReplicaEndpoint:
         """Sticky pick if the pin is alive, else the next round-robin replica.
 
         Round robin walks the registered replica ring from the per-service
@@ -174,7 +172,7 @@ class Balancer:
         hits do not advance the cursor.
         """
         with self._lock:
-            now = self.clock() if now is None else now
+            now = self.clock()
             table = self._table(service)
             ring = self.registry.replicas_of(service)
             pinned = table.lookup(source_ip, now)
@@ -216,7 +214,7 @@ class Balancer:
             endpoint = self.pick(service, source_ip)
             try:
                 upstream = socket.create_connection(
-                    (endpoint.address, endpoint.port), timeout=self.connect_timeout)
+                    (endpoint.address, endpoint.port), timeout=CONNECT_TIMEOUT)
             except OSError as exc:
                 last_error = exc
                 self.end_session(endpoint.replica_id)
@@ -262,9 +260,9 @@ class Balancer:
             return sum(table.invalidate_replica(replica_id)
                        for table in self._tables.values())
 
-    def expire_entries(self, now: float | None = None) -> int:
+    def expire_entries(self) -> int:
         with self._lock:
-            now = self.clock() if now is None else now
+            now = self.clock()
             return sum(table.expire(now) for table in self._tables.values())
 
     def stick_count(self, service: str) -> int:
@@ -358,7 +356,6 @@ class BalancerServer:
             else:
                 session.close()
 
-        session.connect((endpoint.address, endpoint.port),
-                        self.balancer.connect_timeout,
+        session.connect((endpoint.address, endpoint.port), CONNECT_TIMEOUT,
                         release=partial(self.balancer.end_session, replica_id),
                         refused=refused)

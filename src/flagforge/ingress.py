@@ -4,11 +4,11 @@ Each mapping translates one public external port to the owning backend's
 balancer listener. ``FrontendNode`` holds the mappings in memory, as a
 backend holds its listeners, and they are its only route table: each mapped
 port is one ``_net.Listener`` on the process's event loop, and an accepted
-connection is dialled to the port's mapping and relayed, prefixed with the
-``PROXY4`` source header, with no thread started for it. ``bind`` opens (or
-re-targets) one port and ``unbind`` closes it; the converge that ran them
-rewrites ``state/ingress.map`` from memory once. The file format lives in
-``state``.
+connection is dialled to the port's mapping within
+``BACKEND_CONNECT_TIMEOUT`` and relayed, prefixed with the ``PROXY4``
+source header, with no thread started for it. ``bind`` opens (or re-targets)
+one port and ``unbind`` closes it; the converge that ran them rewrites
+``state/ingress.map`` from memory once. The file format lives in ``state``.
 
 Only the control thread binds and unbinds. The loop thread reads one
 mapping per accept, and takes no lock to do so: ``bind`` records a port's
@@ -67,7 +67,6 @@ class FrontendNode:
         self.node_id = node_id
         self.bind_address = (topology.nodes[node_id].bind_address
                              if bind_listeners else None)
-        self.connect_timeout = BACKEND_CONNECT_TIMEOUT
         self.mappings: dict[int, PortMapping] = {
             m.external_port: m for m in load_mappings(store.ingress_path)}
         self.refused: set[int] = set()  # ports whose listener failed to bind
@@ -125,4 +124,5 @@ class FrontendNode:
             session.close()
             return
         session.connect((mapping.backend_address, mapping.balancer_port),
-                        self.connect_timeout, head=render_proxy_header(peer[0]))
+                        BACKEND_CONNECT_TIMEOUT,
+                        head=render_proxy_header(peer[0]))

@@ -1,11 +1,11 @@
 """Declarative topology: parse, validate, serialize, diff, and apply.
 
-The topology document is line-oriented text. Three declaration kinds exist:
+The topology document is line-oriented text. Three declaration kinds exist,
+one line each (wrapped here):
 
     node <node_id> role=<frontend|backend> bind=<ip> ports=<lo>-<hi>
-    challenge <name> version=<v> replicas=<n> internal_port=<p> \
-        external_port=<q> backend=<node_id> run="<cmd with {PORT}>" \
-        probe=tcp[:<banner-prefix>]
+    challenge <name> version=<v> replicas=<n> external_port=<q>
+        backend=<node_id> run="<cmd with {PORT}>" probe=tcp[:<banner-prefix>]
     set stick_ttl=<s> stick_capacity=<n> poll_interval=<s> probe_interval=<s>
 
 `#` starts a comment, blank lines are ignored, double quotes group a value
@@ -80,7 +80,6 @@ class ChallengeSpec:
     name: str
     version: str
     replica_count: int
-    internal_port: int
     external_port: int
     backend: str
     run_command: str
@@ -263,10 +262,6 @@ def _int_value(kv: dict[str, tuple[int, str]], key: str, lineno: int,
     return value
 
 
-def _port_value(kv: dict[str, tuple[int, str]], key: str, lineno: int) -> int:
-    return _int_value(kv, key, lineno, minimum=1, maximum=65535)
-
-
 def _parse_node(name_col: int, name: str, fields: list[tuple[int, str]],
                 lineno: int) -> NodeSpec:
     if not NAME_RE.match(name):
@@ -300,10 +295,11 @@ def _parse_challenge(name_col: int, name: str, fields: list[tuple[int, str]],
     if not NAME_RE.match(name):
         raise TopologyError(f"invalid challenge name {name!r}",
                             line=lineno, column=name_col)
+    # internal_port, which older documents carry, is accepted and ignored
     kv = _keyvalues(fields, lineno, {"version", "replicas", "internal_port",
                                      "external_port", "backend", "run", "probe"})
-    _require(kv, ["version", "replicas", "internal_port", "external_port",
-                  "backend", "run"], lineno)
+    _require(kv, ["version", "replicas", "external_port", "backend", "run"],
+             lineno)
     col, version = kv["version"]
     if not VERSION_RE.match(version):
         raise TopologyError(f"invalid version {version!r}", line=lineno, column=col)
@@ -321,8 +317,7 @@ def _parse_challenge(name_col: int, name: str, fields: list[tuple[int, str]],
         name=name,
         version=version,
         replica_count=_int_value(kv, "replicas", lineno),
-        internal_port=_port_value(kv, "internal_port", lineno),
-        external_port=_port_value(kv, "external_port", lineno),
+        external_port=_int_value(kv, "external_port", lineno, maximum=65535),
         backend=kv["backend"][1],
         run_command=run_command,
         probe=probe,
@@ -426,8 +421,8 @@ def serialize_topology(topology: Topology) -> str:
             probe = f'"{probe}"'
         lines.append(
             f"challenge {spec.name} version={spec.version}"
-            f" replicas={spec.replica_count} internal_port={spec.internal_port}"
-            f" external_port={spec.external_port} backend={spec.backend}"
+            f" replicas={spec.replica_count} external_port={spec.external_port}"
+            f" backend={spec.backend}"
             f' run="{spec.run_command}" probe={probe}')
     return "\n".join(lines) + "\n"
 

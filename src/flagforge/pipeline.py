@@ -31,9 +31,8 @@ from .model import (MODE_DEPLOY, MODE_DEV, NAME_RE, VERSION_RE, ChallengeSpec,
                     ProbeSpec)
 
 MANIFEST_KEYS = ("challenge", "version", "created_at", "checksum", "replicas",
-                 "internal_port", "external_port", "run", "probe")
-META_REQUIRED = ("challenge", "version", "replicas", "internal_port",
-                 "external_port", "run")
+                 "external_port", "run", "probe")
+META_REQUIRED = ("challenge", "version", "replicas", "external_port", "run")
 
 CHECKSUM_RE = re.compile(r"[0-9a-f]{64}\Z")
 
@@ -68,7 +67,6 @@ class ArtifactManifest:
     created_at: str
     checksum: str
     replicas: int
-    internal_port: int
     external_port: int
     run_command: str
     probe: ProbeSpec
@@ -80,22 +78,17 @@ class ArtifactManifest:
             "created_at": self.created_at,
             "checksum": self.checksum,
             "replicas": str(self.replicas),
-            "internal_port": str(self.internal_port),
             "external_port": str(self.external_port),
             "run": self.run_command,
             "probe": self.probe.render(),
         }
         return "".join(f"{key}={values[key]}\n" for key in MANIFEST_KEYS)
 
-    def challenge_spec(self, backend: str,
-                       run_command: str | None = None) -> ChallengeSpec:
+    def challenge_spec(self, backend: str, run_command: str) -> ChallengeSpec:
         return ChallengeSpec(
             name=self.challenge, version=self.version,
-            replica_count=self.replicas, internal_port=self.internal_port,
-            external_port=self.external_port, backend=backend,
-            run_command=run_command if run_command is not None
-            else self.run_command,
-            probe=self.probe)
+            replica_count=self.replicas, external_port=self.external_port,
+            backend=backend, run_command=run_command, probe=self.probe)
 
     @property
     def bundle_name(self) -> str:
@@ -124,22 +117,13 @@ def _check_identity(challenge: str, version: str, context: str) -> None:
         raise ManifestError(f"{context}: bad version {version!r}")
 
 
-def _check_port(values: dict[str, str], key: str, context: str) -> int:
-    try:
-        port = int(values[key])
-    except ValueError:
-        raise ManifestError(f"{context}: {key} is not an integer") from None
-    if not 1 <= port <= 65535:
-        raise ManifestError(f"{context}: {key} out of range")
-    return port
-
-
 def parse_manifest(text: str, context: str = "manifest") -> ArtifactManifest:
     values = _parse_keyvalues(text, context)
     missing = [key for key in MANIFEST_KEYS if key not in values]
     if missing:
         raise ManifestError(f"{context}: missing keys: {', '.join(missing)}")
-    extra = sorted(set(values) - set(MANIFEST_KEYS))
+    # older manifests and challenge.meta files carry internal_port: ignored
+    extra = sorted(set(values) - set(MANIFEST_KEYS) - {"internal_port"})
     if extra:
         raise ManifestError(f"{context}: unknown keys: {', '.join(extra)}")
     _check_identity(values["challenge"], values["version"], context)
@@ -155,6 +139,12 @@ def parse_manifest(text: str, context: str = "manifest") -> ArtifactManifest:
         raise ManifestError(f"{context}: replicas is not an integer") from None
     if replicas < 1:
         raise ManifestError(f"{context}: replicas must be positive")
+    try:
+        external_port = int(values["external_port"])
+    except ValueError:
+        raise ManifestError(f"{context}: external_port is not an integer") from None
+    if not 1 <= external_port <= 65535:
+        raise ManifestError(f"{context}: external_port out of range")
     run = values["run"]
     if not run or '"' in run:
         raise ManifestError(f"{context}: bad run command")
@@ -165,9 +155,7 @@ def parse_manifest(text: str, context: str = "manifest") -> ArtifactManifest:
     return ArtifactManifest(
         challenge=values["challenge"], version=values["version"],
         created_at=values["created_at"], checksum=values["checksum"],
-        replicas=replicas,
-        internal_port=_check_port(values, "internal_port", context),
-        external_port=_check_port(values, "external_port", context),
+        replicas=replicas, external_port=external_port,
         run_command=run, probe=probe)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -55,7 +55,8 @@ def extract_payload(bundle: Path, target: Path) -> None:
 
 
 class Cluster:
-    """Hosts live node runtimes over one state directory and converges them."""
+    """Hosts live node runtimes over one state directory and converges them,
+    executing each planned action on the node it names."""
 
     def __init__(self, topology: Topology, store: StateStore, *,
                  hosted: list[str] | None = None, bind_listeners: bool = True,
@@ -145,7 +146,7 @@ class Cluster:
             supervisor.desire([held.get(s.name, s) if (node_id, s.name) in rolled
                                else s for s in self.topology.challenges_on(node_id)])
         mapped = dict(self.frontend.mappings) if self.frontend else None
-        report = apply_changeset(plan, _ClusterExecutor(self))
+        report = apply_changeset(plan, self)
         # each shared file once per converge, after its node's last action
         for node_id in sorted({a.node for a in plan} & set(self.backends)):
             self.backends[node_id].persist_balancer()
@@ -281,6 +282,50 @@ class Cluster:
                                               STATE_DEPLOYED, moment))
         return fixes
 
+    # --- the executor of a converge's actions ----------------------------------
+
+    def execute(self, action: Action) -> None:
+        getattr(self, f"_{action.kind}")(action)
+
+    def _create_network(self, action: Action) -> None:
+        # the network is the service's listener
+        self.backends[action.node].open_listener(action.challenge)
+
+    def _start_replica(self, action: Action) -> None:
+        spec = self.topology.challenges[action.challenge]
+        self.backends[action.node].supervisor.start_one(spec)
+
+    def _stop_replica(self, action: Action) -> None:
+        self.backends[action.node].supervisor.stop_one(action.challenge)
+
+    def _roll_service(self, action: Action) -> None:
+        spec = self.topology.challenges[action.challenge]
+        self.backends[action.node].supervisor.rolling_update(spec.name, spec)
+
+    def _update_balancer_config(self, action: Action) -> None:
+        self.backends[action.node].balancer.configure(
+            self.topology.stick_ttl, self.topology.stick_capacity)
+
+    def _bind_ingress(self, action: Action) -> None:
+        spec = self.topology.challenges[action.challenge]
+        backend = self.backends.get(spec.backend)
+        port = (backend.balancer_ports if backend is not None else
+                self.recorded_ports.get(spec.backend, {})).get(spec.name)
+        if port is None:
+            raise IngressError(
+                f"{spec.name}: no balancer port bound on {spec.backend}")
+        self.frontend.bind(PortMapping(
+            external_port=action.external_port, challenge=spec.name,
+            backend_node=spec.backend,
+            backend_address=self.topology.nodes[spec.backend].bind_address,
+            balancer_port=port))
+
+    def _unbind_ingress(self, action: Action) -> None:
+        self.frontend.unbind(action.external_port)
+
+    def _remove_network(self, action: Action) -> None:
+        self.backends[action.node].remove_service(action.challenge)
+
     # --- lifecycle ---------------------------------------------------------------
 
     def shutdown(self, stop_replicas: bool = False) -> None:
@@ -288,59 +333,6 @@ class Cluster:
             backend.close(stop_replicas=stop_replicas)
         if self.frontend is not None:
             self.frontend.close()
-
-
-@dataclass
-class _ClusterExecutor:
-    """Maps diff actions onto the hosted node runtimes."""
-
-    cluster: Cluster
-
-    def execute(self, action: Action) -> None:
-        handler = getattr(self, f"_{action.kind}")
-        handler(action)
-
-    def _create_network(self, action: Action) -> None:
-        # the network is the service's listener
-        self.cluster.backends[action.node].open_listener(action.challenge)
-
-    def _start_replica(self, action: Action) -> None:
-        spec = self.cluster.topology.challenges[action.challenge]
-        self.cluster.backends[action.node].supervisor.start_one(spec)
-
-    def _stop_replica(self, action: Action) -> None:
-        self.cluster.backends[action.node].supervisor.stop_one(action.challenge)
-
-    def _roll_service(self, action: Action) -> None:
-        backend = self.cluster.backends[action.node]
-        spec = self.cluster.topology.challenges[action.challenge]
-        backend.supervisor.rolling_update(spec.name, spec)
-
-    def _update_balancer_config(self, action: Action) -> None:
-        backend = self.cluster.backends[action.node]
-        topology = self.cluster.topology
-        backend.balancer.configure(topology.stick_ttl, topology.stick_capacity)
-
-    def _bind_ingress(self, action: Action) -> None:
-        spec = self.cluster.topology.challenges[action.challenge]
-        backend = self.cluster.backends.get(spec.backend)
-        port = (backend.balancer_ports if backend is not None else
-                self.cluster.recorded_ports.get(spec.backend, {})).get(spec.name)
-        if port is None:
-            raise IngressError(
-                f"{spec.name}: no balancer port bound on {spec.backend}")
-        self.cluster.frontend.bind(PortMapping(
-            external_port=action.external_port, challenge=spec.name,
-            backend_node=spec.backend,
-            backend_address=self.cluster.topology.nodes[spec.backend].bind_address,
-            balancer_port=port))
-
-    def _unbind_ingress(self, action: Action) -> None:
-        self.cluster.frontend.unbind(action.external_port)
-
-    def _remove_network(self, action: Action) -> None:
-        backend = self.cluster.backends[action.node]
-        backend.remove_service(action.challenge)
 
 
 TICK = 0.5  # seconds between a serve's ticks once its replicas are up

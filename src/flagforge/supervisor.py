@@ -9,7 +9,10 @@ it takes no lock: only the registry and the balancer, which the data plane's
 loop thread also reads, keep theirs. A probe pass probes each replica and
 judges it in turn, and blocks that thread while it does: a replica whose
 banner stalls holds the pass for up to ``PROBE_TIMEOUT``. A rolling update
-blocks it until the last replacement is healthy or the roll is aborted.
+blocks it until the last replacement is healthy or the roll is aborted, and
+waits up to ``ROLL_TIMEOUT`` for each replacement. A replica that has not
+yet answered a probe keeps its ``STARTUP_GRACE`` before a failed probe marks
+it unhealthy.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ BANNER_READ_LIMIT = 64
 SPAWN_RETRIES = 3
 SPAWN_BACKOFF = 1.0
 STARTUP_GRACE = 10.0
+# how long a rolling update waits for each replacement to answer its probe
+ROLL_TIMEOUT = 30.0
 DRAIN_TIMEOUT = 2.0
 DRAIN_POLL = 0.01
 # how often a replica that has yet to answer its first probe is probed again
@@ -69,16 +74,14 @@ class Prober(Protocol):
 
 
 class TcpProber:
-    """TCP-connect health check with an optional expected banner prefix."""
-
-    def __init__(self, timeout: float = PROBE_TIMEOUT):
-        self.timeout = timeout
+    """TCP-connect health check with an optional expected banner prefix,
+    within ``PROBE_TIMEOUT``."""
 
     def probe(self, address: str, port: int, probe: ProbeSpec) -> bool:
         # a node's bind is an IPv4 literal, so the connect needs no resolver
         try:
             with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-                sock.settimeout(self.timeout)
+                sock.settimeout(PROBE_TIMEOUT)
                 sock.connect((address, port))
                 if probe.banner is None:
                     return True
@@ -102,8 +105,7 @@ class Supervisor:
                  runner: RunnerBackend, allocator: PortAllocator,
                  prober: Prober | None = None,
                  clock: Callable[[], float] = time.time,
-                 sleep: Callable[[float], None] = time.sleep,
-                 startup_grace: float = STARTUP_GRACE):
+                 sleep: Callable[[float], None] = time.sleep):
         self.bind_address = bind_address
         self.registry = registry
         self.runner = runner
@@ -111,7 +113,6 @@ class Supervisor:
         self.prober = prober or TcpProber()
         self.clock = clock
         self.sleep = sleep
-        self.startup_grace = startup_grace
         self.on_change: Callable[[], None] | None = None
         # replica id -> sessions still open through the balancer, for draining
         self.sessions: Callable[[str], int] = lambda replica_id: 0
@@ -242,15 +243,15 @@ class Supervisor:
 
     # --- rolling update ------------------------------------------------------
 
-    def rolling_update(self, service: str, new_spec: ChallengeSpec,
-                       timeout: float = 30.0) -> None:
+    def rolling_update(self, service: str, new_spec: ChallengeSpec) -> None:
         """Replace, oldest first, each replica started from another spec.
 
         One replica at a time leaves the rotation, is drained of its open
         sessions (up to ``DRAIN_TIMEOUT``), stopped, respawned from
-        ``new_spec`` and waited on until healthy. The first failed
-        replacement aborts: the old spec is desired again, the lost slot is
-        refilled from it, and ``SupervisorError`` says what failed.
+        ``new_spec`` and waited on until healthy (up to ``ROLL_TIMEOUT``).
+        The first failed replacement aborts: the old spec is desired again,
+        the lost slot is refilled from it, and ``SupervisorError`` says what
+        failed.
         """
         old_spec = self.desired_spec(service)
         self._desired[service] = new_spec
@@ -263,19 +264,19 @@ class Supervisor:
             except (SpawnError, PortExhaustedError) as exc:
                 detail = str(exc)
             else:
-                if self._wait_healthy(fresh, new_spec, timeout):
+                if self._wait_healthy(fresh, new_spec):
                     continue
                 self._stop_instance(fresh)
-                detail = f"not healthy within {timeout:g}s"
+                detail = f"not healthy within {ROLL_TIMEOUT:g}s"
             # the remaining old replicas stay untouched
             self._desired[service] = old_spec
             self._changed()  # the stops above; the refill records itself
             self.reconcile(service)
             raise SupervisorError(f"rolling update aborted: {detail}")
 
-    def _wait_healthy(self, instance: ReplicaEndpoint, spec: ChallengeSpec,
-                      timeout: float) -> bool:
-        deadline = self.clock() + timeout
+    def _wait_healthy(self, instance: ReplicaEndpoint,
+                      spec: ChallengeSpec) -> bool:
+        deadline = self.clock() + ROLL_TIMEOUT
         while True:
             if not self.runner.alive(instance.handle):
                 return False
@@ -351,7 +352,7 @@ class Supervisor:
 
     def _booting(self, instance: ReplicaEndpoint, now: float) -> bool:
         return (instance.health == HEALTH_STARTING
-                and now - instance.started_at < self.startup_grace)
+                and now - instance.started_at < STARTUP_GRACE)
 
     def _probe(self, now: float, starting_only: bool) -> None:
         """Probe each replica (each booting one, if ``starting_only``) and

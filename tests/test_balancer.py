@@ -468,15 +468,15 @@ def test_a_refused_move_leaves_the_service_on_its_port(data_plane):
 
 
 def test_a_replica_stuck_in_the_dial_is_suspect_after_the_connect_timeout(
-        stuck_port):
+        stuck_port, monkeypatch):
+    monkeypatch.setattr(balancer_module, "CONNECT_TIMEOUT", 0.3)
     registry = Registry()
     registry.create_service("web", "net-web")
     replica = echo_replica(b"r2 v1\n")
     for replica_id, port in (("r1", stuck_port), ("r2", replica.port)):
         registry.register_replica("web", ReplicaEndpoint(
             replica_id, "127.0.0.1", port, "v1", HEALTH_HEALTHY))
-    balancer = Balancer(registry, stick_ttl=100, stick_capacity=100,
-                        connect_timeout=0.3)
+    balancer = Balancer(registry, stick_ttl=100, stick_capacity=100)
     server = BalancerServer(balancer, "127.0.0.1")
     port = server.bind_service("web", 0)
     try:
@@ -608,14 +608,14 @@ def test_callback_exception_reaches_excepthook_and_closes_its_session(
         assert read_greeting(sock) == "r1 v1"
 
 
-def test_relay_outlives_connect_timeout_of_a_quiet_replica():
+def test_relay_outlives_connect_timeout_of_a_quiet_replica(monkeypatch):
+    monkeypatch.setattr(balancer_module, "CONNECT_TIMEOUT", 0.2)
     registry = Registry()
     registry.create_service("web", "net-web")
     replica = echo_replica(b"r1 v1\n", reply_delay=0.6)
     registry.register_replica("web", ReplicaEndpoint(
         "r1", "127.0.0.1", replica.port, "v1", HEALTH_HEALTHY))
-    balancer = Balancer(registry, stick_ttl=100, stick_capacity=100,
-                        connect_timeout=0.2)
+    balancer = Balancer(registry, stick_ttl=100, stick_capacity=100)
     server = BalancerServer(balancer, "127.0.0.1")
     port = server.bind_service("web", 0)
     try:

@@ -9,11 +9,11 @@ import time
 
 import pytest
 
+from flagforge import ingress as ingress_module
 from flagforge._net import Listener, Loop, Session, _Side, parse_proxy_header
 from flagforge.balancer import Balancer, BalancerServer
 from flagforge.errors import IngressError
 from flagforge.ingress import (
-    BACKEND_CONNECT_TIMEOUT,
     FrontendNode,
     PortMapping,
     generate_mappings,
@@ -90,13 +90,10 @@ def edge_topology(external: int):
         f' external_port={external} backend=worker run="a {{PORT}}" probe=tcp\n')
 
 
-def frontend(tmp_path, connect_timeout: float = BACKEND_CONNECT_TIMEOUT
-             ) -> FrontendNode:
+def frontend(tmp_path) -> FrontendNode:
     """A frontend ``edge`` with real listeners and nothing mapped yet."""
-    node = FrontendNode(edge_topology(9001), "edge",
+    return FrontendNode(edge_topology(9001), "edge",
                         StateStore(tmp_path / "state"), bind_listeners=True)
-    node.connect_timeout = connect_timeout
-    return node
 
 
 # --- generation ----------------------------------------------------------------
@@ -175,7 +172,7 @@ def test_save_load_round_trip(tmp_path):
 
 @pytest.fixture
 def server(tmp_path):
-    ingress = frontend(tmp_path, connect_timeout=2.0)
+    ingress = frontend(tmp_path)
     yield ingress
     ingress.close()
 
@@ -193,8 +190,10 @@ def test_forward_end_to_end(server, free_port):
         stub.close()
 
 
-def test_relay_outlives_connect_timeout_of_a_quiet_backend(tmp_path, free_port):
-    ingress = frontend(tmp_path, connect_timeout=0.2)
+def test_relay_outlives_connect_timeout_of_a_quiet_backend(tmp_path, free_port,
+                                                           monkeypatch):
+    monkeypatch.setattr(ingress_module, "BACKEND_CONNECT_TIMEOUT", 0.2)
+    ingress = frontend(tmp_path)
     stub = balancer_stub("A", reply_delay=0.6)
     external = free_port()
     try:
@@ -220,8 +219,9 @@ def test_backend_unreachable_closes_inbound(server, free_port):
 
 
 def test_a_backend_stuck_in_the_dial_closes_the_client_after_the_timeout(
-        tmp_path, free_port, stuck_port):
-    ingress = frontend(tmp_path, connect_timeout=0.3)
+        tmp_path, free_port, stuck_port, monkeypatch):
+    monkeypatch.setattr(ingress_module, "BACKEND_CONNECT_TIMEOUT", 0.3)
+    ingress = frontend(tmp_path)
     external = free_port()
     try:
         ingress.bind(mapping_for(external, stuck_port))
@@ -430,7 +430,7 @@ def test_ports_stay_isolated(server, free_port):
 def test_bind_and_unbind_finish_while_connections_are_routed(tmp_path, free_port):
     # an accept reads its route, taking no lock, while another thread
     # binds and unbinds other ports
-    ingress = frontend(tmp_path, connect_timeout=2.0)
+    ingress = frontend(tmp_path)
     stub = balancer_stub("A")
     external = free_port()
     others = [free_port() for _ in range(4)]

@@ -110,12 +110,24 @@ def test_challenge_fields_echoed():
     spec = topo.challenges["web-pwn"]
     assert spec.version == "v1"
     assert spec.replica_count == 3
-    assert spec.internal_port == 8080
     assert spec.external_port == 9001
     assert spec.backend == "worker"
     assert spec.run_command == "python3 server.py --port {PORT}"
     assert spec.probe == ProbeSpec(banner="hello")
     assert network_id(spec.name) == "net-web-pwn"
+
+
+def test_internal_port_is_optional_and_ignored():
+    # older documents, desired.json files and the benchmark's carry the key
+    without = parse_topology(ONE_CHALLENGE.replace(" internal_port=8080", ""))
+    assert without == parse_topology(ONE_CHALLENGE)
+
+
+def test_serialized_challenges_carry_no_internal_port():
+    text = serialize_topology(parse_topology(ONE_CHALLENGE))
+    assert "internal_port" not in text
+    assert ("challenge web-pwn version=v1 replicas=3 external_port=9001"
+            " backend=worker") in text
 
 
 def test_spec_fingerprints_are_pinned():
@@ -256,7 +268,6 @@ def topologies(draw) -> Topology:
             name=name,
             version=draw(versions),
             replica_count=draw(st.integers(1, 4)),
-            internal_port=draw(st.integers(1, 65535)),
             external_port=port,
             backend=draw(st.sampled_from(backend_ids)),
             run_command=draw(run_commands),
@@ -358,9 +369,8 @@ def test_diff_backend_move_repairs_balancers():
     moved = Topology(
         nodes=topo.nodes,
         challenges={"web": ChallengeSpec(
-            name="web", version="v1", replica_count=2, internal_port=1,
-            external_port=9001, backend="spare", run_command="x {PORT}",
-            probe=ProbeSpec())},
+            name="web", version="v1", replica_count=2, external_port=9001,
+            backend="spare", run_command="x {PORT}", probe=ProbeSpec())},
         stick_ttl=topo.stick_ttl, stick_capacity=topo.stick_capacity,
         poll_interval=topo.poll_interval, probe_interval=topo.probe_interval)
     plan = diff(moved, state)

@@ -61,7 +61,7 @@ def mk_manifest(challenge: str = "web-pwn", version: str = "1",
                 ) -> ArtifactManifest:
     return ArtifactManifest(
         challenge=challenge, version=version, created_at=created_at,
-        checksum=checksum, replicas=3, internal_port=7000, external_port=9001,
+        checksum=checksum, replicas=3, external_port=9001,
         run_command="python3 server.py {PORT}", probe=ProbeSpec())
 
 
@@ -117,6 +117,17 @@ def test_package_missing_mandatory_keys(tmp_path):
     with pytest.raises(ManifestError, match="missing keys") as excinfo:
         package_artifact(source, tmp_path / "store")
     assert "run" in str(excinfo.value)
+
+
+def test_package_a_meta_without_internal_port(tmp_path):
+    source = write_source(tmp_path, "web-pwn", "1", {"server.py": "x\n"})
+    meta = source / "challenge.meta"
+    meta.write_text(meta.read_text().replace("internal_port=7000\n", ""))
+    bundle = package_artifact(source, tmp_path / "store")
+    with tarfile.open(bundle) as tar:
+        text = tar.extractfile("manifest").read().decode()
+    assert "internal_port" not in text
+    assert parse_manifest(text).external_port == 9001
 
 
 def test_package_rejects_unsafe_version(tmp_path):

@@ -28,7 +28,7 @@ IGNORES_TERM = "sh -c 'trap \"\" TERM; exec sleep 30'"
 
 def spec_running(command: str) -> ChallengeSpec:
     return ChallengeSpec(name="alpha", version="v1", replica_count=1,
-                         internal_port=4000, external_port=9000,
+                         external_port=9000,
                          backend="worker", run_command=command,
                          probe=ProbeSpec())
 
@@ -140,7 +140,7 @@ def adopted_elsewhere(tmp_path: Path) -> int:
     code = (
         "from flagforge.runner import SubprocessRunner\n"
         "from flagforge.model import ChallengeSpec, ProbeSpec\n"
-        "spec = ChallengeSpec('alpha', 'v1', 1, 4000, 9000, 'worker',"
+        "spec = ChallengeSpec('alpha', 'v1', 1, 9000, 'worker',"
         f" {IGNORES_TERM!r}, ProbeSpec())\n"
         f"runner = SubprocessRunner({str(tmp_path / 'logs')!r}, '127.0.0.1')\n"
         "print(runner.spawn(spec, 0, 'alpha-1').pid)\n")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
 import socket
 import sys
+import tarfile
 import threading
 import time
 from pathlib import Path
@@ -17,10 +19,11 @@ from conftest import line_events
 from flagforge import ingress, runtime, state
 from flagforge.errors import FlagforgeError
 from flagforge.model import Action, diff, parse_topology
-from flagforge.pipeline import package_artifact, read_status, write_status
+from flagforge.pipeline import (_payload_checksum, package_artifact,
+                                read_status, write_status)
 from flagforge.pipeline import StatusRecord
 from flagforge.runner import MockRunner
-from flagforge.runtime import Cluster, _ClusterExecutor
+from flagforge.runtime import Cluster
 from flagforge.state import PortMapping, StateStore, load_mappings, status_rows
 
 TOPOLOGY = """
@@ -434,13 +437,12 @@ def test_half_finished_move_only_closes_the_old_listener(tmp_path):
     moved, store2, _ = make_cluster(tmp_path, text=two_backend_topology("w2"),
                                     adoptable=pids)
     # an earlier apply of the move stopped right after the ingress rebind
-    executor = _ClusterExecutor(moved)
     for action in (Action("create_network", challenge="alpha", node="w2"),
                    Action("start_replica", challenge="alpha", node="w2"),
                    Action("start_replica", challenge="alpha", node="w2"),
                    Action("bind_ingress", challenge="alpha", node="edge",
                           external_port=9001)):
-        executor.execute(action)
+        moved.execute(action)
     assert moved.observe().balancers == {"w1": {"alpha"}, "w2": {"alpha"}}
 
     report = moved.converge()
@@ -552,7 +554,7 @@ def test_every_action_kind_is_wired(tmp_path, kind):
     assert {a.kind for a in plan} == set(ACTION_KINDS)
 
     action = next(a for a in plan if a.kind == kind)
-    assert callable(getattr(_ClusterExecutor(cluster), f"_{kind}", None))
+    assert callable(getattr(cluster, f"_{kind}", None))
     assert action.node in cluster.topology.nodes
     assert "None" not in action.describe()
 
@@ -848,6 +850,60 @@ def test_deploy_pipeline_missing_bundle_fails_that_selection(tmp_path):
     assert outcome.detail == "no bundle in store"
     records, _ = read_status(store.status_path)
     assert records[0].state == "failed"
+
+
+# alpha v2's manifest as releases that required internal_port wrote it
+OLD_MANIFEST = """challenge=alpha
+version=v2
+created_at=2024-02-01T00:00:00+00:00
+checksum={checksum}
+replicas=2
+internal_port=4000
+external_port=9001
+run=python3 {{DIR}}/app.py {{PORT}}
+probe=tcp
+"""
+
+
+def test_a_bundle_whose_manifest_carries_internal_port_deploys(tmp_path):
+    cluster, store, _ = make_cluster(tmp_path)
+    cluster.converge()
+    store_dir = tmp_path / "artifacts"
+    store_dir.mkdir()
+    body = b"print('v2')\n"
+    manifest = OLD_MANIFEST.format(
+        checksum=_payload_checksum([("app.py", body)])).encode()
+    bundle = store_dir / "alpha-v2.bundle"
+    with tarfile.open(bundle, "w", format=tarfile.USTAR_FORMAT) as tar:
+        for name, data in (("manifest", manifest), ("app.py", body)):
+            info = tarfile.TarInfo(name)
+            info.size, info.mtime, info.mode = len(data), 0, 0o644
+            tar.addfile(info, io.BytesIO(data))
+    packaged = bundle.read_bytes()
+
+    report = cluster.pipeline_once("dev", store_dir)
+    assert report.skipped == ()
+    assert [(o.challenge, o.version, o.state) for o in report.outcomes] == [
+        ("alpha", "v2", "deployed")]
+    supervisor = cluster.backends["worker"].supervisor
+    assert {i.version for i in supervisor.instances_of("alpha")} == {"v2"}
+    # its source, internal_port and all, repackages to the same checksum
+    write_bundle(tmp_path, store_dir, "alpha", "v2",
+                 "2024-02-01T00:00:00+00:00", body=body.decode())
+    assert bundle.read_bytes() == packaged
+
+
+def test_a_desire_written_with_internal_port_converges_to_nothing(tmp_path):
+    cluster, store, _ = make_cluster(tmp_path)
+    cluster.converge()
+    pids = {r["pid"] for r in store.load_replicas("worker")}
+    # desired.json as releases that serialized internal_port wrote it
+    older = ("set stick_ttl=3600 stick_capacity=65536 poll_interval=60"
+             " probe_interval=5\n" + TOPOLOGY.lstrip())
+    store.desired_path.write_text(json.dumps({"topology": older,
+                                              "checksums": {}}))
+    fresh, _, _ = make_cluster(tmp_path, text=older, adoptable=pids)
+    assert fresh.converge().results == []
 
 
 def test_dev_pipeline_repairs_stale_status_records(tmp_path):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from flagforge import supervisor as supervisor_module
 from flagforge.errors import PortExhaustedError, SupervisorError
 from flagforge.model import ChallengeSpec, ProbeSpec
 from flagforge.registry import (
@@ -51,7 +52,7 @@ class FakeProber:
 def make_spec(name: str = "web", version: str = "v1",
               replicas: int = 3) -> ChallengeSpec:
     return ChallengeSpec(
-        name=name, version=version, replica_count=replicas, internal_port=7000,
+        name=name, version=version, replica_count=replicas,
         external_port=9001, backend="worker", run_command="serve {PORT}",
         probe=ProbeSpec())
 
@@ -65,7 +66,7 @@ def build(replicas: int = 3):
     supervisor = Supervisor(
         "127.0.0.1", registry, runner, allocator,
         prober=FakeProber(runner), clock=clock,
-        sleep=lambda s: clock.advance(s), startup_grace=5.0)
+        sleep=lambda s: clock.advance(s))
     supervisor.desire([make_spec(replicas=replicas)])
     return supervisor, runner, registry, clock
 
@@ -402,13 +403,14 @@ def test_rolling_update_identical_spec_is_noop():
     assert runner.events == [] and replica_ids(supervisor) == before
 
 
-def test_rolling_update_aborts_on_broken_version():
+def test_rolling_update_aborts_on_broken_version(monkeypatch):
+    monkeypatch.setattr(supervisor_module, "ROLL_TIMEOUT", 0.5)
     supervisor, runner, _, clock = build(replicas=3)
     supervisor.reconcile("web")
     supervisor.probe_all()
     runner.dead_versions.add("v2")  # new binary exits immediately
     with pytest.raises(SupervisorError, match="not healthy within"):
-        supervisor.rolling_update("web", make_spec(version="v2"), timeout=0.5)
+        supervisor.rolling_update("web", make_spec(version="v2"))
     # oracle: the lost slot is refilled with the old version before the
     # abort raises, so no reconcile tick is needed
     survivors = supervisor.instances_of("web")
@@ -431,8 +433,7 @@ def test_adopt_snapshot_round_trip():
     clock = FakeClock()
     supervisor2 = Supervisor(
         "127.0.0.1", registry2, runner2, PortAllocator((20000, 20099)),
-        prober=FakeProber(runner2), clock=clock, sleep=lambda s: None,
-        startup_grace=5.0)
+        prober=FakeProber(runner2), clock=clock, sleep=lambda s: None)
     supervisor2.desire([make_spec(replicas=2)])
     supervisor2.adopt(records)
     assert supervisor2.reconcile("web") == []  # adopted pids count as alive
@@ -478,14 +479,14 @@ def greeting_listener(greeting: bytes) -> TcpListener:
 def test_tcp_probe_connect_only():
     listener = greeting_listener(b"")
     try:
-        assert TcpProber(timeout=2.0).probe("127.0.0.1", listener.port,
-                                            ProbeSpec()) is True
+        assert TcpProber().probe("127.0.0.1", listener.port,
+                                 ProbeSpec()) is True
     finally:
         listener.close()
 
 
 def test_tcp_probe_banner_match_and_mismatch():
-    prober = TcpProber(timeout=2.0)
+    prober = TcpProber()
     listener = greeting_listener(b"FLAGD v1\n")
     try:
         assert prober.probe("127.0.0.1", listener.port,
@@ -499,12 +500,13 @@ def test_tcp_probe_banner_match_and_mismatch():
         listener.close()
 
 
-def test_tcp_probe_closed_port():
+def test_tcp_probe_closed_port(monkeypatch):
+    monkeypatch.setattr(supervisor_module, "PROBE_TIMEOUT", 0.5)
     placeholder = socket.socket()
     placeholder.bind(("127.0.0.1", 0))
     port = placeholder.getsockname()[1]
     placeholder.close()
-    assert TcpProber(timeout=0.5).probe("127.0.0.1", port, ProbeSpec()) is False
+    assert TcpProber().probe("127.0.0.1", port, ProbeSpec()) is False
 
 
 def test_tcp_probe_needs_no_resolver(monkeypatch):
@@ -512,7 +514,7 @@ def test_tcp_probe_needs_no_resolver(monkeypatch):
         raise socket.gaierror("no resolver in this test")
 
     monkeypatch.setattr(socket, "getaddrinfo", no_resolver)
-    prober = TcpProber(timeout=2.0)
+    prober = TcpProber()
     listener = greeting_listener(b"FLAGD v1\n")
     try:
         assert prober.probe("127.0.0.1", listener.port,
