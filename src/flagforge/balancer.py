@@ -298,20 +298,12 @@ class BalancerServer:
         self._listeners: dict[str, Listener] = {}
 
     def bind_service(self, service: str, port: int) -> int:
-        """Serve ``service`` on ``port``, moving it there if bound elsewhere,
-        and return the port bound (the one the system chose for 0).
-
-        The new port is opened before the old one closes, so a refused port
-        raises ``OSError`` and leaves the service where it was.
-        """
-        existing = self._listeners.get(service)
-        if existing is not None and existing.port == port:
-            return port
+        """Serve ``service``, not yet bound, on ``port`` and return the port
+        bound (the one the system chose for 0). A refused port raises
+        ``OSError`` and records nothing."""
         listener = self._listeners[service] = Listener(
             self.bind_address, port, partial(self._accept, service),
             defer_accept=True)
-        if existing is not None:
-            existing.close()
         return listener.port
 
     def unbind_service(self, service: str) -> None:

@@ -29,10 +29,6 @@ class RegistryError(FlagforgeError):
     """Invalid operation against the service registry."""
 
 
-class UnknownServiceError(RegistryError):
-    pass
-
-
 class UnknownReplicaError(RegistryError):
     pass
 

@@ -329,6 +329,7 @@ def validate_topology(topology: Topology) -> None:
     frontends = [n for n in topology.nodes.values() if n.role == ROLE_FRONTEND]
     if len(frontends) != 1:
         raise TopologyError(f"exactly one frontend node required, found {len(frontends)}")
+    lo, hi = frontends[0].port_range
     seen_ports: dict[int, str] = {}
     for spec in topology.challenges.values():
         owner = seen_ports.get(spec.external_port)
@@ -342,6 +343,10 @@ def validate_topology(topology: Topology) -> None:
         if node.role != ROLE_BACKEND:
             raise TopologyError(
                 f"challenge {spec.name} backend {spec.backend!r} is not a backend node")
+        if not lo <= spec.external_port <= hi:
+            raise TopologyError(
+                f"challenge {spec.name} external_port {spec.external_port}"
+                f" is outside {frontends[0].node_id}'s ports {lo}-{hi}")
         if not VERSION_RE.match(spec.version):
             raise TopologyError(f"challenge {spec.name} has invalid version")
         for label, text in (("run command", spec.run_command),

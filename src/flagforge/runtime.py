@@ -383,7 +383,7 @@ class NodeService:
             return self.cluster.frontend.bind_failures()
         # a probe pass like a tick's: the next one is a probe_interval away
         self._last_probe = self.clock()
-        self.backend.supervisor.probe_all(self._last_probe)
+        self.backend.supervisor.probe_all()
         return []
 
     def _mtime(self) -> float:

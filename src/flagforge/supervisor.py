@@ -12,7 +12,9 @@ banner stalls holds the pass for up to ``PROBE_TIMEOUT``. A rolling update
 blocks it until the last replacement is healthy or the roll is aborted, and
 waits up to ``ROLL_TIMEOUT`` for each replacement. A replica that has not
 yet answered a probe keeps its ``STARTUP_GRACE`` before a failed probe marks
-it unhealthy.
+it unhealthy. A spawn makes one attempt and never sleeps: the failures a
+bad run command gives are permanent, and the next reconcile (the next tick,
+or the next replica exit) is the retry.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import time
 from typing import Callable, Iterable, Protocol
 
 from .errors import (PortExhaustedError, SpawnError, SupervisorError,
-                     UnknownReplicaError, UnknownServiceError)
+                     UnknownReplicaError)
 from .model import ChallengeSpec, ProbeSpec
 from .registry import (
     HEALTH_HEALTHY,
@@ -37,8 +39,6 @@ from .runner import RunnerBackend
 
 PROBE_TIMEOUT = 2.0
 BANNER_READ_LIMIT = 64
-SPAWN_RETRIES = 3
-SPAWN_BACKOFF = 1.0
 STARTUP_GRACE = 10.0
 # how long a rolling update waits for each replacement to answer its probe
 ROLL_TIMEOUT = 30.0
@@ -125,10 +125,7 @@ class Supervisor:
         self._desired = {spec.name: spec for spec in specs}
 
     def desired_spec(self, service: str) -> ChallengeSpec:
-        spec = self._desired.get(service)
-        if spec is None:
-            raise UnknownServiceError(f"unknown service {service!r}")
-        return spec
+        return self._desired[service]
 
     def desired_count(self, service: str) -> int:
         return self.desired_spec(service).replica_count
@@ -225,10 +222,10 @@ class Supervisor:
                 report[service] = actions
         return report
 
-    def probe_all(self, now: float | None = None) -> None:
+    def probe_all(self) -> None:
         """Probe every replica: one that answers is healthy, one that does
         not is unhealthy unless it is still in its startup grace."""
-        self._probe(self.clock() if now is None else now, starting_only=False)
+        self._probe(self.clock(), starting_only=False)
 
     def probe_starting(self) -> None:
         """Readiness pass: probe only replicas still in their startup grace,
@@ -297,26 +294,20 @@ class Supervisor:
     # --- internals ------------------------------------------------------------
 
     def _spawn(self, spec: ChallengeSpec, restarts: int) -> ReplicaEndpoint:
-        last_error: Exception | None = None
-        for attempt in range(SPAWN_RETRIES):
-            if attempt:
-                self.sleep(SPAWN_BACKOFF)
-            port = self.allocator.allocate()
-            replica_id = f"{spec.name}-{os.urandom(4).hex()}"
-            try:
-                handle = self.runner.spawn(spec, port, replica_id)
-            except SpawnError as exc:
-                self.allocator.release(port)
-                last_error = exc
-                continue
-            instance = self._register(
-                spec.name, replica_id, port, spec.version, handle,
-                started_at=self.clock(), restarts=restarts,
-                spec_id=spec.fingerprint)
-            self._changed()  # on record before anything waits on it
-            return instance
-        raise SpawnError(f"spawn of {spec.name} failed after {SPAWN_RETRIES}"
-                         f" attempts: {last_error}")
+        # one attempt: a failed spawn is retried by the next reconcile
+        port = self.allocator.allocate()
+        replica_id = f"{spec.name}-{os.urandom(4).hex()}"
+        try:
+            handle = self.runner.spawn(spec, port, replica_id)
+        except SpawnError:
+            self.allocator.release(port)
+            raise
+        instance = self._register(
+            spec.name, replica_id, port, spec.version, handle,
+            started_at=self.clock(), restarts=restarts,
+            spec_id=spec.fingerprint)
+        self._changed()  # on record before anything waits on it
+        return instance
 
     def _register(self, service: str, replica_id: str, port: int,
                   version: str, handle: object, *, started_at: float,

@@ -12,8 +12,9 @@ import pytest
 
 from flagforge._net import LOOP_THREAD_NAME
 
-# 24000-25899: below the fixed blocks the CLI and acceptance tests carve out
-_counter = [24000]
+# below the fixed blocks the CLI and acceptance tests carve out
+FREE_PORTS = (24000, 25899)
+_counter = [FREE_PORTS[0]]
 
 
 def line_events(fn) -> int:
@@ -45,14 +46,15 @@ def line_events(fn) -> int:
 
 @pytest.fixture
 def free_port():
-    """Callable giving loopback ports that are bindable right now."""
+    """Callable giving loopback ports in ``FREE_PORTS`` that are bindable
+    right now."""
 
     def get() -> int:
         while True:
             port = _counter[0]
             _counter[0] += 1
-            if _counter[0] >= 25900:
-                _counter[0] = 24000
+            if _counter[0] > FREE_PORTS[1]:
+                _counter[0] = FREE_PORTS[0]
             with socket.socket() as probe:
                 try:
                     probe.bind(("127.0.0.1", port))

@@ -1,6 +1,7 @@
 """Every flagforge name the benchmark under ``perfbench/`` uses still resolves,
 and every call it makes into flagforge still binds to the callee's signature;
-and every public name in ``src/flagforge`` has a user outside the tests.
+and every public name in ``src/flagforge`` (function, class, method or
+upper-case constant) has a user outside the tests.
 
 The benchmark is kept unchanged between program changes, so a rename or
 removal in ``src/`` would otherwise show only when the benchmark runs. This
@@ -246,11 +247,19 @@ def test_every_call_the_benchmark_makes_still_binds():
 
 
 def public_api() -> list[str]:
-    """``module.name`` of each public module-level function and class in
-    ``src/flagforge``, and ``module.Class.name`` of each public method."""
+    """``module.name`` of each public module-level function, class and
+    upper-case constant in ``src/flagforge``, and ``module.Class.name`` of
+    each public method."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                found.extend(f"{path.stem}.{target.id}" for target in targets
+                             if isinstance(target, ast.Name)
+                             and target.id.isupper()
+                             and not target.id.startswith("_"))
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):

@@ -160,6 +160,21 @@ def test_duplicate_external_port():
         parse_topology(doc)
 
 
+@pytest.mark.parametrize("port,inside", [
+    (8999, False), (9000, True), (9999, True), (10000, False)])
+def test_external_port_must_be_in_the_frontends_ports(port, inside):
+    doc = MINIMAL + (
+        f"challenge web version=v1 replicas=1 external_port={port}"
+        " backend=worker run=\"x {PORT}\"\n")
+    if inside:
+        assert parse_topology(doc).challenges["web"].external_port == port
+        return
+    with pytest.raises(TopologyError,
+                       match=f"external_port {port} is outside edge's ports"
+                             " 9000-9999"):
+        parse_topology(doc)
+
+
 def test_settings_defaults_and_overrides():
     topo = parse_topology(MINIMAL)
     assert (topo.stick_ttl, topo.stick_capacity) == (3600, 65536)
@@ -259,7 +274,8 @@ def topologies(draw) -> Topology:
         lo = 20000 + 1000 * i
         nodes[node_id] = NodeSpec(node_id, "backend", "127.0.0.1", (lo, lo + 999))
     challenge_names = draw(st.lists(names, max_size=4, unique=True))
-    external_ports = draw(st.lists(st.integers(1024, 8999),
+    # inside the frontend's ports; 9999 stays free for a retired mapping
+    external_ports = draw(st.lists(st.integers(9000, 9998),
                                    min_size=len(challenge_names),
                                    max_size=len(challenge_names), unique=True))
     challenges = {}

@@ -6,6 +6,8 @@ import io
 import itertools
 import json
 import os
+import select
+import signal
 import socket
 import sys
 import tarfile
@@ -14,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import line_events
+from conftest import FREE_PORTS, line_events
 
 from flagforge import ingress, runtime, state
 from flagforge.errors import FlagforgeError
@@ -240,6 +242,46 @@ node edge role=frontend bind=127.0.0.1 ports=9000-9099
 node worker role=backend bind=127.0.0.1 ports=20000-20099
 challenge alpha version=v1 replicas=1 internal_port=4000 external_port=9001 backend=worker run="sleep 30" probe=tcp
 """
+
+
+# a bad build: its run command names a binary that is not there
+UNSPAWNABLE = SLEEPER + (
+    'challenge broken version=v1 replicas=1 external_port=9002 backend=worker'
+    ' run="flagforge-no-such-binary {PORT}" probe=tcp\n')
+
+
+def timed(step):
+    began = time.monotonic()
+    result = step()
+    return result, time.monotonic() - began
+
+
+def test_an_unspawnable_challenge_does_not_stall_its_backend(tmp_path):
+    cluster = Cluster(parse_topology(UNSPAWNABLE), StateStore(tmp_path / "state"),
+                      hosted=["worker"], bind_listeners=False, prober=OkProber())
+    backend = cluster.backends["worker"]
+    supervisor = backend.supervisor
+    try:
+        report, took = timed(cluster.converge)
+        assert took < 0.5
+        assert [(r.action.kind, r.action.challenge) for r in report.results
+                if r.outcome != "ok"] == [("start_replica", "broken")]
+        for step in (supervisor.reconcile_all, backend.tick):
+            _, took = timed(step)
+            assert took < 0.5
+        assert supervisor.instances_of("broken") == []
+
+        # the healthy challenge still heals at once beside the broken one
+        [victim] = supervisor.instances_of("alpha")
+        os.killpg(victim.handle.pid, signal.SIGKILL)
+        select.select([victim.handle.pidfd], [], [], 5)
+        actions, took = timed(supervisor.reconcile_all)
+        assert took < 0.5
+        assert actions["alpha"][0] == f"stop {victim.replica_id} (dead)"
+        assert [a.split()[0] for a in actions["alpha"]] == ["stop", "spawn"]
+        assert actions["broken"][0].startswith("degraded: cannot spawn")
+    finally:
+        cluster.shutdown(stop_replicas=True)
 
 
 def test_a_record_whose_pid_was_reused_is_neither_adopted_nor_signalled(tmp_path):
@@ -779,7 +821,7 @@ def test_dev_pipeline_failed_update_is_recorded_and_retried(tmp_path):
     write_bundle(tmp_path, store_dir, "alpha", "v2",
                  "2024-02-01T00:00:00+00:00", body="print('v2')\n")
 
-    runners["worker"].fail_spawns = 3  # one full spawn attempt burns three
+    runners["worker"].fail_spawns = 1  # the roll's spawn; its refill succeeds
     report = cluster.pipeline_once("dev", store_dir)
     assert [o.state for o in report.outcomes] == ["failed"]
     records, _ = read_status(store.status_path)
@@ -1250,9 +1292,11 @@ def test_a_backend_serve_probes_once_at_start(tmp_path, monkeypatch):
 
 
 def serve_state(tmp_path, free_port, *, record_ports: bool) -> StateStore:
-    """An applied topology on free external ports, its backend served elsewhere."""
+    """An applied topology on free external ports, inside the frontend's
+    ports, its backend served elsewhere."""
     store = StateStore(tmp_path / "state")
-    text = (TOPOLOGY.replace("external_port=9001", f"external_port={free_port()}")
+    text = (TOPOLOGY.replace("ports=9000-9099", "ports=%d-%d" % FREE_PORTS)
+            .replace("external_port=9001", f"external_port={free_port()}")
             .replace("external_port=9002", f"external_port={free_port()}"))
     store.save_desired(parse_topology(text), {})
     if record_ports:

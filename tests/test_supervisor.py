@@ -288,12 +288,31 @@ def test_spawn_failure_marks_degraded_then_heals():
     assert len(supervisor.instances_of("web")) == 2
 
 
-def test_spawn_retries_within_budget():
+def test_a_failed_spawn_does_not_sleep_and_the_next_reconcile_retries():
     supervisor, runner, _, _ = build(replicas=1)
-    runner.fail_spawns = 2  # third attempt succeeds
+    sleeps: list[float] = []
+    supervisor.sleep = sleeps.append
+    runner.fail_spawns = 1
     actions = supervisor.reconcile("web")
-    assert not any(a.startswith("degraded:") for a in actions)
-    assert len(supervisor.instances_of("web")) == 1
+    assert [a.split(":")[0] for a in actions] == ["degraded"]
+    assert supervisor.instances_of("web") == []
+    actions = supervisor.reconcile("web")
+    assert [a.split()[0] for a in actions] == ["spawn"]
+    # the failed attempt gave its port back
+    assert supervisor.instances_of("web")[0].port == 20000
+    assert sleeps == []
+
+
+def test_a_roll_whose_spawn_fails_refills_in_one_attempt():
+    supervisor, runner, _, _ = build(replicas=1)
+    supervisor.reconcile("web")
+    sleeps: list[float] = []
+    supervisor.sleep = sleeps.append
+    runner.fail_spawns = 1
+    with pytest.raises(SupervisorError, match="injected spawn failure"):
+        supervisor.rolling_update("web", make_spec(version="v2"))
+    assert [i.version for i in supervisor.instances_of("web")] == ["v1"]
+    assert sleeps == []
 
 
 def test_rolling_update_replaces_all_one_at_a_time():
