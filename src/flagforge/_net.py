@@ -13,6 +13,13 @@ run on the loop thread and must not block. An exception that escapes one is
 reported through ``threading.excepthook`` and closes the session whose
 callback it was.
 
+A session accepted in one process can be handed off to another process on
+the same host instead of relayed: ``Handoffs.send`` passes the accepted
+socket (``SCM_RIGHTS``, unix(7)) with the name of its service to that
+process's ``HandoffListener``, whose loop relays it from then on, and closes
+the sender's copy. Whether a session is handed off or relayed is decided per
+session by what the kernel returns.
+
 Only the loop thread watches, reads, writes or closes a socket it was handed,
 and it closes them after dispatching a whole batch of events, so a descriptor
 number is never reused while an event for it is pending. A closed session
@@ -22,6 +29,7 @@ is in no reference cycle, so refcounting frees it.
 from __future__ import annotations
 
 import _socket
+import array
 import errno
 import heapq
 import itertools
@@ -33,6 +41,7 @@ import sys
 import threading
 import time
 from collections import deque
+from contextlib import suppress
 from typing import Callable
 
 RELAY_CHUNK = 65536
@@ -52,6 +61,8 @@ _OCTET = rb"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
 PROXY_HEADER_RE = re.compile(
     rb"PROXY4 (" + _OCTET + rb"(?:\." + _OCTET + rb"){3})\n\Z")
 PROXY_HEADER_LIMIT = 64
+# the longest service name a handoff carries; a longer one is cut and dropped
+HANDOFF_NAME_LIMIT = 256
 
 IN, OUT = select.EPOLLIN, select.EPOLLOUT
 
@@ -438,6 +449,13 @@ class Session:
             self._loop.watch(side.sock, events, self)
 
 
+def _session(loop: Loop, fd: int) -> Session:
+    """A session of the accepted TCP connection ``fd``."""
+    conn = socket.socket(socket.AF_INET, socket.SOCK_STREAM, 0, fd)
+    conn.setblocking(False)
+    return Session(loop, conn)
+
+
 class Listener:
     """A listening TCP port whose connections are sessions on the loop.
 
@@ -450,21 +468,26 @@ class Listener:
     def __init__(self, address: str, port: int,
                  on_accept: Callable[[Session, tuple], None], *,
                  defer_accept: bool = False):
-        self._loop = event_loop()
         sock = socket.socket(socket.AF_INET,
                              socket.SOCK_STREAM | socket.SOCK_NONBLOCK)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         if defer_accept:  # 1 s: the first SYN-ACK retransmit hands it over
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, 1)
+        self._on_accept = on_accept
+        self._open(sock, (address, port))
+        self.address, self.port = sock.getsockname()[:2]
+
+    def _open(self, sock: socket.socket, address) -> None:
+        """Bind and listen here, so a refused address raises in the caller,
+        then have the loop watch the socket."""
+        self._loop = event_loop()
         try:
-            sock.bind((address, port))
+            sock.bind(address)
             sock.listen(128)
         except OSError:
             sock.close()  # a refused port is retried; keep no socket
             raise
-        self.address, self.port = sock.getsockname()[:2]
         self._sock = sock
-        self._on_accept = on_accept
         self._closed = False
         # queued: only the loop thread changes its epoll set
         self._loop.call_soon(self._listen, owner=self)
@@ -482,9 +505,10 @@ class Listener:
             self._loop.watch(self._sock, 0, self)
             self._loop.call_later(ACCEPT_RETRY_DELAY, self._listen, self)
             return
-        conn = socket.socket(socket.AF_INET, socket.SOCK_STREAM, 0, fd)
-        conn.setblocking(False)
-        session = Session(self._loop, conn)
+        self._accepted(fd, peer)
+
+    def _accepted(self, fd: int, peer) -> None:
+        session = _session(self._loop, fd)
         try:
             self._on_accept(session, peer)
         except Exception:
@@ -504,3 +528,140 @@ class Listener:
     def _listen(self) -> None:
         if not self._closed:
             self._loop.watch(self._sock, IN, self)
+
+
+class HandoffListener(Listener):
+    """A unix socket at ``path`` through which other processes on this host
+    hand over accepted TCP connections.
+
+    Each ``SOCK_SEQPACKET`` message carries one connection's descriptor and
+    the name of its service, and ``on_handoff(name, session, peer)`` runs on
+    the loop thread for it, as ``on_accept`` does for a TCP listener; the
+    peer is the connection's own. A message that cannot be taken whole loses
+    that one session and the listener keeps running: out of descriptors, the
+    kernel drops the one it could not install (``MSG_CTRUNC``). Descriptors
+    are received close-on-exec, so no replica inherits one. A file already at
+    ``path`` is taken for one left by a process that is gone, and unlinked
+    first; ``close`` unlinks the path too.
+    """
+
+    def __init__(self, path: str,
+                 on_handoff: Callable[[str, Session, tuple], None]):
+        self.path = path
+        self._on_handoff = on_handoff
+        self._channels: set[socket.socket] = set()  # the loop thread's
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+        self._open(socket.socket(socket.AF_UNIX, socket.SOCK_SEQPACKET
+                                 | socket.SOCK_NONBLOCK), path)
+
+    def ready(self, sock: socket.socket) -> None:
+        if sock is self._sock:
+            super().ready(sock)
+        else:
+            self._receive(sock)
+
+    def _accepted(self, fd: int, peer) -> None:
+        channel = socket.socket(socket.AF_UNIX, socket.SOCK_SEQPACKET, 0, fd)
+        channel.setblocking(False)
+        self._channels.add(channel)
+        self._loop.watch(channel, IN, self)
+
+    def _receive(self, channel: socket.socket) -> None:
+        fds = array.array("i")
+        try:
+            name, ancdata, flags, _ = channel.recvmsg(
+                HANDOFF_NAME_LIMIT, socket.CMSG_SPACE(fds.itemsize),
+                socket.MSG_CMSG_CLOEXEC)
+        except BlockingIOError:
+            return
+        except OSError:  # reset: the sender is gone
+            name, ancdata, flags = b"", [], 0
+        for level, kind, data in ancdata:
+            if level == socket.SOL_SOCKET and kind == socket.SCM_RIGHTS:
+                fds.frombytes(data[:len(data) - len(data) % fds.itemsize])
+        if (not name or len(fds) != 1
+                or flags & (socket.MSG_TRUNC | socket.MSG_CTRUNC)):
+            for fd in fds:
+                os.close(fd)
+            if not name:  # every handoff names its service: a hang-up
+                self._channels.discard(channel)
+                self._loop.close(channel)
+            return
+        session = _session(self._loop, fds[0])
+        try:
+            peer = session._client.sock.getpeername()
+        except OSError:  # the player left before the handoff arrived
+            session.close()
+            return
+        try:
+            self._on_handoff(name.decode(errors="replace"), session, peer)
+        except Exception:
+            self._loop._failed(session)
+
+    def close(self) -> None:
+        """Stop taking handoffs and unlink the path; sessions already taken
+        carry on."""
+        with suppress(FileNotFoundError):
+            os.unlink(self.path)
+        super().close()
+        self._loop.call_soon(self._close_channels)
+
+    def _close_channels(self) -> None:
+        for channel in self._channels:
+            self._loop.close(channel)
+        self._channels.clear()
+
+
+class Handoffs:
+    """This process's connections to ``HandoffListener`` sockets, by path,
+    each dialled at its first handoff and used on the loop thread only."""
+
+    def __init__(self) -> None:
+        self._loop = event_loop()
+        self._channels: dict[str, socket.socket] = {}
+
+    def send(self, path: str, session: Session, message: bytes) -> bool:
+        """Hand ``session`` to the listener at ``path`` with ``message`` and
+        close this process's copy of its socket.
+
+        Only a socket the loop has never watched may go: an epoll
+        registration would outlive the copy. False, with the session
+        untouched, when the kernel will not take it now: nothing listens at
+        ``path`` on this host, the path is too long for a unix socket, or a
+        connect or send would block.
+        """
+        try:
+            channel = self._channel(path)
+            socket.send_fds(channel, [message], [session._client.sock.fileno()])
+        except BlockingIOError:  # a full queue: this session is relayed
+            return False
+        except OSError:  # the listener is gone; the next send dials again
+            channel = self._channels.pop(path, None)
+            if channel is not None:
+                channel.close()
+            return False
+        session.close()
+        return True
+
+    def _channel(self, path: str) -> socket.socket:
+        channel = self._channels.get(path)
+        if channel is None:
+            channel = socket.socket(socket.AF_UNIX, socket.SOCK_SEQPACKET
+                                    | socket.SOCK_NONBLOCK)
+            try:
+                channel.connect(path)
+            except OSError:
+                channel.close()
+                raise
+            self._channels[path] = channel
+        return channel
+
+    def close(self) -> None:
+        """Close every connection, on the loop thread; safe from any thread."""
+        self._loop.call_soon(self._close)
+
+    def _close(self) -> None:
+        for channel in self._channels.values():
+            channel.close()
+        self._channels.clear()

@@ -71,6 +71,7 @@ class BackendNode:
                 try:
                     self.server.bind_service(service, port)
                 except OSError as exc:
+                    self.server.close()  # the ports bound before it, too
                     raise FlagforgeError(
                         f"cannot bind balancer port {port} for {service}:"
                         f" {exc}") from exc

@@ -13,8 +13,10 @@ silent client is accepted after about a second, and ``PROXY_HEADER_TIMEOUT``
 then applies. The header is stripped, so stickiness keys on the
 participant's real address rather than on the frontend's; then the loop
 dials the picked replica within ``CONNECT_TIMEOUT``, retrying once on a
-refusal, and relays. No step blocks and no thread is started per
-connection.
+refusal, and relays. A served backend also takes the player sockets that a
+frontend on its host hands off (``take_handoffs``): the player's own address
+keys stickiness, and the dial is the same. No step blocks and no thread is
+started per connection.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from ._net import PROXY_HEADER_LIMIT, Listener, Session, parse_proxy_header
+from ._net import (PROXY_HEADER_LIMIT, HandoffListener, Listener, Session,
+                   parse_proxy_header)
 from .errors import NoHealthyReplicasError
 from .registry import (
     EVENT_DEREGISTERED,
@@ -172,9 +175,11 @@ class Balancer:
         hits do not advance the cursor.
         """
         with self._lock:
+            ring = self.registry.replicas_of(service)
+            if not ring:  # files no table for a name the node does not serve
+                raise NoHealthyReplicasError(f"no replicas for {service}")
             now = self.clock()
             table = self._table(service)
-            ring = self.registry.replicas_of(service)
             pinned = table.lookup(source_ip, now)
             if pinned is not None:
                 for endpoint in ring:
@@ -288,14 +293,15 @@ class BalancerServer:
     """Listener-per-service data plane in front of a Balancer.
 
     The node's control thread binds, unbinds and closes, and owns the
-    listener table; the loop thread runs only the accept callbacks, which
-    never read it.
+    listener table; the loop thread runs only the accept and handoff
+    callbacks, which never read it.
     """
 
     def __init__(self, balancer: Balancer, bind_address: str):
         self.balancer = balancer
         self.bind_address = bind_address
         self._listeners: dict[str, Listener] = {}
+        self._handoffs: HandoffListener | None = None
 
     def bind_service(self, service: str, port: int) -> int:
         """Serve ``service``, not yet bound, on ``port`` and return the port
@@ -311,12 +317,25 @@ class BalancerServer:
         if listener is not None:
             listener.close()
 
+    def take_handoffs(self, path: str) -> None:
+        """Also take the player sockets that a frontend on this host hands
+        off through a unix socket at ``path``, each naming its service. A
+        path the kernel refuses raises ``OSError``; the ports serve on."""
+        self._handoffs = HandoffListener(path, self._handed)
+
     def close(self) -> None:
         for listener in self._listeners.values():
             listener.close()
         self._listeners.clear()
+        if self._handoffs is not None:
+            self._handoffs.close()
+            self._handoffs = None
 
     # --- on the event loop ----------------------------------------------------
+
+    def _handed(self, service: str, session: Session, peer: tuple) -> None:
+        # a service this node does not serve has no replica: closed in _dial
+        self._dial(service, session, peer[0], attempts=2)
 
     def _accept(self, service: str, session: Session, peer: tuple) -> None:
         # the deadline covers the whole header, not each read of it

@@ -1,14 +1,21 @@
-"""Controlled entry point: external ports on the frontend, forwarded inward.
+"""Controlled entry point: external ports on the frontend, handed off or
+relayed inward.
 
 Each mapping translates one public external port to the owning backend's
 balancer listener. ``FrontendNode`` holds the mappings in memory, as a
 backend holds its listeners, and they are its only route table: each mapped
-port is one ``_net.Listener`` on the process's event loop, and an accepted
-connection is dialled to the port's mapping within
-``BACKEND_CONNECT_TIMEOUT`` and relayed, prefixed with the ``PROXY4``
-source header, with no thread started for it. ``bind`` opens (or re-targets)
-one port and ``unbind`` closes it; the converge that ran them rewrites
-``state/ingress.map`` from memory once. The file format lives in ``state``.
+port is one ``_net.Listener`` on the process's event loop. An accepted
+connection is handed off, before the loop ever watches it, to the serve of
+the mapping's backend through its ``handoff-<node>.sock`` in the state
+directory, with the name of the mapped challenge; the backend relays it from
+then on, and this process keeps no copy. When the kernel will not take the
+handoff (no serve of that backend on this host, a path too long for a unix
+socket, a connect or send that would block), the connection is dialled to
+the port's mapping within ``BACKEND_CONNECT_TIMEOUT`` and relayed, prefixed
+with the ``PROXY4`` source header. No thread is started for either.
+``bind`` opens (or re-targets) one port and ``unbind`` closes it; the
+converge that ran them rewrites ``state/ingress.map`` from memory once. The
+file format lives in ``state``.
 
 Only the control thread binds and unbinds. The loop thread reads one
 mapping per accept, and takes no lock to do so: ``bind`` records a port's
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from ._net import Listener, Session, render_proxy_header
+from ._net import Handoffs, Listener, Session, render_proxy_header
 from .errors import IngressError
 from .model import Topology
 # the file format is state's; its names stay importable from here too
@@ -71,6 +78,8 @@ class FrontendNode:
             m.external_port: m for m in load_mappings(store.ingress_path)}
         self.refused: set[int] = set()  # ports whose listener failed to bind
         self._listeners: dict[int, Listener] = {}
+        self._handoff_path = store.handoff_path
+        self._handoffs = Handoffs() if bind_listeners else None
         for mapping in list(self.mappings.values()):
             try:
                 self.bind(mapping)
@@ -116,12 +125,18 @@ class FrontendNode:
         for listener in self._listeners.values():
             listener.close()
         self._listeners.clear()
+        if self._handoffs is not None:
+            self._handoffs.close()
 
     def _accept(self, port: int, session: Session, peer: tuple) -> None:
-        """On the event loop: dial the port's current mapping."""
+        """On the event loop: hand the session to the serve of the port's
+        current mapping, or dial that mapping and relay."""
         mapping = self.mappings.get(port)
         if mapping is None:  # unbound since the connection was accepted
             session.close()
+            return
+        if self._handoffs.send(str(self._handoff_path(mapping.backend_node)),
+                               session, mapping.challenge.encode()):
             return
         session.connect((mapping.backend_address, mapping.balancer_port),
                         BACKEND_CONNECT_TIMEOUT,

@@ -68,13 +68,21 @@ def _inheritable_fds() -> list[int]:
     return fds
 
 
+def _remove_if_empty(log_path: Path) -> None:
+    """Remove the log a failed spawn's file actions created, unless the
+    child wrote to it."""
+    with suppress(OSError):
+        if log_path.stat().st_size == 0:
+            log_path.unlink()
+
+
 class SubprocessRunner:
     """Runs each replica as a process group of its own.
 
     Children are started in their own session so a whole replica process
     group can be stopped at once and so replicas survive the spawning CLI
     process. stdin is ``/dev/null``; stdout/stderr go to
-    ``logs/<replica_id>.log``.
+    ``logs/<replica_id>.log``, which a failed spawn removes while empty.
     """
 
     def __init__(self, logs_dir: Path, bind_address: str):
@@ -105,12 +113,14 @@ class SubprocessRunner:
             pid = os.posix_spawnp(argv[0], argv, env, file_actions=actions,
                                   setsid=True, setsigdef=_RESTORED_SIGNALS)
         except OSError as exc:
+            _remove_if_empty(log_path)
             raise SpawnError(f"cannot spawn {replica_id}: {exc}") from exc
         try:
             return self.adopt(pid)  # a child not yet waited for keeps its pid
         except OSError as exc:  # no descriptor left for its pidfd
             os.killpg(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            _remove_if_empty(log_path)
             raise SpawnError(f"cannot hold {replica_id}: {exc}") from exc
 
     def stop(self, handle: ProcessHandle) -> None:

@@ -372,6 +372,13 @@ class NodeService:
             self.store.release_lock(node_id)
             raise
         self.backend = self.cluster.backends.get(node_id)
+        if self.backend is not None:
+            path = self.store.handoff_path(node_id)
+            try:
+                self.backend.server.take_handoffs(str(path))
+            except OSError as exc:
+                print(f"{node_id}: frontends relay, no socket at {path}: {exc}",
+                      file=sys.stderr)
         self._last_probe = 0.0
         self._last_poll = self.clock()
         self._report = ApplyReport()  # of the last converge

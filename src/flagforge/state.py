@@ -20,6 +20,9 @@
     serve-<node>.lock   pid of the serve process hosting a node, which
                         holds an flock on it while it runs; a file nobody
                         has locked names no owner
+    handoff-<node>.sock  unix socket of a served backend, bound under its
+                        lock: a frontend on the same host hands each player
+                        socket to it here instead of relaying the session
     logs/, bundles/     replica logs and materialized artifact payloads
 """
 
@@ -160,6 +163,9 @@ class StateStore:
 
     def lock_path(self, node_id: str) -> Path:
         return self.root / f"serve-{node_id}.lock"
+
+    def handoff_path(self, node_id: str) -> Path:
+        return self.root / f"handoff-{node_id}.sock"
 
     def _write(self, path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,7 @@
 """Shared fixtures: bindable loopback ports, a port whose dials never finish,
 a log of state writes, and a check that no event-loop callback raised during
-a test; and ``line_events``, a deterministic operation count."""
+a test; ``line_events``, a deterministic operation count; and ``hand_off``,
+which hands a player connection to a handoff socket as a frontend does."""
 
 from __future__ import annotations
 
@@ -42,6 +43,29 @@ def line_events(fn) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+def handoff_channel(path) -> socket.socket:
+    """A connection to the handoff socket at ``path``, as a frontend dials."""
+    channel = socket.socket(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    try:
+        channel.connect(str(path))
+    except OSError:
+        channel.close()
+        raise
+    return channel
+
+
+def hand_off(channel: socket.socket, name: bytes) -> socket.socket:
+    """A loopback player connection whose accepted end goes over ``channel``
+    with the service ``name``, as a frontend hands one off, and is closed
+    here; returns the player's end."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        player = socket.create_connection(server.getsockname(), timeout=5)
+        accepted, _ = server.accept()
+    with accepted:
+        socket.send_fds(channel, [name], [accepted.fileno()])
+    return player
 
 
 @pytest.fixture

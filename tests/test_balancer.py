@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import hand_off, handoff_channel
 from flagforge import balancer as balancer_module
 from flagforge._net import (RELAY_CHUNK, Loop, Session, event_loop,
                             parse_proxy_header, render_proxy_header)
@@ -104,6 +105,17 @@ def test_capacity_eviction_tie_break_by_ip():
     table.assign("10.0.0.5", "r3", now=2.0)
     assert table.lookup("10.0.0.2", now=2.0) is None  # same age: lowest ip goes
     assert table.lookup("10.0.0.9", now=2.0) == "r1"
+
+
+def test_configure_retunes_the_stick_tables_already_made():
+    balancer, _, clock = build(ttl=100, capacity=1000)
+    for i in range(3):
+        pick(balancer, f"10.0.0.{i}")
+    balancer.configure(stick_ttl=5, stick_capacity=3)
+    pick(balancer, "10.0.0.9")  # a first contact at the new capacity evicts
+    assert balancer.stick_count("web") == 3
+    clock.now = 6.0
+    assert balancer.expire_entries() == 3
 
 
 def test_invalidate_replica_counts_and_idempotence():
@@ -449,6 +461,46 @@ def test_session_counts_against_its_replica_until_it_ends(data_plane):
         assert read_greeting(sock) == "r2 v1"
         assert (balancer.sessions("r1"), balancer.sessions("r2")) == (0, 1)
     assert settled("r2", 0)
+
+
+def test_a_session_whose_retry_is_refused_too_is_closed(data_plane):
+    _, balancer, _, listeners, port = data_plane
+    listeners[0].close()
+    listeners[1].close()
+    with connect(port, timeout=5) as sock:
+        assert sock.recv(64) == b""  # r1 refused, then r2: no third dial
+    assert wait_until(lambda: balancer.sessions("r1") == balancer.sessions(
+        "r2") == 0)
+    assert {pick(balancer, f"198.51.100.{i}") for i in range(4)} == {"r3"}
+
+
+def test_a_handoff_naming_a_service_the_node_does_not_serve_reaches_no_replica(
+        tmp_path):
+    reached = []
+
+    def greet(conn, peer):
+        reached.append(peer)
+        conn.sendall(b"r1 v1\n")
+
+    replica = TcpListener("127.0.0.1", 0, greet)
+    registry = Registry()
+    registry.register_replica("web", ReplicaEndpoint(
+        "r1", "127.0.0.1", replica.port, "v1", HEALTH_HEALTHY))
+    balancer = Balancer(registry, stick_ttl=100, stick_capacity=100)
+    server = BalancerServer(balancer, "127.0.0.1")
+    server.take_handoffs(str(tmp_path / "handoff.sock"))
+    try:
+        with handoff_channel(tmp_path / "handoff.sock") as channel:
+            with hand_off(channel, b"pwn") as player:
+                assert player.recv(64) == b""
+            assert reached == []
+            assert list(balancer._tables) == []  # nor a stick table for it
+            with hand_off(channel, b"web") as player:
+                assert read_greeting(player) == "r1 v1"
+            assert len(reached) == 1
+    finally:
+        server.close()
+        replica.close()
 
 
 def test_a_refused_bind_raises_and_records_nothing(data_plane):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import fnmatch
 import gc
 import itertools
@@ -9,6 +10,7 @@ import json
 import os
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -17,8 +19,9 @@ import warnings
 from pathlib import Path
 
 import pytest
+from conftest import hand_off, handoff_channel
 
-from flagforge._net import (LOOP_THREAD_NAME, event_loop,
+from flagforge._net import (LOOP_THREAD_NAME, Session, event_loop,
                             render_proxy_header)
 from flagforge.cli import _stop_on_signals, main
 from flagforge.model import parse_topology
@@ -836,28 +839,212 @@ BACKEND_NEVER_LOADS = {"flagforge.pipeline", "flagforge.ingress", "tarfile",
                        "subprocess", "encodings.idna"}
 
 
-def test_each_serve_role_loads_only_its_own_code(workspace):
+def recv_line(conn: socket.socket) -> str:
+    buf = b""
+    while not buf.endswith(b"\n"):
+        chunk = conn.recv(64)
+        if not chunk:
+            break
+        buf += chunk
+    return buf.decode().strip()
+
+
+def greeted(port: int, timeout: float = 10.0) -> tuple[socket.socket, str]:
+    """A player connection to ``port`` and the greeting a replica sent on
+    it, retried while the replica boots."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            conn = socket.create_connection(("127.0.0.1", port), timeout=5)
+        except OSError:
+            conn = None
+        if conn is not None:
+            greeting = recv_line(conn)
+            if greeting:
+                return conn, greeting
+            conn.close()
+        assert time.monotonic() < deadline, f"no greeting on {port}"
+        time.sleep(0.05)
+
+
+@pytest.fixture
+def served(workspace):
+    """A backend serve, then a frontend serve, of one ``alpha`` replica: the
+    two processes, the public port and the state directory."""
     root, state = workspace
     external, backend_base = fresh_ports()
     topo = write_topology(root, topology_text(external, backend_base))
-    loaded: dict[str, set[str]] = {}
-    processes = []
+    processes = {}
     try:
         # the backend first, as the frontend binds what it persisted
         for node in ("worker", "edge"):
-            process = serve_process(node, topo, state)
-            processes.append(process)
-            assert process.stdout.readline().startswith(f"serving {node}")
+            processes[node] = serve_process(node, topo, state)
+            assert processes[node].stdout.readline().startswith(
+                f"serving {node}")
+        yield processes["worker"], processes["edge"], external, state
+    finally:
+        for process in processes.values():
+            if process.poll() is None:
+                process.send_signal(signal.SIGTERM)
+            process.wait(timeout=30)
+            process.stdout.close()
+
+
+def test_each_serve_role_loads_only_its_own_code(served):
+    worker, edge, external, _ = served
+    loaded: dict[str, set[str]] = {}
+    conn, _ = greeted(external)  # handed off: the census follows a handoff
+    with conn:
+        for node, process in (("worker", worker), ("edge", edge)):
             process.send_signal(signal.SIGUSR1)
             loaded[node] = set(process.stdout.readline().split())
-    finally:
-        for process in processes:
-            process.send_signal(signal.SIGTERM)
-            process.wait(timeout=30)
     assert sorted(loaded["edge"] & FRONTEND_NEVER_LOADS) == []
     assert sorted(loaded["worker"] & BACKEND_NEVER_LOADS) == []
     assert "flagforge.ingress" in loaded["edge"]
     assert "flagforge.supervisor" in loaded["worker"]
+
+
+def fd_links(pid: int) -> set[str]:
+    links = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            links.add(os.readlink(f"/proc/{pid}/fd/{fd}"))
+        except OSError:  # closed since the listing
+            pass
+    return links
+
+
+def accepted_socket(local_port: int, peer_port: int) -> str:
+    """The ``socket:[inode]`` name of the loopback TCP socket on
+    ``local_port`` whose peer is on ``peer_port``."""
+    for line in Path("/proc/net/tcp").read_text().splitlines()[1:]:
+        fields = line.split()
+        if (int(fields[1].split(":")[1], 16) == local_port
+                and int(fields[2].split(":")[1], 16) == peer_port):
+            return f"socket:[{fields[9]}]"
+    raise AssertionError(f"no socket on {local_port} from {peer_port}")
+
+
+def test_the_frontend_holds_no_descriptor_of_a_handed_off_session(served):
+    worker, edge, external, _ = served
+    conn, _ = greeted(external)
+    with conn:
+        session = accepted_socket(external, conn.getsockname()[1])
+        assert session not in fd_links(edge.pid)
+        assert session in fd_links(worker.pid)
+
+
+def test_a_handed_off_session_outlives_its_frontend_serve(served):
+    worker, edge, external, _ = served
+    conn, greeting = greeted(external)
+    with conn:
+        assert greeting.startswith("alpha-")
+        edge.send_signal(signal.SIGTERM)
+        assert edge.wait(timeout=30) == 0
+        conn.sendall(b"still here\n")
+        assert recv_line(conn) == "still here"
+
+
+def test_a_serve_stopped_by_sigterm_leaves_no_handoff_socket(workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    path = StateStore(state).handoff_path("worker")
+    process = serve_process("worker", topo, state)
+    try:
+        assert process.stdout.readline().startswith("serving worker")
+        assert stat.S_ISSOCK(path.stat().st_mode)
+    finally:
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=30)
+        process.stdout.close()
+    assert process.returncode == 0
+    assert not path.exists()
+
+
+def test_a_serve_over_the_stale_socket_of_a_killed_serve_takes_handoffs(
+        workspace):
+    root, state = workspace
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    path = StateStore(state).handoff_path("worker")
+    killed = serve_process("worker", topo, state)
+    try:
+        assert killed.stdout.readline().startswith("serving worker")
+    finally:
+        killed.kill()
+        killed.wait(timeout=30)
+        killed.stdout.close()
+    with pytest.raises(ConnectionRefusedError):  # left behind, bound by none
+        handoff_channel(path).close()
+    process = serve_process("worker", topo, state)
+    try:
+        assert process.stdout.readline().startswith("serving worker")
+        deadline = time.monotonic() + 10
+        greeting = ""
+        while not greeting.startswith("alpha-"):  # the adopted replica
+            assert time.monotonic() < deadline, "no handoff was taken"
+            with handoff_channel(path) as channel, \
+                    hand_off(channel, b"alpha") as player:
+                greeting = recv_line(player)
+    finally:
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=30)
+        process.stdout.close()
+    assert process.returncode == 0
+
+
+@pytest.mark.parametrize("refusal",
+                         ["none", "missing", "too-long", "would-block"])
+def test_a_session_the_kernel_will_not_hand_off_is_relayed(
+        workspace, refusal, monkeypatch, capsys):
+    root, state = workspace
+    if refusal == "too-long":  # beyond sun_path's 108 bytes
+        state = root / ("s" * 108) / "state"
+    external, backend_base = fresh_ports()
+    topo = write_topology(root, topology_text(external, backend_base))
+    heads = []
+    connect = Session.connect
+
+    def recording(self, address, timeout, **kwargs):
+        heads.append(kwargs.get("head", b""))
+        connect(self, address, timeout, **kwargs)
+
+    monkeypatch.setattr(Session, "connect", recording)
+    if refusal == "would-block":
+        def full(*args):
+            raise BlockingIOError(errno.EAGAIN, "queue full")
+
+        monkeypatch.setattr(socket, "send_fds", full)
+    worker = NodeService(topo, "worker", state)
+    stop, stopping = os.pipe()
+    ticking = threading.Thread(target=worker.run, args=(stop,))
+    edge = None
+    try:
+        assert worker.start() == []
+        ticking.start()
+        if refusal == "missing":
+            worker.store.handoff_path("worker").unlink()
+        edge = NodeService(topo, "edge", state)
+        assert edge.start() == []
+        conn, _ = greeted(external)
+        with conn:
+            conn.sendall(b"echo\n")
+            assert recv_line(conn) == "echo"
+    finally:
+        os.write(stopping, b"x")
+        if ticking.is_alive():
+            ticking.join(timeout=10)
+        worker.stop()
+        if edge is not None:
+            edge.stop()
+        os.close(stop)
+        os.close(stopping)
+    assert not ticking.is_alive()
+    relayed = render_proxy_header("127.0.0.1") in heads
+    assert relayed == (refusal != "none")
+    assert ("frontends relay" in capsys.readouterr().err) == (
+        refusal == "too-long")
 
 
 def test_backend_serve_runs_its_ticks_on_the_main_thread(workspace):

@@ -210,6 +210,21 @@ def test_unmapped_port_refused(server, free_port):
         socket.create_connection(("127.0.0.1", free_port()), timeout=2)
 
 
+def test_a_connection_accepted_before_its_port_was_unbound_is_closed(
+        server, free_port):
+    external = free_port()
+    server.bind(mapping_for(external, free_port()))
+    server.unbind(external)
+    closed = []
+
+    class Accepted:  # the session the listener had handed over; no dial
+        def close(self):
+            closed.append(True)
+
+    server._accept(external, Accepted(), ("127.0.0.1", 40000))
+    assert closed == [True]
+
+
 def test_backend_unreachable_closes_inbound(server, free_port):
     external = free_port()
     dead_backend = free_port()  # nothing listens there

@@ -1,4 +1,5 @@
-"""The event loop: resource pressure, threads, ports and cross-thread calls."""
+"""The event loop: resource pressure, threads, ports, cross-thread calls,
+slow dials and the handoff listener."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import flagforge
-from flagforge._net import Listener, Session, event_loop
+from conftest import hand_off, handoff_channel
+from flagforge._net import (HandoffListener, Listener, Session, event_loop,
+                            render_proxy_header)
 from fixture_server import handle as greet_and_echo
 from threaded_listener import TcpListener
 
@@ -84,6 +87,129 @@ def test_listener_accepts_again_after_descriptor_exhaustion():
         child.wait(timeout=5)
         child.stdin.close()
         child.stdout.close()
+
+
+# A handoff listener that relays every session to a greeter of its own. Reads
+# a stdin line before it runs out of descriptors, one before it frees them
+# and one before it exits.
+EXHAUSTED_HANDOFF_LISTENER = textwrap.dedent("""
+    import errno, os, resource, sys
+    from flagforge._net import HandoffListener
+    from threaded_listener import TcpListener
+
+    greeter = TcpListener("127.0.0.1", 0,
+                          lambda conn, peer: conn.sendall(b"hello\\n"))
+    HandoffListener(sys.argv[1], lambda name, session, peer: session.connect(
+        ("127.0.0.1", greeter.port), 5))
+    print("listening", flush=True)
+    sys.stdin.readline()
+    _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))
+    hogs = []
+    try:
+        while True:
+            hogs.append(os.open(os.devnull, os.O_RDONLY))
+    except OSError as exc:
+        if exc.errno != errno.EMFILE:
+            raise
+    print("exhausted", flush=True)
+    sys.stdin.readline()
+    for fd in hogs:
+        os.close(fd)
+    print("freed", flush=True)
+    sys.stdin.readline()
+""")
+
+
+def test_handoff_listener_drops_one_session_when_out_of_descriptors(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    path = tmp_path / "handoff.sock"
+    child = subprocess.Popen(
+        [sys.executable, "-c", EXHAUSTED_HANDOFF_LISTENER, str(path)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+
+    def step(expected: str) -> None:
+        child.stdin.write("\n")
+        child.stdin.flush()
+        assert child.stdout.readline().strip() == expected
+
+    try:
+        assert child.stdout.readline().strip() == "listening"
+        with handoff_channel(path) as channel:
+            with hand_off(channel, b"alpha") as player:
+                assert read_line(player) == b"hello\n"
+            step("exhausted")
+            # the kernel cannot install the descriptor: it drops it, so the
+            # player is cut off, and the message comes back truncated
+            with hand_off(channel, b"alpha") as player:
+                assert read_line(player) == b""
+            step("freed")
+            with hand_off(channel, b"alpha") as player:
+                assert read_line(player) == b"hello\n"
+        assert child.poll() is None
+    finally:
+        child.kill()
+        child.wait(timeout=5)
+        child.stdin.close()
+        child.stdout.close()
+
+
+def test_a_handed_off_socket_is_received_close_on_exec(tmp_path):
+    received = []
+
+    def on_handoff(name, session, peer):
+        sock = session._client.sock
+        received.append((name, os.get_inheritable(sock.fileno()), peer[0]))
+        session.close()
+
+    listener = HandoffListener(str(tmp_path / "handoff.sock"), on_handoff)
+    try:
+        with handoff_channel(listener.path) as channel, \
+                hand_off(channel, b"alpha") as player:
+            player.settimeout(5)
+            assert player.recv(64) == b""  # closed by its new owner
+    finally:
+        listener.close()
+    assert received == [("alpha", False, "127.0.0.1")]
+    assert not os.path.exists(listener.path)
+
+
+@pytest.mark.parametrize("head", [render_proxy_header("127.0.0.1"), b""],
+                         ids=["frontend-relay", "balancer-dial"])
+def test_a_slow_dial_relays_what_the_client_sent_during_it(head):
+    with socket.socket() as target:
+        # its accept queue is full, so the kernel drops the dial's SYN and
+        # the dial completes only with the SYN's retry, about a second later
+        target.bind(("127.0.0.1", 0))
+        target.listen(0)
+        target.settimeout(5)
+        filler = socket.create_connection(target.getsockname(), timeout=5)
+        front = Listener("127.0.0.1", 0, lambda session, peer: session.connect(
+            target.getsockname(), 5, head=head))
+        try:
+            with filler, socket.create_connection(("127.0.0.1", front.port),
+                                                  timeout=5) as client:
+                started = time.monotonic()
+                time.sleep(0.2)  # accepted, and the dial is under way
+                client.sendall(b"sent during the dial")
+                time.sleep(0.2)
+                target.accept()[0].close()  # room for the retried SYN
+                upstream, _ = target.accept()
+                assert time.monotonic() - started > 0.5
+                with upstream:
+                    upstream.settimeout(5)
+                    expected = head + b"sent during the dial"
+                    got = b""
+                    while len(got) < len(expected):
+                        chunk = upstream.recv(64)
+                        if not chunk:
+                            break
+                        got += chunk
+                    assert got == expected
+                    upstream.sendall(b"reply")
+                    assert client.recv(64) == b"reply"
+        finally:
+            front.close()
 
 
 def replica() -> TcpListener:

@@ -19,6 +19,7 @@ import pytest
 from conftest import FREE_PORTS, line_events
 
 from flagforge import ingress, runtime, state
+from flagforge.backend import PORT_CONFLICT_LIMIT, BackendNode
 from flagforge.errors import FlagforgeError
 from flagforge.model import Action, diff, parse_topology
 from flagforge.pipeline import (_payload_checksum, package_artifact,
@@ -282,6 +283,58 @@ def test_an_unspawnable_challenge_does_not_stall_its_backend(tmp_path):
         assert actions["broken"][0].startswith("degraded: cannot spawn")
     finally:
         cluster.shutdown(stop_replicas=True)
+
+
+def test_a_failed_spawn_leaves_no_empty_log(tmp_path):
+    store = StateStore(tmp_path / "state")
+    cluster = Cluster(parse_topology(UNSPAWNABLE), store, hosted=["worker"],
+                      bind_listeners=False, prober=OkProber())
+    backend = cluster.backends["worker"]
+    try:
+        cluster.converge()
+        for _ in range(5):
+            backend.tick()
+        [alpha] = backend.supervisor.instances_of("alpha")
+        assert backend.supervisor.instances_of("broken") == []
+        assert sorted(p.name for p in store.logs_dir.iterdir()) == [
+            f"{alpha.replica_id}.log"]
+    finally:
+        cluster.shutdown(stop_replicas=True)
+
+
+def test_a_listener_skips_ports_that_foreign_sockets_hold(tmp_path, free_port):
+    base = free_port()
+    topology = parse_topology(TOPOLOGY.replace(
+        "ports=20000-20099", f"ports={base}-{base + PORT_CONFLICT_LIMIT + 5}"))
+    backend = BackendNode(topology, "worker", StateStore(tmp_path / "state"),
+                          bind_listeners=True, runner=MockRunner())
+    squatters = []
+    try:
+        squatters.append(socket.create_server(("127.0.0.1", base)))
+        assert backend.open_listener("alpha") == base + 1
+        for port in range(base + 2, base + 2 + PORT_CONFLICT_LIMIT):
+            squatters.append(socket.create_server(("127.0.0.1", port)))
+        with pytest.raises(OSError):
+            backend.open_listener("beta")
+        assert backend.balancer_ports == {"alpha": base + 1}
+    finally:
+        backend.close(stop_replicas=False)
+        for squatter in squatters:
+            squatter.close()
+
+
+def test_adopting_a_recorded_port_that_is_taken_fails(tmp_path, free_port):
+    bound, taken = free_port(), free_port()
+    store = StateStore(tmp_path / "state")
+    store.save_balancer({"worker": {"ports": {"alpha": bound, "beta": taken}}})
+    with socket.create_server(("127.0.0.1", taken)):
+        with pytest.raises(FlagforgeError,
+                           match=f"cannot bind balancer port {taken} for beta"):
+            Cluster(parse_topology(TOPOLOGY), store, hosted=["worker"],
+                    runner_factory=lambda node, store: MockRunner())
+    # the port adopted before it is not left open
+    with socket.create_server(("127.0.0.1", bound)):
+        pass
 
 
 def test_a_record_whose_pid_was_reused_is_neither_adopted_nor_signalled(tmp_path):
