@@ -13,12 +13,15 @@ run on the loop thread and must not block. An exception that escapes one is
 reported through ``threading.excepthook`` and closes the session whose
 callback it was.
 
-A session accepted in one process can be handed off to another process on
-the same host instead of relayed: ``Handoffs.send`` passes the accepted
-socket (``SCM_RIGHTS``, unix(7)) with the name of its service to that
-process's ``HandoffListener``, whose loop relays it from then on, and closes
-the sender's copy. Whether a session is handed off or relayed is decided per
-session by what the kernel returns.
+A listening socket of one process can be lent, once, to another process on
+the same host, which then accepts and relays its connections itself: a
+``Loan`` passes the socket (``SCM_RIGHTS``, unix(7)) with the name of its
+service to that process's ``HandoffListener``, over a unix channel of its
+own, and the socket is lent for exactly as long as that channel is open.
+The lender stops watching the socket before it goes and watches it again
+once the channel hangs up, so no epoll set holds a socket another process
+accepts on. Whether a port is lent or accepts here is decided per port by
+what the kernel returns.
 
 Only the loop thread watches, reads, writes or closes a socket it was handed,
 and it closes them after dispatching a whole batch of events, so a descriptor
@@ -42,6 +45,7 @@ import threading
 import time
 from collections import deque
 from contextlib import suppress
+from functools import partial
 from typing import Callable
 
 RELAY_CHUNK = 65536
@@ -61,7 +65,8 @@ _OCTET = rb"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)"
 PROXY_HEADER_RE = re.compile(
     rb"PROXY4 (" + _OCTET + rb"(?:\." + _OCTET + rb"){3})\n\Z")
 PROXY_HEADER_LIMIT = 64
-# the longest service name a handoff carries; a longer one is cut and dropped
+# the longest service name a lent listener carries; a longer one is cut, and
+# the listener given back
 HANDOFF_NAME_LIMIT = 256
 
 IN, OUT = select.EPOLLIN, select.EPOLLOUT
@@ -462,7 +467,8 @@ class Listener:
     ``on_accept(session, peer)`` runs on the loop thread for each accepted
     connection and owns the session. Running out of descriptors or memory
     pauses accepting for ``ACCEPT_RETRY_DELAY``; only ``close`` ends it.
-    ``defer_accept`` is for a port whose clients always talk first.
+    ``defer_accept`` is for a port whose clients always talk first. While a
+    ``Loan`` has ``lent`` the socket to another process, it accepts there.
     """
 
     def __init__(self, address: str, port: int,
@@ -488,9 +494,20 @@ class Listener:
             sock.close()  # a refused port is retried; keep no socket
             raise
         self._sock = sock
-        self._closed = False
+        self._closed = self.lent = False
         # queued: only the loop thread changes its epoll set
         self._loop.call_soon(self._listen, owner=self)
+
+    @classmethod
+    def _adopted(cls, sock: socket.socket,
+                 on_accept: Callable[[Session, tuple], None]) -> Listener:
+        """On the loop thread: accept on ``sock``, listening already, as the
+        process that lent it does; ``_forget`` ends it, and not the port."""
+        self = cls.__new__(cls)
+        self._on_accept, self._loop, self._sock = on_accept, event_loop(), sock
+        self._closed = self.lent = False
+        self._listen()
+        return self
 
     def ready(self, sock: socket.socket) -> None:
         try:
@@ -499,7 +516,7 @@ class Listener:
             return
         except OSError as exc:
             if exc.errno not in ACCEPT_RETRY_ERRNOS:
-                self._loop.close(self._sock)  # EINVAL: shut down by close
+                self._forget()  # EINVAL: shut down, here or by its lender
                 return
             # the pending connection stays queued until a descriptor frees
             self._loop.watch(self._sock, 0, self)
@@ -519,37 +536,52 @@ class Listener:
         be bound again; sessions already accepted carry on."""
         self._closed = True
         try:
-            # a listening socket that is shut down leaves its port at once
+            # a listening socket that is shut down leaves its port at once,
+            # in every process that holds it
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._loop.call_soon(self._loop.close, self._sock)
+        self._loop.call_soon(self._forget)
 
     def _listen(self) -> None:
-        if not self._closed:
+        if not self._closed and not self.lent:
             self._loop.watch(self._sock, IN, self)
+
+    def _forget(self) -> None:
+        """On the loop: stop accepting and close this process's copy of the
+        socket. It is taken out of the epoll set first, as another process
+        may hold the socket too, and an epoll set drops a socket only once
+        every copy of it is closed."""
+        self._closed = True
+        self._loop.watch(self._sock, 0, self)
+        self._loop.close(self._sock)
 
 
 class HandoffListener(Listener):
     """A unix socket at ``path`` through which other processes on this host
-    hand over accepted TCP connections.
+    lend their listening TCP sockets.
 
-    Each ``SOCK_SEQPACKET`` message carries one connection's descriptor and
-    the name of its service, and ``on_handoff(name, session, peer)`` runs on
-    the loop thread for it, as ``on_accept`` does for a TCP listener; the
-    peer is the connection's own. A message that cannot be taken whole loses
-    that one session and the listener keeps running: out of descriptors, the
-    kernel drops the one it could not install (``MSG_CTRUNC``). Descriptors
-    are received close-on-exec, so no replica inherits one. A file already at
-    ``path`` is taken for one left by a process that is gone, and unlinked
-    first; ``close`` unlinks the path too.
+    Each connection to it is one channel, carrying one ``SOCK_SEQPACKET``
+    message: a listening socket's descriptor and the name of its service.
+    This process then accepts on that socket, and ``on_handoff(name, session,
+    peer)`` runs on the loop thread for each connection, as ``on_accept``
+    does for a ``Listener``. The socket is held exactly as long as its
+    channel is open: when the channel hangs up or carries anything more, when
+    a message cannot be taken whole (out of descriptors, the kernel drops the
+    one it could not install: ``MSG_CTRUNC``), and on ``close``, this process
+    closes its copy, without a shutdown, so the port stays open in the
+    lender, which accepts on it again. Descriptors are received close-on-exec,
+    so no replica inherits one. A file already at ``path`` is taken for one
+    left by a process that is gone, and unlinked first; ``close`` unlinks the
+    path too.
     """
 
     def __init__(self, path: str,
                  on_handoff: Callable[[str, Session, tuple], None]):
         self.path = path
         self._on_handoff = on_handoff
-        self._channels: set[socket.socket] = set()  # the loop thread's
+        # the loop thread's: each channel, and the listener lent over it
+        self._channels: dict[socket.socket, Listener | None] = {}
         with suppress(FileNotFoundError):
             os.unlink(path)
         self._open(socket.socket(socket.AF_UNIX, socket.SOCK_SEQPACKET
@@ -564,7 +596,7 @@ class HandoffListener(Listener):
     def _accepted(self, fd: int, peer) -> None:
         channel = socket.socket(socket.AF_UNIX, socket.SOCK_SEQPACKET, 0, fd)
         channel.setblocking(False)
-        self._channels.add(channel)
+        self._channels[channel] = None
         self._loop.watch(channel, IN, self)
 
     def _receive(self, channel: socket.socket) -> None:
@@ -575,93 +607,90 @@ class HandoffListener(Listener):
                 socket.MSG_CMSG_CLOEXEC)
         except BlockingIOError:
             return
-        except OSError:  # reset: the sender is gone
+        except OSError:  # reset: the lender is gone
             name, ancdata, flags = b"", [], 0
         for level, kind, data in ancdata:
             if level == socket.SOL_SOCKET and kind == socket.SCM_RIGHTS:
                 fds.frombytes(data[:len(data) - len(data) % fds.itemsize])
-        if (not name or len(fds) != 1
-                or flags & (socket.MSG_TRUNC | socket.MSG_CTRUNC)):
-            for fd in fds:
-                os.close(fd)
-            if not name:  # every handoff names its service: a hang-up
-                self._channels.discard(channel)
-                self._loop.close(channel)
+        lent = None
+        if (name and len(fds) == 1 and self._channels.get(channel) is None
+                and not flags & (socket.MSG_TRUNC | socket.MSG_CTRUNC)):
+            lent = socket.socket(socket.AF_INET, socket.SOCK_STREAM, 0,
+                                 fds.pop())
+            lent.setblocking(False)  # the lender's is already: one flag
+        for fd in fds:
+            os.close(fd)
+        if lent is None:  # a hang-up, or a message not taken whole
+            self._hang_up(channel)
             return
-        session = _session(self._loop, fds[0])
-        try:
-            peer = session._client.sock.getpeername()
-        except OSError:  # the player left before the handoff arrived
-            session.close()
-            return
-        try:
-            self._on_handoff(name.decode(errors="replace"), session, peer)
-        except Exception:
-            self._loop._failed(session)
+        self._channels[channel] = Listener._adopted(
+            lent, partial(self._on_handoff, name.decode(errors="replace")))
+
+    def _hang_up(self, channel: socket.socket) -> None:
+        listener = self._channels.pop(channel, None)
+        if listener is not None:
+            listener._forget()
+        self._loop.close(channel)
 
     def close(self) -> None:
-        """Stop taking handoffs and unlink the path; sessions already taken
-        carry on."""
+        """Stop taking listeners, give back those taken and unlink the path;
+        sessions already accepted carry on."""
         with suppress(FileNotFoundError):
             os.unlink(self.path)
         super().close()
         self._loop.call_soon(self._close_channels)
 
     def _close_channels(self) -> None:
-        for channel in self._channels:
-            self._loop.close(channel)
-        self._channels.clear()
+        for channel in list(self._channels):
+            self._hang_up(channel)
 
 
-class Handoffs:
-    """This process's connections to ``HandoffListener`` sockets, by path,
-    each dialled at its first handoff and used on the loop thread only."""
+class Loan:
+    """``listener``'s socket, lent with the service ``name`` to the
+    ``HandoffListener`` at ``path``; made, watched and closed on the loop
+    thread.
 
-    def __init__(self) -> None:
-        self._loop = event_loop()
-        self._channels: dict[str, socket.socket] = {}
+    The listener stops accepting here before its socket goes, and accepts
+    here again once the channel hangs up (the borrower closed its copy, or
+    exited) or ``close`` takes the socket back. The constructor raises
+    ``OSError`` when the kernel will not lend it now: nothing listens at
+    ``path`` on this host, the path is too long for a unix socket, or a
+    connect or send would block. The listener then accepts here as before.
+    """
 
-    def send(self, path: str, session: Session, message: bytes) -> bool:
-        """Hand ``session`` to the listener at ``path`` with ``message`` and
-        close this process's copy of its socket.
-
-        Only a socket the loop has never watched may go: an epoll
-        registration would outlive the copy. False, with the session
-        untouched, when the kernel will not take it now: nothing listens at
-        ``path`` on this host, the path is too long for a unix socket, or a
-        connect or send would block.
-        """
+    def __init__(self, listener: Listener, path: str, name: bytes):
+        self.listener, self.path, self.name = listener, path, name
+        self._loop = listener._loop
+        self._channel: socket.socket | None = socket.socket(
+            socket.AF_UNIX, socket.SOCK_SEQPACKET | socket.SOCK_NONBLOCK)
         try:
-            channel = self._channel(path)
-            socket.send_fds(channel, [message], [session._client.sock.fileno()])
-        except BlockingIOError:  # a full queue: this session is relayed
-            return False
-        except OSError:  # the listener is gone; the next send dials again
-            channel = self._channels.pop(path, None)
-            if channel is not None:
-                channel.close()
-            return False
-        session.close()
-        return True
+            self._channel.connect(path)
+            listener.lent = True
+            self._loop.watch(listener._sock, 0, listener)
+            socket.send_fds(self._channel, [name], [listener._sock.fileno()])
+        except OSError:
+            self.close()
+            raise
+        self._loop.watch(self._channel, IN, self)
 
-    def _channel(self, path: str) -> socket.socket:
-        channel = self._channels.get(path)
-        if channel is None:
-            channel = socket.socket(socket.AF_UNIX, socket.SOCK_SEQPACKET
-                                    | socket.SOCK_NONBLOCK)
-            try:
-                channel.connect(path)
-            except OSError:
-                channel.close()
-                raise
-            self._channels[path] = channel
-        return channel
+    @property
+    def open(self) -> bool:
+        return self._channel is not None
+
+    def ready(self, sock: socket.socket) -> None:
+        try:
+            sock.recv(1)  # the borrower sends nothing: this is its hang-up
+        except BlockingIOError:
+            return
+        except OSError:
+            pass
+        self.close()
 
     def close(self) -> None:
-        """Close every connection, on the loop thread; safe from any thread."""
-        self._loop.call_soon(self._close)
-
-    def _close(self) -> None:
-        for channel in self._channels.values():
-            channel.close()
-        self._channels.clear()
+        """Take the socket back, and accept on it here again."""
+        if self._channel is None:
+            return
+        self._loop.close(self._channel)
+        self._channel = None
+        self.listener.lent = False
+        self.listener._listen()

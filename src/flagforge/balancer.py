@@ -13,10 +13,11 @@ silent client is accepted after about a second, and ``PROXY_HEADER_TIMEOUT``
 then applies. The header is stripped, so stickiness keys on the
 participant's real address rather than on the frontend's; then the loop
 dials the picked replica within ``CONNECT_TIMEOUT``, retrying once on a
-refusal, and relays. A served backend also takes the player sockets that a
-frontend on its host hands off (``take_handoffs``): the player's own address
-keys stickiness, and the dial is the same. No step blocks and no thread is
-started per connection.
+refusal, and relays. A served backend also accepts on the public ports that
+a frontend on its host lends it (``take_handoffs``), each once, with the
+name of its challenge: there the player's own address keys stickiness, and
+the dial is the same. No step blocks and no thread is started per
+connection.
 """
 
 from __future__ import annotations
@@ -293,8 +294,8 @@ class BalancerServer:
     """Listener-per-service data plane in front of a Balancer.
 
     The node's control thread binds, unbinds and closes, and owns the
-    listener table; the loop thread runs only the accept and handoff
-    callbacks, which never read it.
+    listener table; the loop thread runs only the accept callbacks, of its
+    own ports and of lent ones, which never read it.
     """
 
     def __init__(self, balancer: Balancer, bind_address: str):
@@ -318,8 +319,8 @@ class BalancerServer:
             listener.close()
 
     def take_handoffs(self, path: str) -> None:
-        """Also take the player sockets that a frontend on this host hands
-        off through a unix socket at ``path``, each naming its service. A
+        """Also accept on the listening sockets that a frontend on this host
+        lends through a unix socket at ``path``, each naming its service. A
         path the kernel refuses raises ``OSError``; the ports serve on."""
         self._handoffs = HandoffListener(path, self._handed)
 
@@ -334,7 +335,8 @@ class BalancerServer:
     # --- on the event loop ----------------------------------------------------
 
     def _handed(self, service: str, session: Session, peer: tuple) -> None:
-        # a service this node does not serve has no replica: closed in _dial
+        # accepted on a lent port: the peer is the player. A service this
+        # node does not serve has no replica: closed in _dial
         self._dial(service, session, peer[0], attempts=2)
 
     def _accept(self, service: str, session: Session, peer: tuple) -> None:

@@ -1,33 +1,37 @@
-"""Controlled entry point: external ports on the frontend, handed off or
-relayed inward.
+"""Controlled entry point: external ports on the frontend, lent or relayed
+inward.
 
 Each mapping translates one public external port to the owning backend's
 balancer listener. ``FrontendNode`` holds the mappings in memory, as a
 backend holds its listeners, and they are its only route table: each mapped
-port is one ``_net.Listener`` on the process's event loop. An accepted
-connection is handed off, before the loop ever watches it, to the serve of
-the mapping's backend through its ``handoff-<node>.sock`` in the state
-directory, with the name of the mapped challenge; the backend relays it from
-then on, and this process keeps no copy. When the kernel will not take the
-handoff (no serve of that backend on this host, a path too long for a unix
-socket, a connect or send that would block), the connection is dialled to
-the port's mapping within ``BACKEND_CONNECT_TIMEOUT`` and relayed, prefixed
-with the ``PROXY4`` source header. No thread is started for either.
-``bind`` opens (or re-targets) one port and ``unbind`` closes it; the
-converge that ran them rewrites ``state/ingress.map`` from memory once. The
+port is one ``_net.Listener`` on the process's event loop. Its listening
+socket is lent once, as a ``_net.Loan``, to the serve of the mapping's
+backend through its ``handoff-<node>.sock`` in the state directory, with the
+name of the mapped challenge; that serve accepts the port's connections and
+relays them from then on, and this process neither watches nor accepts the
+port while it is lent. A port the kernel will not lend (no serve of that
+backend on this host, a path too long for a unix socket, a connect or send
+that would block, a backend with no descriptor left for it), or one taken
+back because its channel hung up (the backend serve exited), accepts here:
+each connection is dialled to the port's mapping within
+``BACKEND_CONNECT_TIMEOUT`` and relayed, prefixed with the ``PROXY4`` source
+header. No thread is started for either. ``bind`` opens (or re-targets) one
+port and lends it, ``unbind`` closes it, and ``offer``, at each tick of a
+frontend serve, lends again the ports accepting here. The converge that ran
+``bind`` and ``unbind`` rewrites ``state/ingress.map`` from memory once. The
 file format lives in ``state``.
 
-Only the control thread binds and unbinds. The loop thread reads one
-mapping per accept, and takes no lock to do so: ``bind`` records a port's
-mapping before its listener opens, so the first connection it accepts is
-already routed.
+Only the control thread binds, unbinds and offers; the loans are the loop
+thread's. The loop thread reads one mapping per accept or loan, and takes no
+lock to do so: ``bind`` records a port's mapping before its listener opens,
+so the first connection it accepts is already routed.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from ._net import Handoffs, Listener, Session, render_proxy_header
+from ._net import Listener, Loan, Session, event_loop, render_proxy_header
 from .errors import IngressError
 from .model import Topology
 # the file format is state's; its names stay importable from here too
@@ -78,8 +82,9 @@ class FrontendNode:
             m.external_port: m for m in load_mappings(store.ingress_path)}
         self.refused: set[int] = set()  # ports whose listener failed to bind
         self._listeners: dict[int, Listener] = {}
+        self._loans: dict[int, Loan] = {}  # the loop thread's
         self._handoff_path = store.handoff_path
-        self._handoffs = Handoffs() if bind_listeners else None
+        self._loop = event_loop() if bind_listeners else None
         for mapping in list(self.mappings.values()):
             try:
                 self.bind(mapping)
@@ -93,10 +98,13 @@ class FrontendNode:
     def bind(self, mapping: PortMapping) -> None:
         """Route ``mapping``'s port to its target, opening a listener if none.
 
-        A re-target keeps the listener: live relays drain, new connections
-        follow the new mapping. A port that cannot be bound raises
-        ``IngressError`` and keeps the mapping it had, so the next converge
-        plans it again; other ports are untouched either way.
+        A re-target keeps the listener: live sessions drain, new connections
+        follow the new mapping, and a port lent to another backend or for
+        another challenge is taken back and lent anew. A connection the old
+        backend accepted before it saw the port go follows the old mapping.
+        A port that cannot be bound raises ``IngressError`` and keeps the
+        mapping it had, so the next converge plans it again; other ports are
+        untouched either way.
         """
         port = mapping.external_port
         previous = self.mappings.get(port)
@@ -113,30 +121,64 @@ class FrontendNode:
                 self.refused.add(port)
                 raise IngressError(f"port {port}: failed: {exc}") from exc
         self.refused.discard(port)
+        listener = self._listeners.get(port)
+        if listener is not None:
+            self._loop.call_soon(self._lend, [(port, listener)])
 
     def unbind(self, external_port: int) -> None:
+        """Close the port: it refuses connections at once, also where it is
+        lent, and its loan ends."""
         self.mappings.pop(external_port, None)
         self.refused.discard(external_port)
         listener = self._listeners.pop(external_port, None)
         if listener is not None:
             listener.close()
+            self._loop.call_soon(self._lend, [(external_port, listener)])
+
+    def offer(self) -> None:
+        """Lend each port that accepts here to the serve of its backend, if
+        that serve takes it now: a port is offered at its bind and at each
+        tick, never per connection."""
+        if self._listeners:
+            self._loop.call_soon(self._lend, list(self._listeners.items()))
 
     def close(self) -> None:
         for listener in self._listeners.values():
             listener.close()
+        self.offer()  # of closed listeners: ends every loan
         self._listeners.clear()
-        if self._handoffs is not None:
-            self._handoffs.close()
+
+    def _lend(self, listeners: list[tuple[int, Listener]]) -> None:
+        """On the event loop: lend each open listener to the serve of its
+        port's mapping, unless it is lent there already; end the loan of a
+        closed one, or of one whose mapping has moved.
+
+        Calls run in the order they were queued, so a port's loan is always
+        of the listener its next call names, or of none.
+        """
+        for port, listener in listeners:
+            mapping = self.mappings.get(port)
+            target = None
+            if mapping is not None and not listener._closed:
+                target = (str(self._handoff_path(mapping.backend_node)),
+                          mapping.challenge.encode())
+            loan = self._loans.get(port)
+            if loan is not None:
+                if loan.open and (loan.path, loan.name) == target:
+                    continue
+                del self._loans[port]
+                loan.close()
+            if target is not None:
+                try:
+                    self._loans[port] = Loan(listener, *target)
+                except OSError:
+                    pass  # relayed here until a later offer is taken
 
     def _accept(self, port: int, session: Session, peer: tuple) -> None:
-        """On the event loop: hand the session to the serve of the port's
-        current mapping, or dial that mapping and relay."""
+        """On the event loop: dial the port's current mapping and relay."""
         mapping = self.mappings.get(port)
         if mapping is None:  # unbound since the connection was accepted
             session.close()
-            return
-        if self._handoffs.send(str(self._handoff_path(mapping.backend_node)),
-                               session, mapping.challenge.encode()):
             return
         session.connect((mapping.backend_address, mapping.balancer_port),
                         BACKEND_CONNECT_TIMEOUT,

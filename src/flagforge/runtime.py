@@ -24,7 +24,8 @@ adds them to ``desired.json`` as it is on disk, writes that file once,
 converges once and then writes ``latest-build.txt`` once. A ``serve`` ticks
 on its main thread, beside the data plane's loop thread. A frontend
 ``serve`` converges when ``desired.json`` changes, and each
-``probe_interval`` while its last converge had a failed action.
+``probe_interval`` while its last converge had a failed action; at each tick
+it offers the ports it accepts on itself to their backends' serves again.
 """
 
 from __future__ import annotations
@@ -470,6 +471,9 @@ class NodeService:
             # port taken) is not recorded, so this converge plans it again
             self._last_probe = now
             self._report = self.cluster.converge()
+        if self.backend is None:
+            # the ports no backend serve took, or took and gave back
+            self.cluster.frontend.offer()
 
     def stop(self) -> None:
         self.cluster.shutdown(stop_replicas=self.backend is not None)

@@ -21,8 +21,9 @@
                         holds an flock on it while it runs; a file nobody
                         has locked names no owner
     handoff-<node>.sock  unix socket of a served backend, bound under its
-                        lock: a frontend on the same host hands each player
-                        socket to it here instead of relaying the session
+                        lock: a frontend on the same host lends it each
+                        public port's listening socket here, once, over a
+                        connection per port, instead of relaying the port
     logs/, bundles/     replica logs and materialized artifact payloads
 """
 

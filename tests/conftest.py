@@ -1,7 +1,8 @@
 """Shared fixtures: bindable loopback ports, a port whose dials never finish,
 a log of state writes, and a check that no event-loop callback raised during
-a test; ``line_events``, a deterministic operation count; and ``hand_off``,
-which hands a player connection to a handoff socket as a frontend does."""
+a test; ``line_events``, a deterministic operation count; and ``hand_over``,
+which lends a listening socket to a handoff socket as a frontend lends a
+port."""
 
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ def line_events(fn) -> int:
 
 
 def handoff_channel(path) -> socket.socket:
-    """A connection to the handoff socket at ``path``, as a frontend dials."""
+    """A connection to the handoff socket at ``path``: the channel of one
+    lent listener, as a frontend dials it."""
     channel = socket.socket(socket.AF_UNIX, socket.SOCK_SEQPACKET)
     try:
         channel.connect(str(path))
@@ -56,16 +58,14 @@ def handoff_channel(path) -> socket.socket:
     return channel
 
 
-def hand_off(channel: socket.socket, name: bytes) -> socket.socket:
-    """A loopback player connection whose accepted end goes over ``channel``
-    with the service ``name``, as a frontend hands one off, and is closed
-    here; returns the player's end."""
-    with socket.create_server(("127.0.0.1", 0)) as server:
-        player = socket.create_connection(server.getsockname(), timeout=5)
-        accepted, _ = server.accept()
-    with accepted:
-        socket.send_fds(channel, [name], [accepted.fileno()])
-    return player
+def hand_over(channel: socket.socket, name: bytes) -> int:
+    """Send a new loopback listening socket over ``channel`` with the service
+    ``name``, as a frontend lends a public port, and close this process's
+    copy; returns the port, on which only the receiver accepts, until
+    ``channel`` closes."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        socket.send_fds(channel, [name], [listener.fileno()])
+        return listener.getsockname()[1]
 
 
 @pytest.fixture

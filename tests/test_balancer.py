@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import hand_off, handoff_channel
+from conftest import hand_over, handoff_channel
 from flagforge import balancer as balancer_module
 from flagforge._net import (RELAY_CHUNK, Loop, Session, event_loop,
                             parse_proxy_header, render_proxy_header)
@@ -490,12 +490,15 @@ def test_a_handoff_naming_a_service_the_node_does_not_serve_reaches_no_replica(
     server = BalancerServer(balancer, "127.0.0.1")
     server.take_handoffs(str(tmp_path / "handoff.sock"))
     try:
-        with handoff_channel(tmp_path / "handoff.sock") as channel:
-            with hand_off(channel, b"pwn") as player:
+        with handoff_channel(tmp_path / "handoff.sock") as pwn, \
+                handoff_channel(tmp_path / "handoff.sock") as web:
+            with socket.create_connection(
+                    ("127.0.0.1", hand_over(pwn, b"pwn")), timeout=5) as player:
                 assert player.recv(64) == b""
             assert reached == []
             assert list(balancer._tables) == []  # nor a stick table for it
-            with hand_off(channel, b"web") as player:
+            with socket.create_connection(
+                    ("127.0.0.1", hand_over(web, b"web")), timeout=5) as player:
                 assert read_greeting(player) == "r1 v1"
             assert len(reached) == 1
     finally:

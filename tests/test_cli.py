@@ -19,7 +19,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from conftest import hand_off, handoff_channel
+from conftest import hand_over, handoff_channel
 
 from flagforge._net import (LOOP_THREAD_NAME, Session, event_loop,
                             render_proxy_header)
@@ -916,7 +916,8 @@ def fd_links(pid: int) -> set[str]:
 
 def accepted_socket(local_port: int, peer_port: int) -> str:
     """The ``socket:[inode]`` name of the loopback TCP socket on
-    ``local_port`` whose peer is on ``peer_port``."""
+    ``local_port`` whose peer is on ``peer_port``; a peer port of 0 names
+    the socket listening there."""
     for line in Path("/proc/net/tcp").read_text().splitlines()[1:]:
         fields = line.split()
         if (int(fields[1].split(":")[1], 16) == local_port
@@ -932,6 +933,97 @@ def test_the_frontend_holds_no_descriptor_of_a_handed_off_session(served):
         session = accepted_socket(external, conn.getsockname()[1])
         assert session not in fd_links(edge.pid)
         assert session in fd_links(worker.pid)
+
+
+def handed_over_greeting(port: int, frontend: int, within: float) -> str:
+    """The greeting of a session on ``port`` that the ``frontend`` process
+    holds no descriptor of, taken within ``within`` seconds: the port is
+    lent to a backend serve again, and its replica answers."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            conn = socket.create_connection(("127.0.0.1", port), timeout=1)
+        except OSError:
+            conn = None
+        if conn is not None:
+            with conn:
+                conn.settimeout(1)
+                try:
+                    greeting = recv_line(conn)
+                except OSError:
+                    greeting = ""
+                if greeting and accepted_socket(
+                        port, conn.getsockname()[1]) not in fd_links(frontend):
+                    return greeting
+        assert time.monotonic() < deadline, f"{port} was not lent again"
+        time.sleep(0.02)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM],
+                         ids=["sigkill", "sigterm"])
+def test_a_public_port_is_lent_to_a_restarted_backend_serve(served, signum):
+    worker, edge, external, state = served
+    conn, before = greeted(external)
+    conn.close()
+    worker.send_signal(signum)
+    worker.wait(timeout=30)
+    topo = state.parent / "cluster.topology"
+    restarted = serve_process("worker", topo, state)
+    try:
+        assert restarted.stdout.readline().startswith("serving worker")
+        greeting = handed_over_greeting(external, edge.pid, within=2.0)
+        if signum == signal.SIGKILL:  # its replica outlived it, adopted
+            assert greeting == before
+        else:  # stopped with its replicas: a new one answers
+            assert greeting.startswith("alpha-")
+        assert edge.poll() is None
+    finally:
+        restarted.send_signal(signal.SIGTERM)
+        restarted.wait(timeout=30)
+        restarted.stdout.close()
+    assert restarted.returncode == 0
+
+
+def test_a_frontend_serve_binds_the_port_a_killed_one_had_lent(served):
+    worker, edge, external, state = served
+    conn, greeting = greeted(external)
+    with conn:
+        edge.kill()
+        edge.wait(timeout=30)
+        # the backend serve gives the port up once the channel hangs up
+        topo = state.parent / "cluster.topology"
+        restarted = serve_process("edge", topo, state)
+        try:
+            assert restarted.stdout.readline().startswith("serving edge")
+            assert handed_over_greeting(external, restarted.pid,
+                                        within=2.0) == greeting
+            conn.sendall(b"still here\n")  # held by the backend throughout
+            assert recv_line(conn) == "still here"
+        finally:
+            restarted.send_signal(signal.SIGTERM)
+            restarted.wait(timeout=30)
+            restarted.stdout.close()
+    assert restarted.returncode == 0
+
+
+def test_no_replica_inherits_the_lent_listener(served):
+    worker, edge, external, state = served
+    conn, _ = greeted(external)
+    conn.close()
+    listener = accepted_socket(external, 0)
+    assert listener in fd_links(worker.pid)  # lent: the backend holds it
+    old, = StateStore(state).load_replicas("worker")
+    os.kill(old["pid"], signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while True:  # the backend serve spawns a replacement
+        records = StateStore(state).load_replicas("worker")
+        if records and records[0]["pid"] != old["pid"]:
+            break
+        assert time.monotonic() < deadline, "no replacement was spawned"
+        time.sleep(0.02)
+    conn, _ = greeted(external)  # the replacement is up
+    conn.close()
+    assert listener not in fd_links(records[0]["pid"])
 
 
 def test_a_handed_off_session_outlives_its_frontend_serve(served):
@@ -983,9 +1075,10 @@ def test_a_serve_over_the_stale_socket_of_a_killed_serve_takes_handoffs(
         deadline = time.monotonic() + 10
         greeting = ""
         while not greeting.startswith("alpha-"):  # the adopted replica
-            assert time.monotonic() < deadline, "no handoff was taken"
-            with handoff_channel(path) as channel, \
-                    hand_off(channel, b"alpha") as player:
+            assert time.monotonic() < deadline, "no listener was taken"
+            with handoff_channel(path) as channel, socket.create_connection(
+                    ("127.0.0.1", hand_over(channel, b"alpha")),
+                    timeout=5) as player:
                 greeting = recv_line(player)
     finally:
         process.send_signal(signal.SIGTERM)
@@ -998,6 +1091,7 @@ def test_a_serve_over_the_stale_socket_of_a_killed_serve_takes_handoffs(
                          ["none", "missing", "too-long", "would-block"])
 def test_a_session_the_kernel_will_not_hand_off_is_relayed(
         workspace, refusal, monkeypatch, capsys):
+    # a port the kernel will not lend accepts in the frontend, which relays
     root, state = workspace
     if refusal == "too-long":  # beyond sun_path's 108 bytes
         state = root / ("s" * 108) / "state"

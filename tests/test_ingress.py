@@ -6,11 +6,13 @@ import gc
 import socket
 import threading
 import time
+from functools import partial
 
 import pytest
 
 from flagforge import ingress as ingress_module
-from flagforge._net import Listener, Loop, Session, _Side, parse_proxy_header
+from flagforge._net import (HandoffListener, Listener, Loop, Session, _Side,
+                            event_loop, parse_proxy_header, render_proxy_header)
 from flagforge.balancer import Balancer, BalancerServer
 from flagforge.errors import IngressError
 from flagforge.ingress import (
@@ -386,6 +388,91 @@ def test_swap_lets_inflight_connections_drain(server, free_port):
     finally:
         stub_a.close()
         stub_b.close()
+
+
+def loop_settled() -> None:
+    """Wait until the event loop has run what was queued before."""
+    done = threading.Event()
+    event_loop().call_soon(done.set)
+    assert done.wait(5)
+
+
+@pytest.mark.parametrize("moved", ["backend", "challenge"])
+def test_swap_lets_inflight_connections_of_a_lent_port_drain(
+        server, tmp_path, free_port, moved):
+    store = StateStore(tmp_path / "state")
+    store.root.mkdir()
+    stub_a, stub_b = balancer_stub("A"), balancer_stub("B")
+
+    def relay(node, name, session, peer):  # as a backend serve's _handed
+        stub = stub_a if (node, name) == ("worker", "alpha") else stub_b
+        session.connect(("127.0.0.1", stub.port), 5,
+                        head=render_proxy_header(peer[0]))
+
+    backends = [HandoffListener(str(store.handoff_path(node)),
+                                partial(relay, node))
+                for node in ("worker", "other")]
+    external = free_port()
+    # nothing listens on balancer port 1: a relayed session is refused
+    first = PortMapping(external, "alpha", "worker", "127.0.0.1", 1)
+    second = (PortMapping(external, "alpha", "other", "127.0.0.1", 1)
+              if moved == "backend" else
+              PortMapping(external, "beta", "worker", "127.0.0.1", 1))
+    try:
+        server.bind(first)
+        held = socket.create_connection(("127.0.0.1", external), timeout=5)
+        assert read_line_from(held) == "A 127.0.0.1"
+
+        server.bind(second)  # the loan moves: worker's copy is given back
+        held.sendall(b"still-here")
+        assert held.recv(64) == b"still-here"
+        held.close()
+        deadline = time.monotonic() + 2
+        while True:  # until the old backend has read the hang-up
+            with socket.create_connection(("127.0.0.1", external),
+                                          timeout=5) as sock:
+                if read_line_from(sock) == "B 127.0.0.1":
+                    break
+            assert time.monotonic() < deadline, "new target never reached"
+
+        server.unbind(external)  # shut down in the backend's hands too
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", external), timeout=2)
+    finally:
+        for backend in backends:
+            backend.close()
+        stub_a.close()
+        stub_b.close()
+
+
+def test_a_port_no_backend_takes_is_relayed_with_no_dial_per_session(
+        server, free_port, monkeypatch):
+    dials = []
+    connect = socket.socket.connect
+
+    def recording(sock, address):
+        if sock.family == socket.AF_UNIX:
+            dials.append(address)
+        return connect(sock, address)
+
+    monkeypatch.setattr(socket.socket, "connect", recording)
+    stub = balancer_stub("A")
+    external = free_port()
+    try:
+        server.bind(mapping_for(external, stub.port))
+        loop_settled()
+        assert len(dials) == 1  # the bind's offer: no handoff socket there
+        for _ in range(50):
+            with socket.create_connection(("127.0.0.1", external),
+                                          timeout=5) as sock:
+                assert read_line_from(sock) == "A 127.0.0.1"
+        assert len(dials) == 1
+        for ticks in range(1, 4):
+            server.offer()
+            loop_settled()
+            assert len(dials) == 1 + ticks  # one offer per port and tick
+    finally:
+        stub.close()
 
 
 def test_unbind_closes_listener(server, free_port):

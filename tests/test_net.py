@@ -1,5 +1,5 @@
 """The event loop: resource pressure, threads, ports, cross-thread calls,
-slow dials and the handoff listener."""
+slow dials, and listeners lent to another process."""
 
 from __future__ import annotations
 
@@ -16,9 +16,12 @@ from pathlib import Path
 import pytest
 
 import flagforge
-from conftest import hand_off, handoff_channel
+from conftest import hand_over, handoff_channel
 from flagforge._net import (HandoffListener, Listener, Session, event_loop,
                             render_proxy_header)
+from flagforge.ingress import FrontendNode
+from flagforge.model import parse_topology
+from flagforge.state import PortMapping, StateStore
 from fixture_server import handle as greet_and_echo
 from threaded_listener import TcpListener
 
@@ -89,20 +92,18 @@ def test_listener_accepts_again_after_descriptor_exhaustion():
         child.stdout.close()
 
 
-# A handoff listener that relays every session to a greeter of its own. Reads
-# a stdin line before it runs out of descriptors, one before it frees them
-# and one before it exits.
+# A backend's handoff listener, which relays every session of a lent port to a
+# greeter of its own. It runs out of descriptors but one at once, reads a
+# stdin line before it frees them and one before it exits.
 EXHAUSTED_HANDOFF_LISTENER = textwrap.dedent("""
     import errno, os, resource, sys
     from flagforge._net import HandoffListener
     from threaded_listener import TcpListener
 
     greeter = TcpListener("127.0.0.1", 0,
-                          lambda conn, peer: conn.sendall(b"hello\\n"))
+                          lambda conn, peer: conn.sendall(b"borrowed\\n"))
     HandoffListener(sys.argv[1], lambda name, session, peer: session.connect(
         ("127.0.0.1", greeter.port), 5))
-    print("listening", flush=True)
-    sys.stdin.readline()
     _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
     resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))
     hogs = []
@@ -112,6 +113,8 @@ EXHAUSTED_HANDOFF_LISTENER = textwrap.dedent("""
     except OSError as exc:
         if exc.errno != errno.EMFILE:
             raise
+    # enough to accept a channel, not to take the listener it carries
+    os.close(hogs.pop())
     print("exhausted", flush=True)
     sys.stdin.readline()
     for fd in hogs:
@@ -121,33 +124,53 @@ EXHAUSTED_HANDOFF_LISTENER = textwrap.dedent("""
 """)
 
 
-def test_handoff_listener_drops_one_session_when_out_of_descriptors(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
-    path = tmp_path / "handoff.sock"
-    child = subprocess.Popen(
-        [sys.executable, "-c", EXHAUSTED_HANDOFF_LISTENER, str(path)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+def greets(port: int, expected: bytes, timeout: float = 5.0) -> None:
+    """Connect to ``port`` until a connection greets with ``expected``."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as player:
+            if read_line(player) == expected:
+                return
+        assert time.monotonic() < deadline, f"{port} never sent {expected!r}"
+        time.sleep(0.02)
 
-    def step(expected: str) -> None:
+
+def test_a_listener_lent_while_out_of_descriptors_is_taken_back_and_lent_again(
+        tmp_path, free_port):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+    store = StateStore(tmp_path / "state")
+    store.root.mkdir()
+    child = subprocess.Popen(
+        [sys.executable, "-c", EXHAUSTED_HANDOFF_LISTENER,
+         str(store.handoff_path("worker"))],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+    # the frontend's relay, dialled when the port accepts in this process
+    relay = TcpListener("127.0.0.1", 0,
+                        lambda conn, peer: conn.sendall(b"relayed\n"))
+    external = free_port()
+    frontend = FrontendNode(parse_topology(
+        f"node edge role=frontend bind=127.0.0.1 ports={external}-{external}\n"
+        "node worker role=backend bind=127.0.0.1 ports=20000-20999\n"),
+        "edge", store, bind_listeners=True)
+    try:
+        assert child.stdout.readline().strip() == "exhausted"
+        # the child takes the channel and the kernel drops the listener it
+        # carries (MSG_CTRUNC): the child hangs up, and the port comes back
+        frontend.bind(PortMapping(external, "alpha", "worker", "127.0.0.1",
+                                  relay.port))
+        greets(external, b"relayed\n")
+        frontend.offer()  # the next tick's offer meets the same refusal
+        greets(external, b"relayed\n")
         child.stdin.write("\n")
         child.stdin.flush()
-        assert child.stdout.readline().strip() == expected
-
-    try:
-        assert child.stdout.readline().strip() == "listening"
-        with handoff_channel(path) as channel:
-            with hand_off(channel, b"alpha") as player:
-                assert read_line(player) == b"hello\n"
-            step("exhausted")
-            # the kernel cannot install the descriptor: it drops it, so the
-            # player is cut off, and the message comes back truncated
-            with hand_off(channel, b"alpha") as player:
-                assert read_line(player) == b""
-            step("freed")
-            with hand_off(channel, b"alpha") as player:
-                assert read_line(player) == b"hello\n"
+        assert child.stdout.readline().strip() == "freed"
+        frontend.offer()
+        greets(external, b"borrowed\n")
         assert child.poll() is None
     finally:
+        frontend.close()
+        relay.close()
         child.kill()
         child.wait(timeout=5)
         child.stdin.close()
@@ -156,18 +179,22 @@ def test_handoff_listener_drops_one_session_when_out_of_descriptors(tmp_path):
 
 def test_a_handed_off_socket_is_received_close_on_exec(tmp_path):
     received = []
+    listener = None
 
     def on_handoff(name, session, peer):
-        sock = session._client.sock
-        received.append((name, os.get_inheritable(sock.fileno()), peer[0]))
+        lent, = listener._channels.values()
+        received.append((name, os.get_inheritable(lent._sock.fileno()),
+                         peer[0]))
         session.close()
 
     listener = HandoffListener(str(tmp_path / "handoff.sock"), on_handoff)
     try:
-        with handoff_channel(listener.path) as channel, \
-                hand_off(channel, b"alpha") as player:
-            player.settimeout(5)
-            assert player.recv(64) == b""  # closed by its new owner
+        with handoff_channel(listener.path) as channel:
+            port = hand_over(channel, b"alpha")
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=5) as player:
+                player.settimeout(5)
+                assert player.recv(64) == b""  # closed by the borrower
     finally:
         listener.close()
     assert received == [("alpha", False, "127.0.0.1")]
